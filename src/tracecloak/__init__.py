@@ -17,7 +17,6 @@ from .matcher import (
     DatabaseEntry,
     MatchIndex,
     build_index,
-    exact_lookup,
     hamming,
     scan_match,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "DatabaseEntry",
     "MatchIndex",
     "build_index",
-    "exact_lookup",
     "hamming",
     "scan_match",
 ]

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_match, params=False)
     p_match.add_argument("--db", required=True, help="TSV entry file")
     p_match.add_argument("--tau", type=int, required=True)
-    p_match.add_argument("--exact", action="store_true", help="binary-search exact match")
+    p_match.add_argument("--exact", action="store_true", help="exact match only (tau 0)")
     p_match.add_argument("query", help="comma-separated encoding")
 
     p_sim = sub.add_parser("simulate", help="run the tracing protocol simulator")
@@ -137,12 +137,8 @@ def cmd_encode(args) -> int:
 def cmd_match(args) -> int:
     entries = matcher.load_entries(args.db)
     query = parse_encoding(args.query)
-    if args.exact:
-        table = matcher.build_exact_table(entries)
-        hits = matcher.exact_lookup(table, query)
-    else:
-        index = matcher.build_index(entries, len(query), args.tau)
-        hits = index.query(query, args.tau)
+    tau = 0 if args.exact else args.tau
+    hits = matcher.build_index(entries, len(query), tau).query(query, tau)
     for entry in hits:
         print(f"{entry.user_id}\t{entry.tag}\t{format_encoding(entry.encoding)}")
     if args.csv:

@@ -13,6 +13,7 @@ import csv
 import random
 import socket
 import socketserver
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -233,12 +234,17 @@ def client_handle_alert(client: ClientState, alert: AlertMsg) -> tuple[int, int]
 
 
 class ServerState:
-    """Uninfected store + match index; infected reports are logged, not indexed."""
+    """Uninfected store + match index; infected reports are logged, not indexed.
+
+    `handle` runs under one lock, so concurrent connections see the store,
+    the infected log and the alert dedupe set change one report at a time.
+    """
 
     def __init__(self, n: int, tau: int):
         self.index = MatchIndex(n, tau)
         self.infected_log: list[ReportMsg] = []
         self._alerted: set[tuple[str, tuple[int, ...]]] = set()
+        self._lock = threading.Lock()
 
     @property
     def store_size(self) -> int:
@@ -247,22 +253,24 @@ class ServerState:
     def handle(self, msg: ReportMsg) -> list[AlertMsg]:
         if not isinstance(msg, ReportMsg) or msg.tag not in (UNINFECTED, INFECTED):
             raise ProtocolError(f"malformed report: {msg!r}")
-        if msg.tag == UNINFECTED:
-            self.index.add(
-                DatabaseEntry(user_id=msg.user_id, encoding=msg.encoding, tag=msg.tag)
-            )
-            return []
-        self.infected_log.append(msg)
-        alerts = []
-        for entry in self.index.query(msg.encoding):
-            if entry.user_id == msg.user_id:
-                continue  # reporters already know their own history
-            key = (entry.user_id, entry.encoding)
-            if key in self._alerted:
-                continue
-            self._alerted.add(key)
-            alerts.append(AlertMsg(user_id=entry.user_id, encoding=entry.encoding))
-        return alerts
+        with self._lock:
+            if msg.tag == UNINFECTED:
+                self.index.add(
+                    DatabaseEntry(user_id=msg.user_id, encoding=msg.encoding, tag=msg.tag)
+                )
+                return []
+            hits = self.index.query(msg.encoding)  # raises before anything is logged
+            self.infected_log.append(msg)
+            alerts = []
+            for entry in hits:
+                if entry.user_id == msg.user_id:
+                    continue  # reporters already know their own history
+                key = (entry.user_id, entry.encoding)
+                if key in self._alerted:
+                    continue
+                self._alerted.add(key)
+                alerts.append(AlertMsg(user_id=entry.user_id, encoding=entry.encoding))
+            return alerts
 
 
 def server_handle(state: ServerState, msg: ReportMsg) -> list[AlertMsg]:
@@ -290,15 +298,17 @@ class InProcessTransport:
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            line = raw.decode("utf-8").rstrip("\n")
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").rstrip("\n")
+                if not line:
+                    continue
                 msg = parse_message(line)
                 if not isinstance(msg, ReportMsg):
                     raise ProtocolError("clients may only send reports")
                 alerts = self.server.state.handle(msg)
-            except ProtocolError as exc:
+            # ProtocolError, UnicodeDecodeError and the store's length and
+            # range checks are all ValueErrors
+            except ValueError as exc:
                 self.wfile.write(f"ERROR\t{exc}\n".encode("utf-8"))
                 return  # connection-level reject
             for alert in alerts:
@@ -322,7 +332,10 @@ class SocketServer(socketserver.ThreadingTCPServer):
 def send_report_over_socket(
     address: tuple[str, int], msg: ReportMsg
 ) -> list[AlertMsg]:
-    """One-shot client: send a report line, read alerts until the OK line."""
+    """One-shot client: send a report line, read alerts until the OK line.
+
+    Raises ProtocolError on an ERROR line or when the stream ends before OK,
+    so a report the server did not accept never looks accepted."""
     with socket.create_connection(address) as conn:
         conn.sendall((format_message(msg) + "\n").encode("utf-8"))
         conn.shutdown(socket.SHUT_WR)
@@ -331,13 +344,13 @@ def send_report_over_socket(
         for line in buf:
             line = line.rstrip("\n")
             if line == "OK":
-                break
+                return alerts
             if line.startswith("ERROR\t"):
                 raise ProtocolError(line.split("\t", 1)[1])
             parsed = parse_message(line)
             assert isinstance(parsed, AlertMsg)
             alerts.append(parsed)
-        return alerts
+        raise ProtocolError("connection closed before OK")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 import random
+import sys
+import threading
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracecloak import matcher
 from tracecloak.matcher import (
+    CODE_LIMIT,
     DatabaseEntry,
     MatchIndex,
-    build_exact_table,
     build_index,
-    exact_lookup,
     hamming,
     load_entries,
     save_entries,
@@ -115,14 +121,143 @@ def test_duplicates_stored_distinctly():
 def test_exact_lookup():
     rng = random.Random(4)
     entries = random_entries(rng, 10_000, 6, 7)
-    table = build_exact_table(entries)
+    index = build_index(entries, 6, 0)
     for _ in range(200):
         q = rng.choice(entries).encoding
-        assert Counter(exact_lookup(table, q)) == Counter(scan_match(entries, q, 0))
+        assert Counter(index.query(q)) == Counter(scan_match(entries, q, 0))
     absent = (6, 6, 6, 6, 6, 99)
-    assert exact_lookup(table, absent) == []
-    single = build_exact_table([DatabaseEntry("x", (1, 2))])
-    assert exact_lookup(single, (1, 2)) == [DatabaseEntry("x", (1, 2))]
+    assert index.query(absent) == []
+    single = build_index([DatabaseEntry("x", (1, 2))], 2, 0)
+    assert single.query((1, 2)) == [DatabaseEntry("x", (1, 2))]
+
+
+def test_add_rejects_out_of_range_coordinates():
+    index = MatchIndex(4, 1)
+    with pytest.raises(ValueError, match="position 2"):
+        index.add(DatabaseEntry("a", (0, 1, CODE_LIMIT, 3)))
+    with pytest.raises(ValueError, match="position 0"):
+        index.add(DatabaseEntry("a", (-1, 1, 2, 3)))
+    with pytest.raises(ValueError, match="position 3"):
+        index.add(DatabaseEntry("a", (0, 1, 2, np.int64(-1))))
+    assert len(index) == 0
+    index.add(DatabaseEntry("a", (0, 1, 2, CODE_LIMIT - 1)))
+    assert index.query((0, 1, 2, CODE_LIMIT - 1), 0) == index.entries
+
+
+def test_stats_count_queries_candidates_and_hits():
+    index = MatchIndex(4, 1)  # blocks (0, 1) and (2, 3)
+    for enc in [(0, 0, 0, 0), (0, 0, 1, 1), (5, 5, 0, 0), (9, 9, 9, 9)]:
+        index.add(DatabaseEntry("a", enc))
+    assert index.stats() == {"queries": 0, "candidates": 0, "hits": 0}
+    assert [e.encoding for e in index.query((0, 0, 0, 0))] == [(0, 0, 0, 0)]
+    assert index.query((7, 7, 7, 7)) == []
+    assert index.stats() == {"queries": 2, "candidates": 3, "hits": 1}
+
+
+# mostly a tiny alphabet, so candidate sets reach past NUMPY_MIN_CELLS, and
+# a wider one, so they also skip ids; the top uint16 value pins the edge
+_stored = st.one_of(st.integers(0, 2), st.integers(0, 30), st.just(CODE_LIMIT - 1))
+# queries also carry values no stored row can hold
+_probe = st.one_of(
+    _stored, st.integers(-3, -1), st.integers(CODE_LIMIT, CODE_LIMIT + 2), st.just(2**70)
+)
+
+
+@st.composite
+def _index_cases(draw):
+    n = draw(st.integers(1, 10))
+    tau = draw(st.integers(0, n + 1))
+    code = st.tuples(*[_stored] * n)
+    pool = draw(st.lists(code, min_size=1, max_size=6))
+    store = draw(st.lists(st.one_of(code, st.sampled_from(pool)), max_size=80))
+    queries = draw(
+        st.lists(st.one_of(st.sampled_from(pool), st.tuples(*[_probe] * n)), min_size=1, max_size=4)
+    )
+    query_tau = draw(st.integers(0, tau))
+    return n, tau, store, queries, query_tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(_index_cases())
+def test_index_equals_scan_match_property(case):
+    n, tau, store, queries, query_tau = case
+    entries = [DatabaseEntry(f"u{i}", enc) for i, enc in enumerate(store)]
+    index = build_index(entries, n, tau)
+    # the default cutoff, then the numpy path and the Python path alone
+    for cutoff in (matcher.NUMPY_MIN_CELLS, 0, sys.maxsize):
+        with mock.patch.object(matcher, "NUMPY_MIN_CELLS", cutoff):
+            for q in queries:
+                assert index.query(q, query_tau) == scan_match(entries, q, query_tau)
+                assert index.query(q) == scan_match(entries, q, tau)
+    bad = store[0] if store else (0,) * n
+    for value in (-1, CODE_LIMIT, 2**70):
+        with pytest.raises(ValueError):
+            index.add(DatabaseEntry("bad", (value,) + tuple(bad[1:])))
+    assert len(index) == len(store)
+
+
+def test_query_verifies_entries_added_while_it_collects_candidates():
+    """Adds that land between candidate collection and verification: the
+    query must verify against a store that holds their rows."""
+    index = MatchIndex(2, 1)  # blocks (0,) and (1,)
+
+    class AddsOnLookup(dict):
+        def get(self, key, default=None):
+            while len(index) < 300:
+                index.add(DatabaseEntry(f"u{len(index)}", (len(index), 1)))
+            return super().get(key, default)
+
+    index._tables[-1] = AddsOnLookup(index._tables[-1])
+    with mock.patch.object(matcher, "NUMPY_MIN_CELLS", 0):
+        got = index.query((0, 1))
+    assert len(got) == 300
+    assert got == scan_match(index.entries, (0, 1), 1) == index.entries
+
+
+def test_queries_racing_adds_see_every_added_entry():
+    """Queries on the numpy path racing adds that grow the code store."""
+    encodings = [(i % 3, 0, i, i + 1) for i in range(3000)]
+    index = MatchIndex(4, 1)
+    failures: list = []
+    added = [0]  # entries whose add has returned
+    done = threading.Event()
+
+    def writer():
+        try:
+            for i, enc in enumerate(encodings):
+                index.add(DatabaseEntry(f"u{i}", enc))
+                added[0] = i + 1
+        except Exception as exc:
+            failures.append(exc)
+        finally:
+            done.set()
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            while not done.is_set():
+                if added[0]:
+                    i = rng.randrange(added[0])
+                    if DatabaseEntry(f"u{i}", encodings[i]) not in index.query(encodings[i], 0):
+                        failures.append(i)
+        except Exception as exc:  # recorded, so the main thread sees it
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(matcher, "NUMPY_MIN_CELLS", 0):
+            threads = [threading.Thread(target=reader, args=(s,), daemon=True) for s in range(3)]
+            threads.append(threading.Thread(target=writer, daemon=True))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(index) == len(encodings)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,5 +1,8 @@
 import random
+import socket
+import socketserver
 import threading
+import time
 
 import pytest
 
@@ -222,6 +225,93 @@ def test_socket_transport():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _exchange(address, data: bytes) -> bytes:
+    """Send raw bytes on one connection and read the reply to its end."""
+    with socket.create_connection(address, timeout=10) as conn:
+        conn.sendall(data)
+        conn.shutdown(socket.SHUT_WR)
+        with conn.makefile("rb") as reply:
+            return reply.read()
+
+
+def test_socket_server_rejects_bad_reports_and_keeps_serving():
+    state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
+    server = SocketServer(("127.0.0.1", 0), state)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        addr = server.server_address
+        coords = ",".join(["1"] * PARAMS.n)
+        bad_lines = [
+            f"REPORT\tu1\t{UNINFECTED}\t1,2,3\n".encode(),  # wrong length
+            f"REPORT\tu1\t{INFECTED}\t1,2,3\n".encode(),
+            f"REPORT\tu1\t{UNINFECTED}\t70000,{coords[2:]}\n".encode(),  # range
+            b"REPORT\tu1\t\xff\xfe\n",  # not UTF-8
+        ]
+        for line in bad_lines:
+            assert _exchange(addr, line).startswith(b"ERROR\t")
+        with pytest.raises(ProtocolError):
+            send_report_over_socket(addr, ReportMsg("u1", UNINFECTED, (1, 2, 3)))
+        assert state.store_size == 0
+        assert state.infected_log == []
+        ok = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
+        assert send_report_over_socket(addr, ok) == []
+        assert state.store_size == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_client_raises_when_stream_ends_without_ok():
+    class ClosesEarly(socketserver.StreamRequestHandler):
+        def handle(self):
+            self.rfile.readline()  # read the report, answer nothing
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), ClosesEarly)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        msg = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
+        with pytest.raises(ProtocolError, match="before OK"):
+            send_report_over_socket(server.server_address, msg)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_concurrent_infected_reports_alert_once():
+    """Reports racing on one stored entry must alert its owner exactly once."""
+
+    class SlowMembership(set):
+        # widens the window between the dedupe check and its update
+        def __contains__(self, key):
+            found = super().__contains__(key)
+            time.sleep(0.001)
+            return found
+
+    state = ServerState(n=3, tau=0)
+    state._alerted = SlowMembership()
+    workers, rounds = 4, 20
+    barrier = threading.Barrier(workers)
+    alerts: list[list[AlertMsg]] = [[] for _ in range(rounds)]
+
+    def report(worker):
+        for r in range(rounds):
+            if worker == 0:
+                state.handle(ReportMsg("owner", UNINFECTED, (r, r, r)))
+            barrier.wait(timeout=30)
+            alerts[r].extend(state.handle(ReportMsg(f"w{worker}", INFECTED, (r, r, r))))
+
+    threads = [threading.Thread(target=report, args=(w,)) for w in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(a) for a in alerts] == [1] * rounds
+    assert len(state.infected_log) == workers * rounds
 
 
 def test_simulation_store_size_and_recall():
