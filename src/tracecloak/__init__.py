@@ -9,9 +9,9 @@ from .encoder import (
     encode_unsorted,
     inflate,
     load_params,
-    rrns_encode,
     save_params,
     sort_code,
+    sorted_codes,
 )
 from .matcher import (
     DatabaseEntry,
@@ -30,9 +30,9 @@ __all__ = [
     "encode_unsorted",
     "inflate",
     "load_params",
-    "rrns_encode",
     "save_params",
     "sort_code",
+    "sorted_codes",
     "DatabaseEntry",
     "MatchIndex",
     "build_index",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .attacks import expected_direct_solves_log10
-from .encoder import PolyCodeParams, encode_unsorted, sort_code
+from .encoder import PolyCodeParams, encode_unsorted
 from .matcher import hamming
 from .numtheory import primes
 

@@ -14,15 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .encoder import (
-    Params,
-    PolyCodeParams,
-    RrnsParams,
-    basic_encode,
-    encode,
-    rrns_basic_encode,
-    sort_code,
-)
+from .encoder import Params, RrnsParams, encode, sorted_codes
 from .matcher import MatchIndex, DatabaseEntry, hamming
 from .numtheory import crt_reconstruct, from_digits, vandermonde_solve
 
@@ -37,15 +29,10 @@ class AttackReport:
     candidates: tuple[int, ...] = ()
 
 
-def _sorted_basic(x: int, params: Params) -> tuple[int, ...]:
-    if isinstance(params, RrnsParams):
-        return sort_code(rrns_basic_encode(x, params))
-    return sort_code(basic_encode(x, params))
-
-
 def matches_target(x: int, params: Params, e, tau: int) -> bool:
     """Does the deterministic sorted basic code of x match e within tau?"""
-    return hamming(_sorted_basic(x, params), e) <= tau
+    (code,) = sorted_codes([x], params).tolist()
+    return hamming(code, e) <= tau
 
 
 def brute_force_attack(e, params: Params, tau: int) -> AttackReport:

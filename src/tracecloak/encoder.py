@@ -5,6 +5,11 @@ order-preserving corruption): the polynomial code over Z_p and the
 redundant residue code over n distinct primes.  Both are injective before
 sorting and keep re-encodings of one point within Hamming distance 2k of
 each other, which is what makes threshold matching work.
+
+The deterministic stage (evaluate/reduce, sort) is one numpy function,
+`sorted_codes`: the polynomial code is a product of the digit matrix with
+a cached Vandermonde table.  `numtheory.eval_poly` (Horner's rule) is the
+scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +21,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .numtheory import crt_reconstruct, eval_poly, is_prime, primes, to_digits
+import numpy as np
+
+# eval_poly is not called here; it is imported so that the scalar reference
+# stays reachable (and wrappable) as encoder.eval_poly
+from .numtheory import crt_reconstruct, eval_poly, is_prime, primes, to_digits  # noqa: F401
 
 
 def digit_count(M: int, p: int) -> int:
@@ -116,19 +125,59 @@ class RrnsParams:
 Params = PolyCodeParams | RrnsParams
 
 
-def basic_encode(x: int, params: PolyCodeParams) -> list[int]:
-    """The index-carrying code: the digit polynomial of x evaluated at 0..n-1."""
-    if not 0 <= x < params.M:
-        raise ValueError(f"x={x} outside world [0, {params.M})")
-    digits = to_digits(x, params.p, params.m)
-    return [eval_poly(digits, xi, params.p) for xi in range(params.n)]
+def _int_dtype(largest: int):
+    """int64 when every value stays below 2^63, Python ints (object) otherwise."""
+    return np.int64 if largest < 2**63 else object
 
 
-def rrns_basic_encode(x: int, params: RrnsParams) -> list[int]:
-    """The residue vector (x mod p_1, ..., x mod p_n)."""
-    if not 0 <= x < params.M:
-        raise ValueError(f"x={x} outside world [0, {params.M})")
-    return [x % q for q in params.primes]
+@lru_cache(maxsize=64)
+def _vandermonde(params: PolyCodeParams) -> np.ndarray:
+    """V[j, i] = i^j mod p, so that digits @ V evaluates the digit polynomial
+    at 0..n-1.  A dot product sums m products below p^2, so int64 is exact
+    while m*(p-1)^2 < 2^63 (every p < 2^16); larger p falls back to Python
+    ints.  The table is shared, so it is read-only."""
+    p, m = params.p, params.m
+    table = np.array(
+        [[pow(i, j, p) for i in range(params.n)] for j in range(m)],
+        dtype=_int_dtype(m * (p - 1) ** 2),
+    )
+    table.flags.writeable = False
+    return table
+
+
+def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
+    """The unsorted basic codes of xs, one row per point, shape (len(xs), n).
+
+    Polynomial code: the digit polynomial of x evaluated at 0..n-1.  RRNS:
+    the residue vector (x mod p_1, ..., x mod p_n).  Every point is
+    range-checked before any work is done.
+    """
+    for x in xs:
+        if not 0 <= x < params.M:
+            raise ValueError(f"x={x} outside world [0, {params.M})")
+    if isinstance(params, RrnsParams):
+        rows = [[x % q for q in params.primes] for x in xs]
+        dtype = _int_dtype(params.alphabet - 1)
+        return np.array(rows, dtype=dtype).reshape(len(xs), params.n)
+    table = _vandermonde(params)
+    m = table.shape[0]
+    digits = np.array([to_digits(x, params.p, m) for x in xs], dtype=table.dtype)
+    codes = digits.reshape(len(xs), m) @ table
+    codes %= params.p
+    return codes
+
+
+def sorted_codes(xs: Sequence[int], params: Params) -> np.ndarray:
+    """Sorted basic codes of xs, shape (len(xs), n): the deterministic part
+    of `encode`, before corruption."""
+    codes = _basic_codes(xs, params)
+    codes.sort(axis=1)
+    return codes
+
+
+def basic_encode(x: int, params: Params) -> list[int]:
+    """The index-carrying code of one point, positions intact."""
+    return _basic_codes([x], params)[0].tolist()
 
 
 def sort_code(code: Sequence[int]) -> tuple[int, ...]:
@@ -164,16 +213,8 @@ def corrupt(
 
 def encode(x: int, params: Params, rng: random.Random) -> tuple[int, ...]:
     """The released encoding: sorted basic code with k coordinates corrupted."""
-    if isinstance(params, RrnsParams):
-        code = rrns_basic_encode(x, params)
-    else:
-        code = basic_encode(x, params)
-    return corrupt(sort_code(code), params.k, params.alphabet, rng)
-
-
-def rrns_encode(x: int, params: RrnsParams, rng: random.Random) -> tuple[int, ...]:
-    """Sorted, order-preserving-corrupted residue vector of x."""
-    return corrupt(sort_code(rrns_basic_encode(x, params)), params.k, params.alphabet, rng)
+    (row,) = sorted_codes([x], params).tolist()
+    return corrupt(tuple(row), params.k, params.alphabet, rng)
 
 
 def encode_unsorted(

@@ -193,11 +193,9 @@ def load_entries(path: str | Path) -> list[DatabaseEntry]:
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
         user_id, tag, coords = parts
-        entries.append(
-            DatabaseEntry(
-                user_id=user_id,
-                tag=tag,
-                encoding=tuple(int(tok) for tok in coords.split(",")),
-            )
-        )
+        try:
+            encoding = tuple(int(tok) for tok in coords.split(","))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad coordinate list {coords!r}") from None
+        entries.append(DatabaseEntry(user_id=user_id, tag=tag, encoding=encoding))
     return entries

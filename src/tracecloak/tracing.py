@@ -14,6 +14,7 @@ import random
 import socket
 import socketserver
 import threading
+import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,6 +71,14 @@ class GridSpec:
     lon_min: float = 0.0
     lon_max: float = 1.0
     epoch_seconds: float = 30.0
+
+    def __post_init__(self):
+        if min(self.rows, self.cols, self.epochs) < 1:
+            raise ValueError("rows, cols and epochs must be at least 1")
+        if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
+            raise ValueError("need lat_min < lat_max and lon_min < lon_max")
+        if not self.epoch_seconds > 0:
+            raise ValueError("epoch_seconds must be positive")
 
     @property
     def cells(self) -> int:
@@ -273,10 +282,6 @@ class ServerState:
             return alerts
 
 
-def server_handle(state: ServerState, msg: ReportMsg) -> list[AlertMsg]:
-    return state.handle(msg)
-
-
 # ---------------------------------------------------------------------------
 # Transports: the in-process one round-trips every message through the
 # wire format; the socket one speaks the same bytes over TCP.
@@ -295,34 +300,78 @@ class InProcessTransport:
         return [parse_message(format_message(a)) for a in alerts]  # type: ignore[misc]
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
+def _read_lines(sock: socket.socket, limit: int, timeout: float):
+    """Yield the lines arriving on sock, newline included (a last line may
+    lack it).  A line longer than `limit` bytes is cut to its first
+    limit + 1 for the caller to reject.
+
+    A line must be complete within `timeout` seconds of when the reader
+    starts waiting for it.  Each read is bounded by the socket's own
+    timeout, and once the line is older than `timeout` the reader raises
+    TimeoutError instead of reading again, so a client that trickles bytes
+    is dropped too, at most 2 * timeout after the line started."""
+    # one receive buffer per connection: a fresh 4 KiB buffer per recv,
+    # shrunk to the line, leaves holes between the store's long-lived
+    # entries, and peak RSS grew by 3 MB on the tcp_row1 benchmark workload
+    buf, chunk = b"", memoryview(bytearray(4096))
+    while True:
+        deadline = time.monotonic() + timeout
+        while not (end := buf.find(b"\n", 0, limit + 1) + 1) and len(buf) <= limit:
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"no complete line within {timeout} s")
+            got = sock.recv_into(chunk)
+            if not got:
+                if buf:
+                    yield buf
+                return
+            buf += chunk[:got]
+        if not end:
+            yield buf[: limit + 1]
+            return
+        line, buf = buf[:end], buf[end:]
+        yield line
+
+
+class _LineHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        for raw in self.rfile:
-            try:
-                line = raw.decode("utf-8").rstrip("\n")
-                if not line:
-                    continue
-                msg = parse_message(line)
-                if not isinstance(msg, ReportMsg):
-                    raise ProtocolError("clients may only send reports")
-                alerts = self.server.state.handle(msg)
-            # ProtocolError, UnicodeDecodeError and the store's length and
-            # range checks are all ValueErrors
-            except ValueError as exc:
-                self.wfile.write(f"ERROR\t{exc}\n".encode("utf-8"))
-                return  # connection-level reject
-            for alert in alerts:
-                self.wfile.write((format_message(alert) + "\n").encode("utf-8"))
-            self.wfile.write(b"OK\n")
-            self.wfile.flush()
+        sock, limit, timeout = self.request, self.server.max_line, self.server.idle_timeout
+        sock.settimeout(timeout)
+        try:
+            for raw in _read_lines(sock, limit, timeout):
+                try:
+                    if len(raw) > limit:
+                        raise ProtocolError(f"line longer than {limit} bytes")
+                    line = raw.decode("utf-8").rstrip("\n")
+                    if not line:
+                        continue
+                    msg = parse_message(line)
+                    if not isinstance(msg, ReportMsg):
+                        raise ProtocolError("clients may only send reports")
+                    alerts = self.server.state.handle(msg)
+                # ProtocolError, UnicodeDecodeError and the store's length and
+                # range checks are all ValueErrors
+                except ValueError as exc:
+                    sock.sendall(f"ERROR\t{exc}\n".encode("utf-8"))
+                    return  # connection-level reject
+                reply = "".join(format_message(alert) + "\n" for alert in alerts)
+                sock.sendall((reply + "OK\n").encode("utf-8"))
+        except TimeoutError:
+            return  # idle or trickling client: drop it and free the thread
 
 
 class SocketServer(socketserver.ThreadingTCPServer):
     """Newline-delimited TCP front end; each REPORT line is answered with
-    the resulting ALERT lines (recipient in the message) then an OK line."""
+    the resulting ALERT lines (recipient in the message) then an OK line.
+
+    A connection whose next line is not complete within `idle_timeout`
+    seconds is dropped, whether it idles or trickles bytes, and a line
+    longer than `max_line` bytes (newline included) gets ERROR and closes
+    the connection."""
 
     allow_reuse_address = True
     daemon_threads = True
+    idle_timeout = 10.0  # seconds
+    max_line = 1 << 16  # bytes; a report line at reference row 3 is about 700
 
     def __init__(self, address: tuple[str, int], state: ServerState):
         super().__init__(address, _LineHandler)
@@ -393,7 +442,7 @@ def run_simulation(
     rng = random.Random(seed)
     users = [f"u{i}" for i in range(agents)]
     clients = {u: ClientState(u) for u in users}
-    server = ServerState(n=_code_length(params), tau=params.tau)
+    server = ServerState(n=params.n, tau=params.tau)
     transport = InProcessTransport(server)
 
     positions = {u: rng.randrange(grid.cells) for u in users}
@@ -441,10 +490,6 @@ def run_simulation(
                 if other != user and trajectories[other][t] == cell:
                     result.contacts.add(other)
     return result
-
-
-def _code_length(params: Params) -> int:
-    return params.n
 
 
 def _walk(cell: int, grid: GridSpec, rng: random.Random) -> int:

@@ -14,7 +14,7 @@ from tracecloak.attacks import (
     table_attack_build,
     table_attack_query,
 )
-from tracecloak.encoder import PolyCodeParams, RrnsParams, encode, rrns_encode
+from tracecloak.encoder import PolyCodeParams, RrnsParams, encode
 
 DESK = PolyCodeParams(M=10**4, p=31, n=10, k=2)
 
@@ -102,7 +102,7 @@ def test_direct_attack_rrns():
     )
     rng = random.Random(6)
     x = rng.randrange(params.M)
-    e = rrns_encode(x, params, rng)
+    e = encode(x, params, rng)
     report = direct_attack(
         e, params, params.tau, rng=rng, mode="randomized", budget=100
     )

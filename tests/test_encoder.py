@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecloak.encoder import (
     PolyCodeParams,
@@ -11,6 +13,7 @@ from tracecloak.encoder import (
     corrupt,
     deflate,
     digit_count,
+    _vandermonde,
     encode,
     encode_unsorted,
     format_encoding,
@@ -22,12 +25,12 @@ from tracecloak.encoder import (
     inflation_factors,
     load_params,
     parse_encoding,
-    rrns_basic_encode,
-    rrns_encode,
     save_params,
     sort_code,
+    sorted_codes,
 )
 from tracecloak.matcher import hamming
+from tracecloak.numtheory import eval_poly, to_digits
 
 SMALL = PolyCodeParams(M=49, p=7, n=5, k=0)
 DESK = PolyCodeParams(M=10**4, p=31, n=10, k=2)
@@ -82,6 +85,108 @@ def test_basic_min_distance_larger_world():
         np.fill_diagonal(dists[:, i : i + 256], params.n)
         best = min(best, int(dists.min()))
     assert best == params.n - params.m + 1
+
+
+# p=4294967311 is the first prime above 2^32: (p-1)^2 alone passes 2^63, so
+# its table falls back to Python ints
+_PRIMES = (2, 7, 31, 101, 211, 503, 65521, 4294967311)
+
+
+@st.composite
+def _poly_cases(draw):
+    """Random (params, points); one case in four is the inflated world."""
+    if draw(st.integers(0, 3)) == 0:
+        params = PolyCodeParams(M=inflate_range_bound(), p=503, n=draw(st.integers(15, 24)), k=2)
+    else:
+        p = draw(st.sampled_from(_PRIMES))
+        M = draw(st.integers(1, 10**40))
+        m = digit_count(M, p)
+        if m > min(p, 30):
+            M, m = p, 1
+        n = draw(st.integers(m, min(p, 30)))
+        params = PolyCodeParams(M=M, p=p, n=n, k=draw(st.integers(0, n)))
+    xs = draw(st.lists(st.integers(0, params.M - 1), max_size=6))
+    return params, xs
+
+
+def _horner(x, params):
+    digits = to_digits(x, params.p, params.m)
+    return [eval_poly(digits, i, params.p) for i in range(params.n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_cases())
+def test_sorted_codes_equal_horner_reference(case):
+    params, xs = case
+    codes = sorted_codes(xs, params)
+    assert codes.shape == (len(xs), params.n)
+    assert codes.tolist() == [sorted(_horner(x, params)) for x in xs]
+    for x in xs:
+        assert basic_encode(x, params) == _horner(x, params)
+
+
+def test_table_dtype_bound():
+    assert _vandermonde(PolyCodeParams(M=10**19, p=65521, n=100, k=0)).dtype == np.int64
+    wide = PolyCodeParams(M=10**30, p=4294967311, n=5, k=0)
+    assert _vandermonde(wide).dtype == object
+    assert sorted_codes([10**30 - 1], wide).tolist() == [sorted(_horner(10**30 - 1, wide))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            RrnsParams(primes=(3, 5, 7), M=100, k=1),
+            RrnsParams(primes=(97, 101, 103, 107, 109, 113, 127, 131), M=10**6, k=2),
+            RrnsParams(primes=(2**61 - 1, 2**64 + 13, 2**64 + 37), M=2**120, k=1),
+        ]
+    ),
+    st.data(),
+)
+def test_rrns_sorted_codes_equal_residues(params, data):
+    xs = data.draw(st.lists(st.integers(0, params.M - 1), max_size=6))
+    assert sorted_codes(xs, params).tolist() == [
+        sorted(x % q for q in params.primes) for x in xs
+    ]
+    for x in xs:
+        assert basic_encode(x, params) == [x % q for q in params.primes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        _poly_cases(),
+        st.tuples(
+            st.just(RrnsParams(primes=(97, 101, 103, 107, 109, 113, 127, 131), M=10**6, k=2)),
+            st.lists(st.integers(0, 10**6 - 1), max_size=6),
+        ),
+    ),
+    st.integers(0, 2**32),
+)
+def test_encode_equals_scalar_reference(case, seed):
+    """The table changes nothing the RNG sees: corruption draws are the same."""
+    params, xs = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for x in xs:
+        if isinstance(params, RrnsParams):
+            basic = [x % q for q in params.primes]
+        else:
+            basic = _horner(x, params)
+        expected = corrupt(sort_code(basic), params.k, params.alphabet, ref_rng)
+        assert encode(x, params, rng) == expected
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_range_check_before_any_draw():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for bad in (-1, DESK.M):
+        with pytest.raises(ValueError, match="outside world"):
+            sorted_codes([0, bad], DESK)
+        with pytest.raises(ValueError, match="outside world"):
+            encode(bad, DESK, rng)
+    assert rng.getstate() == state
+    assert sorted_codes([], DESK).shape == (0, DESK.n)
 
 
 def test_sort_code():
@@ -161,15 +266,15 @@ def test_rrns_params_derivation():
 def test_rrns_encode_examples():
     params = RrnsParams(primes=(3, 5, 7), M=100, k=0)
     rng = random.Random(5)
-    assert rrns_encode(17, params, rng) == (2, 2, 3)
-    assert rrns_encode(0, params, rng) == (0, 0, 0)
+    assert encode(17, params, rng) == (2, 2, 3)
+    assert encode(0, params, rng) == (0, 0, 0)
 
 
 def test_rrns_basic_min_distance_exhaustive():
     params = RrnsParams(primes=(11, 13, 17, 19, 23), M=2000, k=0)
     assert params.m == 3
     codes = np.array(
-        [rrns_basic_encode(x, params) for x in range(params.M)], dtype=np.int16
+        [basic_encode(x, params) for x in range(params.M)], dtype=np.int16
     )
     best = params.n
     for i in range(0, params.M, 256):
@@ -187,8 +292,8 @@ def test_rrns_recall_bound():
     rng = random.Random(6)
     for _ in range(2000):
         x = rng.randrange(params.M)
-        a = rrns_encode(x, params, rng)
-        b = rrns_encode(x, params, rng)
+        a = encode(x, params, rng)
+        b = encode(x, params, rng)
         assert hamming(a, b) <= params.tau
         assert all(0 <= c < params.alphabet for c in a)
 

@@ -31,7 +31,6 @@ from tracecloak.tracing import (
     quantize,
     run_simulation,
     send_report_over_socket,
-    server_handle,
     write_report_csv,
 )
 
@@ -59,6 +58,24 @@ def test_quantize():
         quantize(1.5, 0.5, 0.0, g)
     with pytest.raises(OutOfBoundsError):
         quantize(0.5, 0.5, -1.0, g)
+
+
+def test_grid_spec_validation():
+    for bad in (
+        dict(rows=0, cols=10, epochs=5),
+        dict(rows=10, cols=-1, epochs=5),
+        dict(rows=10, cols=10, epochs=0),
+        dict(rows=10, cols=10, epochs=5, lat_min=0.5, lat_max=0.5),
+        dict(rows=10, cols=10, epochs=5, lon_min=1.0, lon_max=0.0),
+        dict(rows=10, cols=10, epochs=5, lat_max=float("nan")),
+        dict(rows=10, cols=10, epochs=5, epoch_seconds=0.0),
+        dict(rows=10, cols=10, epochs=5, epoch_seconds=-30.0),
+    ):
+        with pytest.raises(ValueError):
+            GridSpec(**bad)
+    # a one-cell grid is valid and quantizes without dividing by zero
+    one = GridSpec(rows=1, cols=1, epochs=1, lat_min=0.0, lat_max=1e-9)
+    assert quantize(0.0, 0.5, 0.0, one) == 0
 
 
 def test_dilate():
@@ -143,13 +160,13 @@ def test_server_flow_co_location():
     # both at (t=2, cell=33)
     (ra,) = client_tick(alice, 2, 33, GRID, PARAMS, rng)
     (rb,) = client_tick(bob, 2, 33, GRID, PARAMS, rng)
-    assert server_handle(server, ra) == []
-    assert server_handle(server, rb) == []
+    assert server.handle(ra) == []
+    assert server.handle(rb) == []
     assert server.store_size == 2
 
     alerts = []
     for msg in client_report_infection(bob, 0, 2):
-        alerts.extend(server_handle(server, msg))
+        alerts.extend(server.handle(msg))
     assert [a.user_id for a in alerts] == ["alice"]
     assert client_handle_alert(alice, alerts[0]) == (2, 33)
     # infected reports do not enter the uninfected store
@@ -163,10 +180,10 @@ def test_server_isolated_infection_no_alerts():
     server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
     for t in range(3):
         for msg in client_tick(loner, t, t * 7, GRID, PARAMS, rng):
-            server_handle(server, msg)
+            server.handle(msg)
     alerts = []
     for msg in client_report_infection(loner, 0, 2):
-        alerts.extend(server_handle(server, msg))
+        alerts.extend(server.handle(msg))
     assert alerts == []
 
 
@@ -175,15 +192,15 @@ def test_server_deduplicates_alerts():
     alice, bob = ClientState("alice"), ClientState("bob")
     server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
     (ra,) = client_tick(alice, 2, 33, GRID, PARAMS, rng)
-    server_handle(server, ra)
+    server.handle(ra)
     (rb,) = client_tick(bob, 2, 33, GRID, PARAMS, rng)
-    server_handle(server, rb)
+    server.handle(rb)
     first = []
     second = []
     for msg in client_report_infection(bob, 0, 2):
-        first.extend(server_handle(server, msg))
+        first.extend(server.handle(msg))
     for msg in client_report_infection(bob, 0, 2):
-        second.extend(server_handle(server, msg))
+        second.extend(server.handle(msg))
     assert [a.user_id for a in first] == ["alice"]
     assert second == []
 
@@ -259,6 +276,92 @@ def test_socket_server_rejects_bad_reports_and_keeps_serving():
         ok = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
         assert send_report_over_socket(addr, ok) == []
         assert state.store_size == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _serving(state, **limits):
+    server = SocketServer(("127.0.0.1", 0), state)
+    for name, value in limits.items():
+        setattr(server, name, value)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def test_socket_server_drops_idle_client():
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, idle_timeout=0.2)
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as idle:
+            idle.sendall(b"REPORT\tu1")  # no newline, then nothing
+            start = time.monotonic()
+            assert idle.recv(1024) == b""  # the server closed the connection
+            assert time.monotonic() - start < 5
+        ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
+        assert send_report_over_socket(server.server_address, ok) == []
+        assert state.store_size == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_socket_server_drops_trickling_client():
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, idle_timeout=0.3)
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as slow:
+            start = time.monotonic()
+            closed = False
+            for byte in b"REPORT\tu1\tuninfected\t" * 4:  # one byte per 50 ms
+                try:
+                    slow.sendall(bytes([byte]))
+                except OSError:  # reset by the server
+                    closed = True
+                    break
+                time.sleep(0.05)
+            if not closed:
+                slow.settimeout(5)
+                try:
+                    assert slow.recv(1024) == b""
+                except ConnectionResetError:
+                    pass
+            # each byte arrives well within idle_timeout, the line does not
+            assert time.monotonic() - start < 3
+        ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
+        assert send_report_over_socket(server.server_address, ok) == []
+        assert state.store_size == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_socket_server_caps_line_length():
+    state = ServerState(n=3, tau=0)
+    line = format_message(ReportMsg("u1", UNINFECTED, (1, 2, 3))) + "\n"
+    server = _serving(state, max_line=len(line) - 1)
+    try:
+        reply = _exchange(server.server_address, line.encode())
+        assert reply.startswith(b"ERROR\tline longer than")
+        assert reply.count(b"\n") == 1  # the connection closed after ERROR
+        with socket.create_connection(server.server_address, timeout=10) as conn:
+            try:
+                conn.sendall(b"x" * 10**6 + b"\n")
+                reply = conn.recv(1024)
+            except OSError:  # closed with the rest of the line unread: reset
+                reply = b""
+        assert reply == b"" or reply.startswith(b"ERROR\tline longer than")
+        assert state.store_size == 0
+        short = ReportMsg("u", UNINFECTED, (1, 2, 3))  # one byte shorter
+        assert send_report_over_socket(server.server_address, short) == []
+        assert state.store_size == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+    server = _serving(state, max_line=len(line))  # a line of exactly max_line
+    try:
+        assert _exchange(server.server_address, line.encode()) == b"OK\n"
+        assert state.store_size == 2
     finally:
         server.shutdown()
         server.server_close()
