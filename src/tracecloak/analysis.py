@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .attacks import expected_direct_solves_log10
-from .encoder import PolyCodeParams, encode_unsorted
+from .encoder import PolyCodeParams, encode_unsorted, residue_digit_count
 from .matcher import hamming
 from .numtheory import primes
 
@@ -169,33 +169,6 @@ class ParamRow:
     log10_attack_solves: float
     note: str = ""
 
-    COLUMNS = (
-        "method",
-        "n",
-        "p",
-        "m",
-        "k",
-        "tau",
-        "bits",
-        "log10_expected_fp",
-        "log10_attack_solves",
-        "note",
-    )
-
-    def as_tuple(self):
-        return (
-            self.method,
-            self.n,
-            self.p,
-            self.m,
-            self.k,
-            self.tau,
-            self.bits,
-            self.log10_expected_fp,
-            self.log10_attack_solves,
-            self.note,
-        )
-
 
 def rrns_reference_primes(count: int = 80, start: int = 877) -> list[int]:
     """The residue-row moduli: the first 80 primes >= 877 (ends at 1451)."""
@@ -213,7 +186,7 @@ def table1_report(M: int = 10**19, D: int = 10**14) -> list[ParamRow]:
     n = len(moduli)
     k = 8
     geo_mean = math.exp(sum(math.log(q) for q in moduli) / n)
-    m = _rrns_digit_count(moduli, M)
+    m = residue_digit_count(M, moduli)
     exact_bits = math.ceil(sum(math.log2(q) for q in moduli))
     row = _make_row("residues", n, geo_mean, m, k, M, D)
     rows.append(
@@ -234,15 +207,6 @@ def table1_report(M: int = 10**19, D: int = 10**14) -> list[ParamRow]:
         )
     )
     return rows
-
-
-def _rrns_digit_count(moduli: Sequence[int], M: int) -> int:
-    prod = 1
-    for i, q in enumerate(moduli):
-        prod *= q
-        if prod >= M:
-            return i + 1
-    raise ValueError("world too large for the moduli")
 
 
 def _make_row(method: str, n: int, p: float, m: int, k: int, M: int, D: int) -> ParamRow:

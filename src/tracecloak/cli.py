@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -246,16 +247,16 @@ def cmd_analyze(args) -> int:
         return 0 if res.ok else 1
     if args.analysis == "table1":
         rows = analysis.table1_report(M=args.world, D=args.database)
-        header = analysis.ParamRow.COLUMNS
+        header = [f.name for f in dataclasses.fields(analysis.ParamRow)]
         print("\t".join(header))
         for row in rows:
-            print("\t".join(str(v) for v in row.as_tuple()))
+            print("\t".join(str(v) for v in dataclasses.astuple(row)))
         if args.csv:
             with open(args.csv, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 for row in rows:
-                    writer.writerow(row.as_tuple())
+                    writer.writerow(dataclasses.astuple(row))
         return 0
     raise AssertionError(f"unhandled analysis {args.analysis!r}")
 

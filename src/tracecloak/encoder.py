@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -36,6 +37,16 @@ def digit_count(M: int, p: int) -> int:
         bound *= p
         m += 1
     return max(m, 1)
+
+
+def residue_digit_count(M: int, moduli: Sequence[int]) -> int:
+    """Smallest m whose first m moduli multiply to at least M."""
+    prod = 1
+    for i, q in enumerate(moduli):
+        prod *= q
+        if prod >= M:
+            return i + 1
+    raise ValueError("product of all moduli below M")
 
 
 @dataclass(frozen=True)
@@ -106,12 +117,7 @@ class RrnsParams:
 
     @property
     def m(self) -> int:
-        prod = 1
-        for i, q in enumerate(self.primes):
-            prod *= q
-            if prod >= self.M:
-                return i + 1
-        raise ValueError("product of all moduli below M")
+        return residue_digit_count(self.M, self.primes)
 
     @property
     def tau(self) -> int:
@@ -272,35 +278,32 @@ def inflate(x: int) -> int:
     return y
 
 
-def deflate(y: int) -> int:
-    """Invert `inflate` by factoring over the known per-band candidate primes."""
+def _band_factors(y: int) -> list[tuple[int, int, int]]:
+    """(c_i, q_i, factor) for each band of an inflated value: the first
+    candidate prime of band i that divides y is its (c_i + 1)-th."""
     base, offsets, pool = _inflation_tables()
-    residues = []
+    out = []
     for q, s in zip(base, offsets):
         for c in range(q):
             if y % pool[s + c] == 0:
-                residues.append((c, q))
-                y //= pool[s + c]
+                out.append((c, q, pool[s + c]))
                 break
         else:
             raise ValueError("value is not in the image of inflate")
-    if y != 1:
+    return out
+
+
+def deflate(y: int) -> int:
+    """Invert `inflate` by factoring over the known per-band candidate primes."""
+    bands = _band_factors(y)
+    if math.prod(f for _, _, f in bands) != y:
         raise ValueError("value is not in the image of inflate")
-    return crt_reconstruct(residues)
+    return crt_reconstruct([(c, q) for c, q, _ in bands])
 
 
 def inflation_factors(y: int) -> list[int]:
     """The 16 prime factors of an inflated value, one per band."""
-    base, offsets, pool = _inflation_tables()
-    factors = []
-    for q, s in zip(base, offsets):
-        for c in range(q):
-            if y % pool[s + c] == 0:
-                factors.append(pool[s + c])
-                break
-        else:
-            raise ValueError("value is not in the image of inflate")
-    return factors
+    return [f for _, _, f in _band_factors(y)]
 
 
 def inflate_min() -> int:
@@ -322,14 +325,62 @@ def inflated_digit_count(p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Plain-text parameter files and encoding serialization.
+#
+# Every report and alert crosses the wire as a comma-separated coordinate
+# line, so the codec looks coordinates up in one shared intern table instead
+# of calling str() and int() on each: _STR[i] == str(i) and _INT[str(i)] == i
+# for 0 <= i < len(_STR).  The table grows on demand to the next power of two
+# above the largest coordinate seen, never past CODE_LIMIT, and only under
+# _GROW_LOCK: two threads extending one list at once would shift its indices.
+# Readers need no lock, because an entry never changes once it is there.
+# One table serves the whole process: its content depends on its length
+# alone, so no caller can see another caller's use of it.
+
+CODE_LIMIT = 1 << 16  # coordinates the codec interns and the index stores
+_STR: list[str] = []
+_INT: dict[str, int] = {}
+_GROW_LOCK = threading.Lock()
+
+
+def _grow(top: int) -> bool:
+    """Make the intern table cover [0, top]; False when top is out of reach."""
+    if not 0 <= top < CODE_LIMIT:
+        return False
+    with _GROW_LOCK:
+        start, stop = len(_STR), min(1 << top.bit_length(), CODE_LIMIT)
+        if stop > start:
+            new = [str(i) for i in range(start, stop)]
+            _INT.update(zip(new, range(start, stop)))
+            _STR.extend(new)
+    return True
 
 
 def format_encoding(coords: Sequence[int]) -> str:
+    """`",".join(str(c) for c in coords)`, with the strings of coordinates
+    in [0, CODE_LIMIT) taken from the intern table.  The coordinates are
+    ints: a bool, being one, formats as 0 or 1."""
+    try:
+        if min(coords) >= 0:
+            return ",".join(map(_STR.__getitem__, coords))
+    except IndexError:  # beyond the table: grow it, unless beyond CODE_LIMIT
+        if _grow(max(coords)):
+            return ",".join(map(_STR.__getitem__, coords))
+    except (TypeError, ValueError):  # no coordinates, or not ints
+        pass
     return ",".join(str(c) for c in coords)
 
 
 def parse_encoding(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.strip().split(","))
+    """`tuple(int(tok) for tok in text.strip().split(","))`: a line of
+    canonical tokens in [0, CODE_LIMIT) is looked up in the intern table,
+    anything else goes through int(), so the codec accepts and rejects
+    exactly what int() does (whitespace, signs, `_`, other decimal digits)."""
+    try:
+        return tuple(map(_INT.__getitem__, text.split(",")))
+    except KeyError:
+        coords = tuple(int(tok) for tok in text.strip().split(","))
+    _grow(max(coords))
+    return coords
 
 
 def save_params(params: Params, path: str | Path) -> None:

@@ -22,7 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-CODE_LIMIT = 1 << 16  # stored coordinates lie in [0, CODE_LIMIT): uint16 rows
+# stored coordinates lie in [0, CODE_LIMIT): uint16 rows, and the wire codec
+# interns the same range
+from .encoder import CODE_LIMIT, format_encoding, parse_encoding
+
 # Candidate sets with at least this many coordinates (candidates * n) are
 # verified with numpy.  Below it, the fixed cost of the numpy calls (about
 # 15 us) exceeds the Python loop's (about 0.05 us per coordinate); on a
@@ -180,8 +183,7 @@ def save_entries(entries: Iterable[DatabaseEntry], path: str | Path) -> None:
     """Write entries as `user_id<TAB>tag<TAB>comma-separated-coords` lines."""
     with open(path, "w") as fh:
         for entry in entries:
-            coords = ",".join(str(c) for c in entry.encoding)
-            fh.write(f"{entry.user_id}\t{entry.tag}\t{coords}\n")
+            fh.write(f"{entry.user_id}\t{entry.tag}\t{format_encoding(entry.encoding)}\n")
 
 
 def load_entries(path: str | Path) -> list[DatabaseEntry]:
@@ -194,7 +196,7 @@ def load_entries(path: str | Path) -> list[DatabaseEntry]:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
         user_id, tag, coords = parts
         try:
-            encoding = tuple(int(tok) for tok in coords.split(","))
+            encoding = parse_encoding(coords)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad coordinate list {coords!r}") from None
         entries.append(DatabaseEntry(user_id=user_id, tag=tag, encoding=encoding))

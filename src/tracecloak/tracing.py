@@ -332,6 +332,30 @@ def _read_lines(sock: socket.socket, limit: int, timeout: float):
         yield line
 
 
+DISCARD_LIMIT = 1 << 22  # bytes read and dropped after an ERROR reply
+
+
+def _discard_input(sock: socket.socket, timeout: float) -> None:
+    """Half-close sock and read and drop what the peer still sends, until it
+    closes its side, `timeout` seconds pass or DISCARD_LIMIT bytes are gone.
+
+    Closing a socket with unread input makes the kernel reset the
+    connection, and the reset can destroy a reply the peer has not read
+    yet: a client still sending an over-long line would lose its ERROR."""
+    deadline, left_bytes = time.monotonic() + timeout, DISCARD_LIMIT
+    chunk = bytearray(1 << 16)
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        while left_bytes > 0 and (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            got = sock.recv_into(chunk)
+            if not got:
+                return
+            left_bytes -= got
+    except OSError:  # timed out, or the peer reset the connection
+        pass
+
+
 class _LineHandler(socketserver.BaseRequestHandler):
     def handle(self):
         sock, limit, timeout = self.request, self.server.max_line, self.server.idle_timeout
@@ -352,6 +376,7 @@ class _LineHandler(socketserver.BaseRequestHandler):
                 # range checks are all ValueErrors
                 except ValueError as exc:
                     sock.sendall(f"ERROR\t{exc}\n".encode("utf-8"))
+                    _discard_input(sock, timeout)
                     return  # connection-level reject
                 reply = "".join(format_message(alert) + "\n" for alert in alerts)
                 sock.sendall((reply + "OK\n").encode("utf-8"))
@@ -364,9 +389,11 @@ class SocketServer(socketserver.ThreadingTCPServer):
     the resulting ALERT lines (recipient in the message) then an OK line.
 
     A connection whose next line is not complete within `idle_timeout`
-    seconds is dropped, whether it idles or trickles bytes, and a line
-    longer than `max_line` bytes (newline included) gets ERROR and closes
-    the connection."""
+    seconds is dropped, whether it idles or trickles bytes.  A bad line, or
+    one longer than `max_line` bytes (newline included), gets ERROR and ends
+    the connection: the server stops sending, then reads and drops at most
+    `DISCARD_LIMIT` more bytes, for at most `idle_timeout` seconds, so that
+    the client can still read the ERROR line before the connection closes."""
 
     allow_reuse_address = True
     daemon_threads = True

@@ -1,12 +1,16 @@
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecloak import encoder
 from tracecloak.encoder import (
+    CODE_LIMIT,
     PolyCodeParams,
     RrnsParams,
     basic_encode,
@@ -337,6 +341,103 @@ def test_inflate_out_of_range():
 def test_encoding_serialization():
     assert format_encoding((0, 2, 3)) == "0,2,3"
     assert parse_encoding("0,2,3") == (0, 2, 3)
+
+
+# The codec's intern table must not change a byte: it is checked against
+# the plain str() and int() codec it replaced.
+
+
+def _reference_format(coords):
+    return ",".join(str(c) for c in coords)
+
+
+def _reference_parse(text):
+    return tuple(int(tok) for tok in text.strip().split(","))
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+_coordinates = st.one_of(
+    st.integers(0, 600),
+    st.integers(0, CODE_LIMIT - 1),
+    st.integers(CODE_LIMIT - 2, CODE_LIMIT + 2),
+    st.integers(-3, -1),
+    st.just(2**70),
+    st.integers(),
+)
+_tokens = st.one_of(
+    _coordinates.map(str),
+    # whitespace, signs, underscores, non-ASCII digits and empty tokens
+    st.text(alphabet="0129+-_ \t\n\u00a0\u0663\uff11x", max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_tokens, min_size=1, max_size=8).map(",".join), st.text()))
+def test_parse_encoding_equals_int_reference(text):
+    expected = _parsed_or_error(_reference_parse, text)
+    assert _parsed_or_error(parse_encoding, text) == expected
+    assert _parsed_or_error(parse_encoding, text) == expected  # table grown
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_coordinates, max_size=12))
+def test_format_encoding_equals_str_reference(coords):
+    expected = _reference_format(coords)
+    assert format_encoding(coords) == expected
+    assert format_encoding(tuple(coords)) == expected  # table grown
+    if coords and all(-(2**63) <= c < 2**63 for c in coords):
+        assert format_encoding(np.array(coords, dtype=np.int64)) == expected
+    if coords:
+        assert parse_encoding(expected) == tuple(coords)
+
+
+def test_format_encoding_falls_back_on_non_ints():
+    for coords in ([], (1.0, 2), ("7", 8), np.array([1.5, 2.0])):
+        assert format_encoding(coords) == _reference_format(coords)
+
+
+def test_intern_table_growth_is_exact_under_threads(monkeypatch):
+    """Threads that grow the intern table at the same time all get exact
+    results, and the table ends up exact: no index was ever shifted."""
+    tops = [2**j - 1 for j in range(17)] + [CODE_LIMIT, 2**70]
+    errors = []
+
+    def work(barrier, offset):
+        barrier.wait(timeout=60)
+        for top in tops[offset:] + tops[:offset]:
+            coords = (0, top // 3, top)
+            text = _reference_format(coords)
+            if format_encoding(coords) != text or parse_encoding(text) != coords:
+                errors.append(coords)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(8):
+            monkeypatch.setattr(encoder, "_STR", [])
+            monkeypatch.setattr(encoder, "_INT", {})
+            barrier = threading.Barrier(4)
+            threads = [
+                threading.Thread(target=work, args=(barrier, i)) for i in (0, 0, 9, 16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            table = encoder._STR
+            assert len(table) == CODE_LIMIT  # grown to the cap, not past it
+            assert table == [str(i) for i in range(CODE_LIMIT)]
+            assert encoder._INT == {t: i for i, t in enumerate(table)}
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
 
 
 def test_param_file_round_trip(tmp_path):
