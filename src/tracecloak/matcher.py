@@ -14,6 +14,8 @@ one is verified in Python, where numpy's fixed cost per call would dominate.
 from __future__ import annotations
 
 import operator
+import struct
+import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -30,7 +32,10 @@ from .encoder import CODE_LIMIT, format_encoding, parse_encoding
 # verified with numpy.  Below it, the fixed cost of the numpy calls (about
 # 15 us) exceeds the Python loop's (about 0.05 us per coordinate); on a
 # 2-vCPU VM (Python 3.11, numpy 2.4) the crossover was near 14 candidates
-# at n=20 and 4 at n=200.
+# at n=20 and 4 at n=200.  Postings holding at least this many ids, repeats
+# included, are deduplicated and sorted with numpy too.  There the crossover
+# with a Python set was near 100 ids (8 us either way), and numpy was 4x
+# faster at 800.
 NUMPY_MIN_CELLS = 400
 
 
@@ -67,6 +72,19 @@ def _partition(n: int, pieces: int) -> list[tuple[int, int]]:
     return blocks
 
 
+# Entry ids are packed into the postings as native uint32, which numpy reads
+# as np.uint32 and memoryview as "I" (a C unsigned int, 32 bits on every
+# platform CPython supports).
+ID_LIMIT = 1 << 32
+
+
+def _storable(c) -> bool:
+    try:
+        return 0 <= operator.index(c) < CODE_LIMIT
+    except TypeError:
+        return False
+
+
 class MatchIndex:
     """Static Hamming-range index with exact (oracle-equal) query results.
 
@@ -78,6 +96,14 @@ class MatchIndex:
     grows in place with amortised O(1) appends.  numpy reads it through a
     buffer view, and an array that is exporting a view cannot grow, so the
     view is made, gathered from and dropped under the lock.
+
+    Each block's table maps the block's slice of a row's bytes to the ids of
+    the entries holding that slice, packed as native uint32 and appended by
+    concatenation.  A dict holding only bytes is not tracked by the cyclic
+    garbage collector, so no collection walks the tables however large the
+    store grows: an entry adds no tracked object beyond its DatabaseEntry.
+    An append copies the posting, 4 bytes per id, which is what a query
+    that looks up the key collects anyway.
     """
 
     def __init__(self, n: int, tau: int):
@@ -86,9 +112,9 @@ class MatchIndex:
         self.n = n
         self.tau = tau
         self.blocks = _partition(n, tau + 1)
-        self._tables: list[dict[tuple[int, ...], list[int]]] = [
-            {} for _ in self.blocks
-        ]
+        self._slices = [slice(2 * lo, 2 * hi) for lo, hi in self.blocks]  # of row bytes
+        self._tables: list[dict[bytes, bytes]] = [{} for _ in self.blocks]
+        self._row = struct.Struct(f"={n}H").pack  # range-checks every coordinate
         self._entries: list[DatabaseEntry] = []
         self._codes = array("H")
         self._lock = threading.Lock()
@@ -115,22 +141,26 @@ class MatchIndex:
         if len(enc) != self.n:
             raise ValueError(f"encoding length {len(enc)} != index length {self.n}")
         try:
-            row = array("H", enc)  # range-checks every coordinate
-        except OverflowError:
-            pos = next(i for i, c in enumerate(enc) if not 0 <= c < CODE_LIMIT)
+            row = self._row(*enc)
+        except struct.error:
+            pos = next(i for i, c in enumerate(enc) if not _storable(c))
             raise ValueError(
-                f"coordinate {enc[pos]} at position {pos} outside [0, {CODE_LIMIT})"
+                f"coordinate {enc[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})"
             ) from None
         with self._lock:
             eid = len(self._entries)
-            self._codes.extend(row)  # before the id is published in the tables
+            if eid >= ID_LIMIT:
+                raise ValueError(f"index full: entry ids are uint32, at most {ID_LIMIT} entries")
+            self._codes.frombytes(row)  # before the id is published in the tables
             self._entries.append(entry)
-            for table, (lo, hi) in zip(self._tables, self.blocks):
-                table.setdefault(enc[lo:hi], []).append(eid)
+            packed = eid.to_bytes(4, sys.byteorder)
+            for table, s in zip(self._tables, self._slices):
+                key = row[s]
+                table[key] = table.setdefault(key, b"") + packed
 
     def key_count(self) -> int:
         """Total stored block keys; always (tau+1) * D."""
-        return sum(len(ids) for table in self._tables for ids in table.values())
+        return sum(len(ids) for table in self._tables for ids in table.values()) // 4
 
     def query(self, e: Sequence[int], tau: int | None = None) -> list[DatabaseEntry]:
         """All entries within distance tau of e, in insertion order; identical
@@ -141,31 +171,41 @@ class MatchIndex:
             raise ValueError(f"query tau={tau} exceeds build-time tau={self.tau}")
         if len(e) != self.n:
             raise ValueError(f"query length {len(e)} != index length {self.n}")
-        e = tuple(e)
-        candidates: set[int] = set()
-        for table, (lo, hi) in zip(self._tables, self.blocks):
-            candidates.update(table.get(e[lo:hi], ()))
+        q = None
+        try:
+            row = self._row(*e)
+        except struct.error:
+            # -1 stands for a coordinate no row can hold; its block's key
+            # reads 0 instead, and verification rejects what that collects
+            q = np.array(
+                [c if 0 <= c < CODE_LIMIT else -1 for c in map(operator.index, e)],
+                dtype=np.int32,
+            )
+            row = q.clip(0).astype(np.uint16).tobytes()
+        found = b"".join([table.get(row[s], b"") for table, s in zip(self._tables, self._slices)])
+        if len(found) < 4 * NUMPY_MIN_CELLS:
+            ids = sorted({*memoryview(found).cast("I")}) if found else []
+        else:
+            ids = np.sort(np.frombuffer(found, dtype=np.uint32))
+            ids = np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
         entries = self._entries
-        if len(candidates) * self.n < NUMPY_MIN_CELLS:
+        if len(ids) * self.n < NUMPY_MIN_CELLS:
             hits = [
                 entries[i]
-                for i in sorted(candidates)
+                for i in ids
                 if sum(map(operator.ne, entries[i].encoding, e)) <= tau
             ]
         else:
-            ids = np.fromiter(candidates, dtype=np.intp, count=len(candidates))
-            ids.sort()
-            try:
-                q = np.frombuffer(array("H", e), dtype=np.uint16)
-            except OverflowError:  # -1 stands for a coordinate no row can hold
-                q = np.array([c if 0 <= c < CODE_LIMIT else -1 for c in e], dtype=np.int32)
+            ids = np.asarray(ids, dtype=np.intp)
+            if q is None:
+                q = np.frombuffer(row, dtype=np.uint16)
             with self._lock:
                 rows = np.frombuffer(self._codes, dtype=np.uint16).reshape(-1, self.n)[ids]
             far = np.count_nonzero(rows != q, axis=1)
             hits = [entries[i] for i in ids[far <= tau].tolist()]
         with self._lock:
             self._queries += 1
-            self._candidates += len(candidates)
+            self._candidates += len(ids)
             self._hits += len(hits)
         return hits
 

@@ -239,6 +239,39 @@ def test_encode_recall_bound():
         assert hamming(a, b) <= DESK.tau
 
 
+_RRNS_WORLDS = [
+    ((3, 5, 7), 100),
+    ((97, 101, 103, 107, 109, 113, 127, 131), 10**6),
+    ((2**61 - 1, 2**64 + 13, 2**64 + 37), 2**120),
+]
+
+
+@st.composite
+def _rrns_cases(draw):
+    primes, M = draw(st.sampled_from(_RRNS_WORLDS))
+    params = RrnsParams(primes=primes, M=M, k=draw(st.integers(0, len(primes))))
+    return params, draw(st.lists(st.integers(0, M - 1), max_size=4))
+
+
+@st.composite
+def _inflated_cases(draw):
+    """Points of the inflated world, as `inflate` maps them."""
+    n = draw(st.integers(15, 24))
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=n, k=draw(st.integers(0, n)))
+    ds = draw(st.lists(st.integers(0, inflation_domain() - 1), max_size=4))
+    return params, [inflate(d) for d in ds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_poly_cases(), _rrns_cases(), _inflated_cases()), st.integers(0, 2**32))
+def test_two_encodings_of_one_point_are_within_2k(case, seed):
+    """Each encoding corrupts at most k coordinates of one sorted basic code."""
+    params, xs = case
+    rng = random.Random(seed)
+    for x in xs:
+        assert hamming(encode(x, params, rng), encode(x, params, rng)) <= 2 * params.k
+
+
 def test_encode_deterministic_at_k0():
     rng = random.Random(3)
     assert encode(17, SMALL, rng) == (0, 2, 3, 4, 5)

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -139,9 +140,47 @@ def test_add_rejects_out_of_range_coordinates():
         index.add(DatabaseEntry("a", (-1, 1, 2, 3)))
     with pytest.raises(ValueError, match="position 3"):
         index.add(DatabaseEntry("a", (0, 1, 2, np.int64(-1))))
+    with pytest.raises(ValueError, match="position 1"):
+        index.add(DatabaseEntry("a", (0, 1.0, 2, 3)))
     assert len(index) == 0
     index.add(DatabaseEntry("a", (0, 1, 2, CODE_LIMIT - 1)))
     assert index.query((0, 1, 2, CODE_LIMIT - 1), 0) == index.entries
+
+
+def test_add_refuses_ids_past_uint32():
+    """Postings hold ids as uint32: the 2**32nd entry is refused with a
+    ValueError, which the TCP handler answers, not an OverflowError."""
+
+    class Full(list):
+        def __len__(self):
+            return matcher.ID_LIMIT
+
+    index = MatchIndex(2, 0)
+    index._entries = Full()
+    with pytest.raises(ValueError, match=f"at most {2**32} entries"):
+        index.add(DatabaseEntry("a", (1, 2)))
+    assert len(index._codes) == 0
+    assert index._tables == [{}]
+
+
+def test_tables_are_not_tracked_by_the_cyclic_collector():
+    """A row-3 store adds no object the collector tracks beyond its entries,
+    which exist before the adds, so a full collection does not walk the
+    tables however large the store grows."""
+    rng = random.Random(6)
+    entries = [
+        DatabaseEntry(f"u{i}", tuple(sorted(rng.randrange(211) for _ in range(200))))
+        for i in range(2000)
+    ]
+    index = MatchIndex(200, 40)
+    gc.collect()
+    before = len(gc.get_objects())
+    for entry in entries:
+        index.add(entry)
+    gc.collect()
+    assert len(gc.get_objects()) - before < len(entries)
+    assert not any(gc.is_tracked(table) for table in index._tables)
+    assert len(index.query(entries[7].encoding, 0)) >= 1
 
 
 def test_stats_count_queries_candidates_and_hits():

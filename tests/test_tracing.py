@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecloak.encoder import PolyCodeParams, inflate_range_bound
+from tracecloak.encoder import CODE_LIMIT, PolyCodeParams, inflate_range_bound
 from tracecloak.tracing import (
     INFECTED,
     POSSIBLE_INFECTION,
@@ -403,6 +403,56 @@ def test_socket_server_caps_line_length():
     try:
         assert _exchange(server.server_address, line.encode()) == b"OK\n"
         assert state.store_size == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# each field is well formed half the time, so many lines reach the store and
+# infected ones raise alerts; the rest, and raw bytes, carry non-UTF-8, \r,
+# NUL, and lines past the server's max_line of 64
+_coordinates = st.one_of(
+    st.lists(st.integers(0, 4), min_size=3, max_size=3),
+    st.lists(st.sampled_from([-1, 0, CODE_LIMIT - 1, CODE_LIMIT, 2**70]), min_size=3, max_size=3),
+    st.lists(st.one_of(st.integers(0, 9), st.binary(max_size=3)), max_size=4),
+).map(lambda cs: b",".join(c if isinstance(c, bytes) else str(c).encode() for c in cs))
+_wire_lines = st.one_of(
+    st.tuples(
+        st.one_of(st.just(b"REPORT"), st.sampled_from([b"ALERT", b"report", b""])),
+        st.one_of(st.sampled_from([b"u1", b"u2"]), st.binary(max_size=4)),
+        st.one_of(
+            st.sampled_from([UNINFECTED.encode(), INFECTED.encode()]),
+            st.sampled_from([POSSIBLE_INFECTION.encode(), b"", b"infected\r"]),
+        ),
+        _coordinates,
+    ).map(b"\t".join),
+    st.binary(min_size=1, max_size=63),
+    st.binary(min_size=64, max_size=200),
+).map(lambda line: line.replace(b"\n", b"")).filter(bool)
+
+
+def test_socket_server_answers_any_byte_line():
+    """Every line gets OK, possibly after ALERT lines, or exactly one ERROR
+    line, and the server keeps serving good reports after it."""
+    state = ServerState(n=3, tau=1)
+    server = _serving(state, max_line=64)
+    addr = server.server_address
+    good = ReportMsg("good", UNINFECTED, (1, 2, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wire_lines, st.sampled_from([b"\n", b""]))
+    def check(line, end):
+        lines = _exchange(addr, line + end).split(b"\n")
+        assert lines.pop() == b""  # every reply line ends in a newline
+        if lines[-1].startswith(b"ERROR\t"):
+            assert len(lines) == 1
+        else:
+            assert lines[-1] == b"OK"
+            assert all(reply.startswith(b"ALERT\t") for reply in lines[:-1])
+        assert send_report_over_socket(addr, good) == []
+
+    try:
+        check()
     finally:
         server.shutdown()
         server.server_close()
