@@ -43,11 +43,14 @@ def fp_bound(p: float, n: int, tau: int) -> float:
     return 10 ** fp_bound_log10(p, n, tau)
 
 
+MC_CHUNK = 1 << 16  # rows drawn and counted per batch
+MC_CONFIDENCE = 0.99  # level of McEstimate.ci
+
+
 @dataclass(frozen=True)
 class McEstimate:
     matches: int
     trials: int
-    confidence: float
 
     @property
     def estimate(self) -> float:
@@ -55,8 +58,8 @@ class McEstimate:
 
     @property
     def ci(self) -> tuple[float, float]:
-        """Wilson score interval at the configured confidence level."""
-        z = NormalDist().inv_cdf(0.5 + self.confidence / 2)
+        """Wilson score interval at the MC_CONFIDENCE level."""
+        z = NormalDist().inv_cdf(0.5 + MC_CONFIDENCE / 2)
         n = self.trials
         phat = self.estimate
         denom = 1 + z * z / n
@@ -72,8 +75,6 @@ def mc_match_prob(
     e: Sequence[int],
     trials: int,
     seed: int = 0,
-    confidence: float = 0.99,
-    chunk: int = 1 << 16,
 ) -> McEstimate:
     """Monte Carlo estimate of Prob{sorted random vector within tau of e}."""
     if trials < 1:
@@ -85,11 +86,11 @@ def mc_match_prob(
     matches = 0
     remaining = trials
     while remaining > 0:
-        rows = min(chunk, remaining)
+        rows = min(MC_CHUNK, remaining)
         z = rng.integers(0, p, size=(rows, n), dtype=np.int64)
         matches += kernels.count_sorted_within(z, target, tau)
         remaining -= rows
-    return McEstimate(matches=matches, trials=trials, confidence=confidence)
+    return McEstimate(matches=matches, trials=trials)
 
 
 def enumerate_match_prob(p: int, n: int, tau: int, e: Sequence[int]) -> Fraction:

@@ -155,12 +155,18 @@ def cmd_match(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = load_params(args.params)
-    rows, _, cols = args.grid.partition("x")
-    grid = tracing.GridSpec(rows=int(rows), cols=int(cols), epochs=args.epochs)
+    try:
+        rows, cols = (int(side) for side in args.grid.split("x"))
+    except ValueError:
+        raise ValueError(f"--grid wants ROWSxCOLS, got {args.grid!r}") from None
+    grid = tracing.GridSpec(rows=rows, cols=cols, epochs=args.epochs)
     infections = []
     for spec in args.infect:
         user, _, epoch = spec.partition("@")
-        infections.append((user, int(epoch)))
+        try:
+            infections.append((user, int(epoch)))
+        except ValueError:
+            raise ValueError(f"--infect wants USER@EPOCH, got {spec!r}") from None
     result = tracing.run_simulation(
         agents=args.agents,
         grid=grid,
@@ -262,7 +268,8 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "encode": cmd_encode,
         "match": cmd_match,
@@ -270,7 +277,10 @@ def main(argv=None) -> int:
         "attack": cmd_attack,
         "analyze": cmd_analyze,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:  # bad input: a usage error, not a traceback
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -463,8 +463,9 @@ def run_simulation(
 ) -> SimulationResult:
     """Random-walk agents reporting every epoch; infections replay their trail.
 
-    `infections` holds (user_id, epoch) pairs; `window` limits how far back
-    an infected agent re-reports (defaults to the whole horizon).
+    `infections` holds (user_id, epoch) pairs with 0 <= epoch < grid.epochs;
+    `window` (>= 0) limits how far back an infected agent re-reports
+    (defaults to the whole horizon).
     """
     rng = random.Random(seed)
     users = [f"u{i}" for i in range(agents)]
@@ -481,10 +482,16 @@ def run_simulation(
         server=server,
         infected=list(infections),
     )
+    if window is not None and window < 0:
+        raise ValueError(f"negative reporting window {window}")
     infections_by_epoch: dict[int, list[str]] = defaultdict(list)
     for user, epoch in infections:
         if user not in clients:
             raise ValueError(f"unknown infected user {user!r}")
+        if not 0 <= epoch < grid.epochs:
+            raise ValueError(
+                f"infection epoch {epoch} of {user!r} outside [0, {grid.epochs})"
+            )
         infections_by_epoch[epoch].append(user)
 
     for t in range(grid.epochs):
@@ -511,7 +518,7 @@ def run_simulation(
     # inside that agent's reporting window
     for user, epoch in infections:
         t_start = 0 if window is None else max(0, epoch - window)
-        for t in range(t_start, min(epoch + 1, grid.epochs)):
+        for t in range(t_start, epoch + 1):
             cell = trajectories[user][t]
             for other in users:
                 if other != user and trajectories[other][t] == cell:

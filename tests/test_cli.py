@@ -104,6 +104,31 @@ def test_simulate_command(tmp_path, capsys):
     assert "server store size: 60" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "params_text, args, message",
+    [
+        (None, ["--grid", "100"], "--grid wants ROWSxCOLS, got '100'"),
+        (None, ["--infect", "u0"], "--infect wants USER@EPOCH, got 'u0'"),
+        (None, ["--infect", "u7@1"], "unknown infected user 'u7'"),
+        ("M=10000\np=31\nn=10\n", [], "missing parameter 'k'"),
+    ],
+    ids=["grid_without_x", "infect_without_at", "unknown_user", "missing_key"],
+)
+def test_simulate_input_errors_are_usage_errors(
+    params_file, tmp_path, capsys, params_text, args, message
+):
+    if params_text is not None:
+        params_file = tmp_path / "partial.txt"
+        params_file.write_text(params_text)
+    argv = ["simulate", "--params", str(params_file), "--agents", "3", "--epochs", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("tracecloak: error:")]
+    assert errors == [f"tracecloak: error: {message}"]
+
+
 def test_attack_command(params_file, tmp_path, capsys):
     target = tmp_path / "target.txt"
     rng = random.Random(3)

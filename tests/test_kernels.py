@@ -1,15 +1,6 @@
 import numpy as np
-import pytest
 
 from tracecloak import kernels
-from tracecloak.kernels import _pure
-
-try:
-    from tracecloak.kernels import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_pure] + ([_speedups] if _speedups is not None else [])
 
 
 def _reference_count_sorted(z, e, tau):
@@ -19,8 +10,7 @@ def _reference_count_sorted(z, e, tau):
     return hits
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_count_sorted_within_matches_reference(impl):
+def test_count_sorted_within_matches_reference():
     rng = np.random.default_rng(0)
     for _ in range(20):
         rows = int(rng.integers(1, 200))
@@ -30,36 +20,4 @@ def test_count_sorted_within_matches_reference(impl):
         z = rng.integers(0, p, size=(rows, n), dtype=np.int64)
         e = np.sort(rng.integers(0, p, size=n, dtype=np.int64))
         expected = _reference_count_sorted(z.tolist(), e.tolist(), tau)
-        assert impl.count_sorted_within(z, e, tau) == expected
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_count_within_matches_reference(impl):
-    rng = np.random.default_rng(1)
-    z = rng.integers(0, 7, size=(500, 6), dtype=np.int64)
-    e = rng.integers(0, 7, size=6, dtype=np.int64)
-    for tau in range(7):
-        expected = sum(
-            sum(a != b for a, b in zip(row, e.tolist())) <= tau for row in z.tolist()
-        )
-        assert impl.count_within(z, e, tau) == expected
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled extension not built")
-def test_backends_agree_on_identical_input():
-    rng = np.random.default_rng(2)
-    z = rng.integers(0, 503, size=(5000, 100), dtype=np.int64)
-    e = np.sort(rng.integers(0, 503, size=100, dtype=np.int64))
-    for tau in (0, 5, 20, 60):
-        assert _pure.count_sorted_within(z, e, tau) == _speedups.count_sorted_within(
-            z, e, tau
-        )
-
-
-def test_selected_backend_exposed():
-    assert kernels.backend() in ("compiled", "pure")
-    assert kernels.count_sorted_within(
-        np.array([[2, 1, 0]], dtype=np.int64),
-        np.array([0, 1, 2], dtype=np.int64),
-        0,
-    ) == 1
+        assert kernels.count_sorted_within(z, e, tau) == expected

@@ -1,14 +1,16 @@
-"""The traced benchmark run wraps package functions by name; a rename must
-fail here rather than in the traced run."""
+"""The benchmark calls package functions by name; a rename or removal must
+fail here rather than in a benchmark run."""
 
 import random
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 from tracecloak import encoder, matcher, tracing
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "protobench"))
 
+import run  # noqa: E402
 import spans  # noqa: E402
 
 
@@ -31,3 +33,8 @@ def test_tracer_installs_and_restores_every_wrapper():
         key: getattr(*key) for key in originals
     } == originals
     assert (tracing.ServerState.handle, matcher.MatchIndex.add) == (handle, add)
+
+
+def test_provenance_records_the_kernels_backend():
+    args = Namespace(workload="sim", seed=1, seconds=10, trace=0)
+    assert run.provenance(args)["kernels_backend"] == "pure"

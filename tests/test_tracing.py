@@ -544,3 +544,27 @@ def test_simulation_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "user_id,epoch,cell,encoding"
     assert len(lines) == 1 + len(result.recovered)
+
+
+@pytest.mark.parametrize(
+    "infections, window, message",
+    [
+        ([("u0", 4)], None, "outside"),  # grid.epochs: the agent never re-reports
+        ([("u0", -1)], None, "outside"),
+        ([("u0", 2)], -1, "negative reporting window"),
+        ([("u9", 2)], None, "unknown infected user"),
+    ],
+    ids=["epoch_at_horizon", "negative_epoch", "negative_window", "unknown_user"],
+)
+def test_simulation_rejects_infections_it_cannot_replay(infections, window, message):
+    grid = GridSpec(rows=4, cols=4, epochs=4)
+    params = PolyCodeParams(M=grid.world_size, p=101, n=20, k=2)
+    with pytest.raises(ValueError, match=message):
+        run_simulation(
+            agents=3,
+            grid=grid,
+            params=params,
+            seed=1,
+            infections=infections,
+            window=window,
+        )
