@@ -77,6 +77,8 @@ def mc_match_prob(
     seed: int = 0,
 ) -> McEstimate:
     """Monte Carlo estimate of Prob{sorted random vector within tau of e}."""
+    if not (0 <= tau <= n <= p):
+        raise ValueError("need 0 <= tau <= n <= p")
     if trials < 1:
         raise ValueError("need at least one trial")
     if len(e) != n:

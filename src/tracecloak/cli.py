@@ -279,7 +279,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:  # bad input: a usage error, not a traceback
+    # bad input, or an input file that cannot be read: a usage error, not
+    # a traceback
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 

@@ -10,9 +10,11 @@ own encoding back to its reporter, who recovers (t, l) locally.
 from __future__ import annotations
 
 import csv
+import logging
+import math
 import random
+import selectors
 import socket
-import socketserver
 import threading
 import time
 from collections import defaultdict
@@ -300,109 +302,240 @@ class InProcessTransport:
         return [parse_message(format_message(a)) for a in alerts]  # type: ignore[misc]
 
 
-def _read_lines(sock: socket.socket, limit: int, timeout: float):
-    """Yield the lines arriving on sock, newline included (a last line may
-    lack it).  A line longer than `limit` bytes is cut to its first
-    limit + 1 for the caller to reject.
-
-    A line must be complete within `timeout` seconds of when the reader
-    starts waiting for it.  Each read is bounded by the socket's own
-    timeout, and once the line is older than `timeout` the reader raises
-    TimeoutError instead of reading again, so a client that trickles bytes
-    is dropped too, at most 2 * timeout after the line started."""
-    # one receive buffer per connection: a fresh 4 KiB buffer per recv,
-    # shrunk to the line, leaves holes between the store's long-lived
-    # entries, and peak RSS grew by 3 MB on the tcp_row1 benchmark workload
-    buf, chunk = b"", memoryview(bytearray(4096))
-    while True:
-        deadline = time.monotonic() + timeout
-        while not (end := buf.find(b"\n", 0, limit + 1) + 1) and len(buf) <= limit:
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"no complete line within {timeout} s")
-            got = sock.recv_into(chunk)
-            if not got:
-                if buf:
-                    yield buf
-                return
-            buf += chunk[:got]
-        if not end:
-            yield buf[: limit + 1]
-            return
-        line, buf = buf[:end], buf[end:]
-        yield line
-
-
 DISCARD_LIMIT = 1 << 22  # bytes read and dropped after an ERROR reply
 
-
-def _discard_input(sock: socket.socket, timeout: float) -> None:
-    """Half-close sock and read and drop what the peer still sends, until it
-    closes its side, `timeout` seconds pass or DISCARD_LIMIT bytes are gone.
-
-    Closing a socket with unread input makes the kernel reset the
-    connection, and the reset can destroy a reply the peer has not read
-    yet: a client still sending an over-long line would lose its ERROR."""
-    deadline, left_bytes = time.monotonic() + timeout, DISCARD_LIMIT
-    chunk = bytearray(1 << 16)
-    try:
-        sock.shutdown(socket.SHUT_WR)
-        while left_bytes > 0 and (left := deadline - time.monotonic()) > 0:
-            sock.settimeout(left)
-            got = sock.recv_into(chunk)
-            if not got:
-                return
-            left_bytes -= got
-    except OSError:  # timed out, or the peer reset the connection
-        pass
+_log = logging.getLogger("tracecloak.server")
 
 
-class _LineHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        sock, limit, timeout = self.request, self.server.max_line, self.server.idle_timeout
-        sock.settimeout(timeout)
-        try:
-            for raw in _read_lines(sock, limit, timeout):
-                try:
-                    if len(raw) > limit:
-                        raise ProtocolError(f"line longer than {limit} bytes")
-                    line = raw.decode("utf-8").rstrip("\n")
-                    if not line:
-                        continue
-                    msg = parse_message(line)
-                    if not isinstance(msg, ReportMsg):
-                        raise ProtocolError("clients may only send reports")
-                    alerts = self.server.state.handle(msg)
-                # ProtocolError, UnicodeDecodeError and the store's length and
-                # range checks are all ValueErrors
-                except ValueError as exc:
-                    sock.sendall(f"ERROR\t{exc}\n".encode("utf-8"))
-                    _discard_input(sock, timeout)
-                    return  # connection-level reject
-                reply = "".join(format_message(alert) + "\n" for alert in alerts)
-                sock.sendall((reply + "OK\n").encode("utf-8"))
-        except TimeoutError:
-            return  # idle or trickling client: drop it and free the thread
+class _Connection:
+    """What the selector loop knows about one client.
+
+    `inbuf` holds the bytes received but not yet answered, `outbuf` the
+    reply bytes the socket has not taken yet.  The connection is dropped at
+    `deadline` unless a line completes or a reply is flushed first.
+    `discard` is None while the connection is served; after an ERROR reply
+    it counts the bytes that may still be read and dropped."""
+
+    __slots__ = ("sock", "peer", "inbuf", "outbuf", "deadline", "discard", "eof")
+
+    def __init__(self, sock: socket.socket, peer: tuple[str, int]):
+        self.sock, self.peer, self.deadline = sock, peer, 0.0
+        self.inbuf, self.outbuf = bytearray(), bytearray()
+        self.discard: int | None = None
+        self.eof = False  # the peer has closed its side
 
 
-class SocketServer(socketserver.ThreadingTCPServer):
+class SocketServer:
     """Newline-delimited TCP front end; each REPORT line is answered with
     the resulting ALERT lines (recipient in the message) then an OK line.
+
+    One thread, the one in `serve_forever`, serves every connection from a
+    selector loop.  Sockets never block: a reply the client does not read
+    yet waits in the connection's buffer, and the server reads no more from
+    that connection until the reply is sent, so a client that never reads
+    neither stalls the others nor grows the server's memory.
 
     A connection whose next line is not complete within `idle_timeout`
     seconds is dropped, whether it idles or trickles bytes.  A bad line, or
     one longer than `max_line` bytes (newline included), gets ERROR and ends
     the connection: the server stops sending, then reads and drops at most
     `DISCARD_LIMIT` more bytes, for at most `idle_timeout` seconds, so that
-    the client can still read the ERROR line before the connection closes."""
+    the client can still read the ERROR line before the connection closes.
+    Each rejected or dropped connection is logged once, as a warning on the
+    "tracecloak.server" logger."""
 
-    allow_reuse_address = True
-    daemon_threads = True
     idle_timeout = 10.0  # seconds
     max_line = 1 << 16  # bytes; a report line at reference row 3 is about 700
 
     def __init__(self, address: tuple[str, int], state: ServerState):
-        super().__init__(address, _LineHandler)
         self.state = state
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind(address)
+            self.socket.listen(socket.SOMAXCONN)
+            self.socket.setblocking(False)
+        except OSError:
+            self.socket.close()
+            raise
+        self.server_address = self.socket.getsockname()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        # one receive buffer for every connection: a fresh buffer per recv,
+        # shrunk to the line, leaves holes between the store's long-lived
+        # entries, and peak RSS grew by 3 MB on the tcp_row1 benchmark workload
+        self._chunk = memoryview(bytearray(1 << 16))
+        self._next_expiry = math.inf  # no deadline falls before it
+        self._stop = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve every connection until `shutdown` is called, which takes
+        effect within `poll_interval` seconds."""
+        self._stopped.clear()
+        try:
+            while not self._stop:
+                now = time.monotonic()
+                if now >= self._next_expiry:
+                    self._expire(now)
+                wait = min(poll_interval, self._next_expiry - now)
+                for key, events in self._selector.select(max(wait, 0.0)):
+                    if key.data is None:
+                        self._accept()
+                    else:
+                        self._serve(key, events)
+        finally:
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop `serve_forever` and wait until it has returned.  Call it from
+        another thread; open connections stay open until `server_close`."""
+        self._stop = True
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket and every connection still open."""
+        for key in list(self._selector.get_map().values()):
+            if key.data is not None:
+                self._close(key.data)
+        self._selector.close()
+        self.socket.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, peer = self.socket.accept()
+        except OSError:  # the client gave up before the accept
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock, peer)
+        self._set_deadline(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _serve(self, key: selectors.SelectorKey, events: int) -> None:
+        conn = key.data
+        try:
+            if events & selectors.EVENT_WRITE:
+                self._flush(conn)
+            if events & selectors.EVENT_READ:
+                self._read(conn)
+        except OSError as exc:  # the peer reset or closed the connection
+            self._close(conn, None if conn.discard is not None else f"connection lost: {exc}")
+            return
+        except Exception:  # a fault in the program: drop this client, serve the rest
+            _log.exception("dropped %s:%d: internal error", *conn.peer)
+            self._close(conn)
+            return
+        # read only when no reply waits, unless the input is being discarded
+        wanted = selectors.EVENT_WRITE if conn.outbuf else 0
+        if not conn.eof and (conn.discard is not None or not conn.outbuf):
+            wanted |= selectors.EVENT_READ
+        if not wanted:
+            self._close(conn)
+        elif wanted != key.events:
+            self._selector.modify(conn.sock, wanted, conn)
+
+    def _read(self, conn: _Connection) -> None:
+        try:
+            got = conn.sock.recv_into(self._chunk)
+        except BlockingIOError:
+            return
+        conn.eof = not got
+        if conn.discard is None:
+            conn.inbuf += self._chunk[:got]
+            self._answer(conn)
+        else:
+            conn.discard -= got
+            if conn.discard <= 0:  # enough: close even if the ERROR is unsent
+                conn.eof = True
+                conn.outbuf.clear()
+
+    def _answer(self, conn: _Connection) -> None:
+        """Answer every complete line in `inbuf` (and, once the peer has
+        closed, a last line without its newline), then send the replies.
+        Each line answered restarts the clock for the next one."""
+        buf, limit = conn.inbuf, self.max_line
+        try:
+            while True:
+                end = buf.find(b"\n", 0, limit) + 1
+                if not end:
+                    if len(buf) > limit:
+                        raise ProtocolError(f"line longer than {limit} bytes")
+                    if not (conn.eof and buf):
+                        break
+                    end = len(buf)
+                line = buf[:end]
+                del buf[:end]
+                conn.outbuf += self._reply(line)
+                self._set_deadline(conn)
+        # ProtocolError, UnicodeDecodeError and the store's length and range
+        # checks are all ValueErrors
+        except ValueError as exc:
+            self._reject(conn, str(exc))
+            return
+        if conn.outbuf:
+            self._flush(conn)
+
+    def _reply(self, raw: bytearray) -> bytes:
+        line = raw.decode("utf-8").rstrip("\n")
+        if not line:
+            return b""
+        msg = parse_message(line)
+        if not isinstance(msg, ReportMsg):
+            raise ProtocolError("clients may only send reports")
+        alerts = self.state.handle(msg)
+        return ("".join(format_message(a) + "\n" for a in alerts) + "OK\n").encode("utf-8")
+
+    def _reject(self, conn: _Connection, reason: str) -> None:
+        """Queue one ERROR line and switch the connection to discarding."""
+        _log.warning("rejected %s:%d: %s", *conn.peer, reason)
+        conn.outbuf += f"ERROR\t{reason}\n".encode("utf-8")
+        conn.inbuf.clear()
+        conn.discard = DISCARD_LIMIT
+        self._set_deadline(conn)
+        self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        try:
+            sent = conn.sock.send(conn.outbuf)
+        except BlockingIOError:
+            return
+        del conn.outbuf[:sent]
+        if conn.outbuf:
+            return
+        if conn.discard is None:
+            self._set_deadline(conn)
+        else:
+            # closing with unread input makes the kernel reset the
+            # connection, and the reset can destroy the ERROR before the
+            # client reads it, so half-close and read on
+            conn.sock.shutdown(socket.SHUT_WR)
+
+    def _set_deadline(self, conn: _Connection) -> None:
+        conn.deadline = time.monotonic() + self.idle_timeout
+        self._next_expiry = min(self._next_expiry, conn.deadline)
+
+    def _expire(self, now: float) -> None:
+        """Drop every connection past its deadline and find the next one."""
+        self._next_expiry = math.inf
+        for key in list(self._selector.get_map().values()):
+            conn = key.data
+            if conn is None:
+                continue
+            if conn.deadline > now:
+                self._next_expiry = min(self._next_expiry, conn.deadline)
+            elif conn.discard is not None:
+                self._close(conn)
+            elif conn.outbuf:
+                self._close(conn, f"reply not read within {self.idle_timeout} s")
+            else:
+                self._close(conn, f"no complete line within {self.idle_timeout} s")
+
+    def _close(self, conn: _Connection, reason: str | None = None) -> None:
+        if reason is not None:
+            _log.warning("dropped %s:%d: %s", *conn.peer, reason)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
 
 
 def send_report_over_socket(
@@ -412,21 +545,28 @@ def send_report_over_socket(
 
     Raises ProtocolError on an ERROR line or when the stream ends before OK,
     so a report the server did not accept never looks accepted."""
-    with socket.create_connection(address) as conn:
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as conn:
+        conn.connect(address)
         conn.sendall((format_message(msg) + "\n").encode("utf-8"))
         conn.shutdown(socket.SHUT_WR)
-        alerts = []
-        buf = conn.makefile("r", encoding="utf-8")
-        for line in buf:
-            line = line.rstrip("\n")
-            if line == "OK":
-                return alerts
-            if line.startswith("ERROR\t"):
-                raise ProtocolError(line.split("\t", 1)[1])
-            parsed = parse_message(line)
-            assert isinstance(parsed, AlertMsg)
-            alerts.append(parsed)
-        raise ProtocolError("connection closed before OK")
+        alerts, rest = [], b""
+        while True:
+            got = conn.recv(1 << 16)
+            *lines, rest = (rest + got).split(b"\n")
+            if not got and rest:
+                lines.append(rest)  # the stream ended inside a line
+            for raw in lines:
+                line = raw.decode("utf-8")
+                if line == "OK":
+                    return alerts
+                if line.startswith("ERROR\t"):
+                    raise ProtocolError(line.split("\t", 1)[1])
+                parsed = parse_message(line)
+                if not isinstance(parsed, AlertMsg):
+                    raise ProtocolError(f"expected an ALERT line, got {line!r}")
+                alerts.append(parsed)
+            if not got:
+                raise ProtocolError("connection closed before OK")
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +654,42 @@ def run_simulation(
             for msg in client_report_infection(clients[u], t_start, t):
                 _deliver(transport.send_report(msg), clients, result)
 
-    # ground truth: anyone sharing an (epoch, cell) with an infected agent
-    # inside that agent's reporting window
-    for user, epoch in infections:
-        t_start = 0 if window is None else max(0, epoch - window)
-        for t in range(t_start, epoch + 1):
-            cell = trajectories[user][t]
-            for other in users:
-                if other != user and trajectories[other][t] == cell:
-                    result.contacts.add(other)
+    result.contacts = _contacts(trajectories, infections, window)
     return result
+
+
+def _contacts(
+    trajectories: dict[str, list[int]],
+    infections: Sequence[tuple[str, int]],
+    window: int | None,
+) -> set[str]:
+    """Ground truth: everyone who shares an (epoch, cell) with an infected
+    agent inside that agent's reporting window."""
+    spans = [
+        (user, range(0 if window is None else max(0, epoch - window), epoch + 1))
+        for user, epoch in infections
+    ]
+    # epoch -> cell an infected agent reported -> every agent found there;
+    # only those cells are kept, not the whole population's trails
+    watched: dict[int, dict[int, list[str]]] = defaultdict(dict)
+    for user, span in spans:
+        cells = trajectories[user]
+        for t in span:
+            watched[t][cells[t]] = []
+    for t, here in watched.items():
+        for user, cells in trajectories.items():
+            found = here.get(cells[t])
+            if found is not None:
+                found.append(user)
+    contacts: set[str] = set()
+    for user, span in spans:
+        cells = trajectories[user]
+        met = set()
+        for t in span:
+            met.update(watched[t][cells[t]])
+        met.discard(user)  # an agent is not its own contact
+        contacts |= met
+    return contacts
 
 
 def _walk(cell: int, grid: GridSpec, rng: random.Random) -> int:

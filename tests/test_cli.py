@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tracecloak import kernels
 from tracecloak.cli import main
 from tracecloak.encoder import (
     PolyCodeParams,
@@ -127,6 +128,38 @@ def test_simulate_input_errors_are_usage_errors(
     err = capsys.readouterr().err.splitlines()
     errors = [line for line in err if line.startswith("tracecloak: error:")]
     assert errors == [f"tracecloak: error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--params", "{missing}"],
+        ["match", "--db", "{missing}", "--tau", "1", "1,2,3"],
+        ["attack", "--params", "{params}", "--kind", "brute", "--target", "{missing}"],
+    ],
+    ids=["params", "db", "target"],
+)
+def test_missing_input_file_is_a_usage_error(params_file, tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    argv = [a.format(missing=missing, params=params_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("tracecloak: error:")]
+    assert errors == [f"tracecloak: error: [Errno 2] No such file or directory: '{missing}'"]
+
+
+def test_analyze_mc_checks_its_parameters_before_drawing(monkeypatch, capsys):
+    def count(*args):
+        raise AssertionError("drew rows for parameters it should have rejected")
+
+    monkeypatch.setattr(kernels, "count_sorted_within", count)
+    argv = ["analyze", "mc", "--p", "3", "--n", "5", "--tau", "2", "--trials", "3000000"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "tracecloak: error: need 0 <= tau <= n <= p" in capsys.readouterr().err
 
 
 def test_attack_command(params_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import logging
 import random
 import socket
 import socketserver
@@ -475,6 +476,159 @@ def test_client_raises_when_stream_ends_without_ok():
         server.server_close()
 
 
+def test_idle_connections_do_not_delay_a_report():
+    """Idle clients hold sockets, not threads, and wait beside the others."""
+    state = ServerState(n=3, tau=0)
+    server = _serving(state)
+    threads = threading.active_count()
+    idle = [socket.create_connection(server.server_address, timeout=10) for _ in range(50)]
+    try:
+        for conn in idle[::2]:
+            conn.sendall(b"REPORT\tu1")  # half a line, then nothing
+        start = time.monotonic()
+        ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
+        assert send_report_over_socket(server.server_address, ok) == []
+        assert time.monotonic() - start < 1
+        assert threading.active_count() == threads
+    finally:
+        for conn in idle:
+            conn.close()
+        server.shutdown()
+        server.server_close()
+
+
+def test_client_that_never_reads_does_not_stall_others():
+    state = ServerState(n=3, tau=0)
+    server = _serving(state)
+    # accepted sockets inherit the listener's buffer sizes: with small ones,
+    # the pipelined replies below overflow what the kernel holds for them
+    server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    line = (format_message(ReportMsg("pipe", UNINFECTED, (1, 2, 3))) + "\n").encode()
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as pipe:
+            pipe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            pipe.connect(server.server_address)
+            pipe.setblocking(False)
+            sent, deadline = 0, time.monotonic() + 10
+            while time.monotonic() < deadline:  # until the server stops reading
+                try:
+                    sent += pipe.send(line * 1000)
+                except BlockingIOError:
+                    break
+            else:
+                pytest.fail("the server read everything without its replies being read")
+            start = time.monotonic()
+            ok = ReportMsg("other", UNINFECTED, (4, 5, 6))
+            assert send_report_over_socket(server.server_address, ok) == []
+            assert time.monotonic() - start < 1
+            # back-pressure: the server stopped reading this client when its
+            # replies backed up, so most of its reports wait unread
+            handled, settled = -1, state.store_size
+            while settled != handled and time.monotonic() < deadline:
+                handled = settled
+                time.sleep(0.2)
+                settled = state.store_size
+            assert handled == settled < sent // len(line) // 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_pipelined_reports_are_answered_in_order():
+    state = ServerState(n=3, tau=0)
+    server = _serving(state)
+    reports = [
+        ReportMsg("a", UNINFECTED, (1, 2, 3)),
+        ReportMsg("b", UNINFECTED, (4, 5, 6)),
+        ReportMsg("c", INFECTED, (4, 5, 6)),
+        ReportMsg("c", INFECTED, (1, 2, 3)),
+        ReportMsg("c", INFECTED, (7, 8, 9)),
+    ]
+    try:
+        data = "".join(format_message(r) + "\n" for r in reports).encode()
+        reply = _exchange(server.server_address, data).decode().splitlines()
+        assert reply == [
+            "OK",
+            "OK",
+            format_message(AlertMsg("b", (4, 5, 6))),
+            "OK",
+            format_message(AlertMsg("a", (1, 2, 3))),
+            "OK",
+            "OK",
+        ]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_server_close_closes_open_connections():
+    state = ServerState(n=3, tau=0)
+    server = SocketServer(("127.0.0.1", 0), state)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    clients = [socket.create_connection(server.server_address, timeout=10) for _ in range(3)]
+    try:
+        for i, conn in enumerate(clients):  # each one is accepted and served
+            conn.sendall((format_message(ReportMsg(f"u{i}", UNINFECTED, (i, i, i))) + "\n").encode())
+            assert conn.recv(16) == b"OK\n"
+        clients[0].sendall(b"REPORT\tu9")  # half a line
+
+        def close():
+            server.shutdown()
+            server.server_close()
+
+        closing = threading.Thread(target=close)
+        closing.start()
+        closing.join(timeout=10)
+        assert not closing.is_alive()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        for conn in clients:
+            try:
+                assert conn.recv(16) == b""
+            except ConnectionResetError:  # closed with the half line unread
+                pass
+    finally:
+        for conn in clients:
+            conn.close()
+
+
+def _server_records(caplog):
+    return [r for r in caplog.records if r.name == "tracecloak.server"]
+
+
+def test_dropped_idle_connection_is_logged_once(caplog):
+    caplog.set_level(logging.WARNING, logger="tracecloak.server")
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, idle_timeout=0.2)
+    try:
+        ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
+        assert send_report_over_socket(server.server_address, ok) == []
+        assert _server_records(caplog) == []  # nothing on the OK path
+        with socket.create_connection(server.server_address, timeout=10) as idle:
+            idle.sendall(b"REPORT\tu1")
+            assert idle.recv(1024) == b""
+        (record,) = _server_records(caplog)
+        assert "no complete line within 0.2 s" in record.getMessage()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_over_long_line_is_logged_once(caplog):
+    caplog.set_level(logging.WARNING, logger="tracecloak.server")
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, max_line=64)
+    try:
+        reply = _exchange(server.server_address, b"x" * 10**5 + b"\n")
+        assert reply == b"ERROR\tline longer than 64 bytes\n"
+        (record,) = _server_records(caplog)
+        assert record.getMessage().endswith("line longer than 64 bytes")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_concurrent_infected_reports_alert_once():
     """Reports racing on one stored entry must alert its owner exactly once."""
 
@@ -544,6 +698,28 @@ def test_simulation_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "user_id,epoch,cell,encoding"
     assert len(lines) == 1 + len(result.recovered)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("window", [None, 0, 3])
+def test_simulation_contacts_match_the_pairwise_scan(seed, window):
+    grid = GridSpec(rows=3, cols=3, epochs=12)
+    params = PolyCodeParams(M=grid.world_size, p=101, n=20, k=2)
+    infections = [("u0", 5), ("u3", 11), ("u7", 8), ("u0", 9)]
+    result = run_simulation(
+        agents=20, grid=grid, params=params, seed=seed, infections=infections, window=window
+    )
+    # every agent against every infected agent, epoch by epoch; in most of
+    # these cases infected agents meet each other too
+    expected = set()
+    for user, epoch in infections:
+        t_start = 0 if window is None else max(0, epoch - window)
+        for t in range(t_start, epoch + 1):
+            cell = result.trajectories[user][t]
+            for other in result.trajectories:
+                if other != user and result.trajectories[other][t] == cell:
+                    expected.add(other)
+    assert result.contacts == expected
 
 
 @pytest.mark.parametrize(
