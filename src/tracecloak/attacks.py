@@ -74,8 +74,10 @@ def table_attack_query(table: MatchIndex, e, tau: int) -> AttackReport:
 
 
 def projected_table_bytes(params: Params) -> float:
-    """Storage for the full-scale table: M entries of n coordinates,
-    replicated across the tau+1 block tables of the index."""
+    """Storage for the full-scale table in the cost model: M entries of n
+    coordinates at ceil(log2 alphabet) bits, one copy per block table.
+    `MatchIndex` holds less: each coordinate once in its row and once in a
+    block key, plus a 4-byte id per block."""
     bits_per_coord = math.ceil(math.log2(params.alphabet))
     return params.M * params.n * bits_per_coord / 8 * (params.tau + 1)
 

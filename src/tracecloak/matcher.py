@@ -6,9 +6,11 @@ contiguous blocks: two vectors within distance tau must agree exactly on
 at least one block (pigeonhole), so candidate retrieval by block key
 followed by full verification returns exactly the oracle's result set.
 
-The index also keeps every encoding as one row of a flat `uint16` store,
-so a large candidate set is verified in a single vectorised compare; a small
-one is verified in Python, where numpy's fixed cost per call would dominate.
+The index holds the only copy of each stored encoding: one row of a flat
+`uint16` store, beside columns of user ids and tags.  A large candidate set
+is verified in a single vectorised compare; a small one is verified in
+Python, where numpy's fixed cost per call would dominate.  A `DatabaseEntry`
+is built only when one is returned.
 """
 
 from __future__ import annotations
@@ -88,22 +90,31 @@ def _storable(c) -> bool:
 class MatchIndex:
     """Static Hamming-range index with exact (oracle-equal) query results.
 
-    Storage is (tau+1) block keys per entry plus one `uint16` row of codes;
-    entry ids are insertion order.  Mutations are serialized by a lock;
-    queries read a consistent snapshot (entries are append-only).
+    Storage is (tau+1) block keys per entry, one `uint16` row of codes and a
+    user id and tag in parallel columns; entry ids are insertion order.
+    Mutations are serialized by a lock; queries read a consistent snapshot
+    (entries are append-only).
+
+    No `DatabaseEntry` is stored.  `add` reads the entry's user id, encoding
+    and tag and keeps none of its objects but the strings, of which the index
+    keeps one copy each, so a user who reports many times costs a pointer
+    per report.  A hit's entry is rebuilt from its row, and `entries`
+    rebuilds them all.
 
     The rows live in one flat `array("H")`, row `eid` at `eid * n`, which
     grows in place with amortised O(1) appends.  numpy reads it through a
     buffer view, and an array that is exporting a view cannot grow, so the
-    view is made, gathered from and dropped under the lock.
+    view is made, gathered from and dropped under the lock.  A slice of the
+    array is a copy that exports nothing, so rows read by slices need no
+    lock.
 
     Each block's table maps the block's slice of a row's bytes to the ids of
     the entries holding that slice, packed as native uint32 and appended by
-    concatenation.  A dict holding only bytes is not tracked by the cyclic
-    garbage collector, so no collection walks the tables however large the
-    store grows: an entry adds no tracked object beyond its DatabaseEntry.
-    An append copies the posting, 4 bytes per id, which is what a query
-    that looks up the key collects anyway.
+    concatenation.  A dict holding only bytes or str is not tracked by the
+    cyclic garbage collector, so no collection walks the tables or the
+    string copies however large the store grows: an entry adds no tracked
+    object.  An append copies the posting, 4 bytes per id, which is what a
+    query that looks up the key collects anyway.
     """
 
     def __init__(self, n: int, tau: int):
@@ -114,18 +125,24 @@ class MatchIndex:
         self.blocks = _partition(n, tau + 1)
         self._slices = [slice(2 * lo, 2 * hi) for lo, hi in self.blocks]  # of row bytes
         self._tables: list[dict[bytes, bytes]] = [{} for _ in self.blocks]
-        self._row = struct.Struct(f"={n}H").pack  # range-checks every coordinate
-        self._entries: list[DatabaseEntry] = []
+        self._row = struct.Struct(f"={n}H")  # its pack range-checks every coordinate
         self._codes = array("H")
+        self._user_ids: list[str] = []
+        self._tags: list[str] = []
+        self._strings: dict[str, str] = {}  # one copy of each user id and tag
         self._lock = threading.Lock()
         self._queries = self._candidates = self._hits = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._user_ids)
 
     @property
     def entries(self) -> list[DatabaseEntry]:
-        return list(self._entries)
+        """Every stored entry, in insertion order, rebuilt from the columns."""
+        with self._lock:
+            codes = self._codes[:]  # a copy, which later adds leave alone
+        rows = self._row.iter_unpack(codes)
+        return [DatabaseEntry(u, r, t) for r, u, t in zip(rows, self._user_ids, self._tags)]
 
     def stats(self) -> dict[str, int]:
         """Queries answered, candidates verified and hits returned so far."""
@@ -137,22 +154,28 @@ class MatchIndex:
             }
 
     def add(self, entry: DatabaseEntry) -> None:
+        """Store entry's user id, encoding and tag; any object with those three
+        attributes will do, and the index keeps no reference to it."""
         enc = entry.encoding
         if len(enc) != self.n:
             raise ValueError(f"encoding length {len(enc)} != index length {self.n}")
         try:
-            row = self._row(*enc)
+            row = self._row.pack(*enc)
         except struct.error:
             pos = next(i for i, c in enumerate(enc) if not _storable(c))
             raise ValueError(
                 f"coordinate {enc[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})"
             ) from None
         with self._lock:
-            eid = len(self._entries)
+            eid = len(self._user_ids)
             if eid >= ID_LIMIT:
                 raise ValueError(f"index full: entry ids are uint32, at most {ID_LIMIT} entries")
-            self._codes.frombytes(row)  # before the id is published in the tables
-            self._entries.append(entry)
+            user_id = self._strings.setdefault(entry.user_id, entry.user_id)
+            tag = self._strings.setdefault(entry.tag, entry.tag)
+            # the row and columns before the id is published in the tables
+            self._codes.frombytes(row)
+            self._user_ids.append(user_id)
+            self._tags.append(tag)
             packed = eid.to_bytes(4, sys.byteorder)
             for table, s in zip(self._tables, self._slices):
                 key = row[s]
@@ -173,7 +196,7 @@ class MatchIndex:
             raise ValueError(f"query length {len(e)} != index length {self.n}")
         q = None
         try:
-            row = self._row(*e)
+            row = self._row.pack(*e)
         except struct.error:
             # -1 stands for a coordinate no row can hold; its block's key
             # reads 0 instead, and verification rejects what that collects
@@ -186,23 +209,26 @@ class MatchIndex:
         if len(found) < 4 * NUMPY_MIN_CELLS:
             ids = sorted({*memoryview(found).cast("I")}) if found else []
         else:
-            ids = np.sort(np.frombuffer(found, dtype=np.uint32))
+            ids = np.sort(np.frombuffer(found, dtype=np.uint32)).astype(np.intp)  # i * n fits
             ids = np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
-        entries = self._entries
-        if len(ids) * self.n < NUMPY_MIN_CELLS:
-            hits = [
-                entries[i]
-                for i in ids
-                if sum(map(operator.ne, entries[i].encoding, e)) <= tau
-            ]
+        codes, n, user_ids, tags = self._codes, self.n, self._user_ids, self._tags
+        if len(ids) * n < NUMPY_MIN_CELLS:
+            hits = []
+            for i in ids:
+                r = codes[i * n : i * n + n]
+                if sum(map(operator.ne, r, e)) <= tau:
+                    hits.append(DatabaseEntry(user_ids[i], tuple(r), tags[i]))
         else:
             ids = np.asarray(ids, dtype=np.intp)
             if q is None:
                 q = np.frombuffer(row, dtype=np.uint16)
             with self._lock:
-                rows = np.frombuffer(self._codes, dtype=np.uint16).reshape(-1, self.n)[ids]
+                rows = np.frombuffer(codes, dtype=np.uint16).reshape(-1, n)[ids]
             far = np.count_nonzero(rows != q, axis=1)
-            hits = [entries[i] for i in ids[far <= tau].tolist()]
+            hits = [
+                DatabaseEntry(user_ids[i], tuple(codes[i * n : i * n + n]), tags[i])
+                for i in ids[far <= tau].tolist()
+            ]
         with self._lock:
             self._queries += 1
             self._candidates += len(ids)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .encoder import Params, encode, format_encoding, inflate, parse_encoding
-from .matcher import DatabaseEntry, MatchIndex
+from .matcher import MatchIndex
 
 UNINFECTED = "uninfected"
 INFECTED = "infected"
@@ -266,9 +266,7 @@ class ServerState:
             raise ProtocolError(f"malformed report: {msg!r}")
         with self._lock:
             if msg.tag == UNINFECTED:
-                self.index.add(
-                    DatabaseEntry(user_id=msg.user_id, encoding=msg.encoding, tag=msg.tag)
-                )
+                self.index.add(msg)  # keeps its fields, not the message
                 return []
             hits = self.index.query(msg.encoding)  # raises before anything is logged
             self.infected_log.append(msg)
@@ -296,9 +294,7 @@ class InProcessTransport:
         self.server = server
 
     def send_report(self, msg: ReportMsg) -> list[AlertMsg]:
-        parsed = parse_message(format_message(msg))
-        assert isinstance(parsed, ReportMsg)
-        alerts = self.server.handle(parsed)
+        alerts = self.server.handle(parse_message(format_message(msg)))
         return [parse_message(format_message(a)) for a in alerts]  # type: ignore[misc]
 
 

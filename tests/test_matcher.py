@@ -156,31 +156,49 @@ def test_add_refuses_ids_past_uint32():
             return matcher.ID_LIMIT
 
     index = MatchIndex(2, 0)
-    index._entries = Full()
+    index._user_ids = Full()
     with pytest.raises(ValueError, match=f"at most {2**32} entries"):
         index.add(DatabaseEntry("a", (1, 2)))
     assert len(index._codes) == 0
     assert index._tables == [{}]
+    assert index._tags == []
 
 
 def test_tables_are_not_tracked_by_the_cyclic_collector():
-    """A row-3 store adds no object the collector tracks beyond its entries,
-    which exist before the adds, so a full collection does not walk the
-    tables however large the store grows."""
+    """A row-3 store keeps no object the collector tracks, however large it
+    grows: entries made for the adds die with them, so no collection walks
+    the tables or the stored entries."""
     rng = random.Random(6)
-    entries = [
-        DatabaseEntry(f"u{i}", tuple(sorted(rng.randrange(211) for _ in range(200))))
-        for i in range(2000)
-    ]
+    encodings = [tuple(sorted(rng.randrange(211) for _ in range(200))) for _ in range(2000)]
     index = MatchIndex(200, 40)
     gc.collect()
     before = len(gc.get_objects())
-    for entry in entries:
-        index.add(entry)
+    for i, enc in enumerate(encodings):
+        index.add(DatabaseEntry(f"u{i}", enc))
     gc.collect()
-    assert len(gc.get_objects()) - before < len(entries)
+    assert len(gc.get_objects()) - before < 10
     assert not any(gc.is_tracked(table) for table in index._tables)
-    assert len(index.query(entries[7].encoding, 0)) >= 1
+    assert not gc.is_tracked(index._strings)
+    assert DatabaseEntry("u7", encodings[7]) in index.query(encodings[7], 0)
+
+
+def test_add_keeps_no_reference_to_its_input():
+    index = MatchIndex(4, 1)
+    index.add(DatabaseEntry("u0", (9, 9, 9, 9)))
+    entry = DatabaseEntry("u1", (0, 1, 2, 3))
+    before = sys.getrefcount(entry), sys.getrefcount(entry.encoding)
+    index.add(entry)
+    assert (sys.getrefcount(entry), sys.getrefcount(entry.encoding)) == before
+    assert index.entries == [DatabaseEntry("u0", (9, 9, 9, 9)), entry]
+
+
+def test_index_keeps_one_copy_of_each_string():
+    index = MatchIndex(2, 0)
+    for i in range(4):
+        index.add(DatabaseEntry("".join(["u", "1"]), (i, i), "".join(["un", "infected"])))
+    assert len({id(u) for u in index._user_ids}) == 1
+    assert len({id(t) for t in index._tags}) == 1
+    assert index._strings == {"u1": "u1", "uninfected": "uninfected"}
 
 
 def test_stats_count_queries_candidates_and_hits():
@@ -208,7 +226,14 @@ def _index_cases(draw):
     tau = draw(st.integers(0, n + 1))
     code = st.tuples(*[_stored] * n)
     pool = draw(st.lists(code, min_size=1, max_size=6))
-    store = draw(st.lists(st.one_of(code, st.sampled_from(pool)), max_size=80))
+    # few users, so ids repeat, and both tags
+    entry = st.builds(
+        DatabaseEntry,
+        user_id=st.sampled_from(["u0", "u1", "u2", "uninfected"]),
+        encoding=st.one_of(code, st.sampled_from(pool)),
+        tag=st.sampled_from(["uninfected", "infected"]),
+    )
+    store = draw(st.lists(entry, max_size=80))
     queries = draw(
         st.lists(st.one_of(st.sampled_from(pool), st.tuples(*[_probe] * n)), min_size=1, max_size=4)
     )
@@ -219,20 +244,22 @@ def _index_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_index_cases())
 def test_index_equals_scan_match_property(case):
-    n, tau, store, queries, query_tau = case
-    entries = [DatabaseEntry(f"u{i}", enc) for i, enc in enumerate(store)]
+    n, tau, entries, queries, query_tau = case
     index = build_index(entries, n, tau)
+    assert index.entries == entries
     # the default cutoff, then the numpy path and the Python path alone
     for cutoff in (matcher.NUMPY_MIN_CELLS, 0, sys.maxsize):
         with mock.patch.object(matcher, "NUMPY_MIN_CELLS", cutoff):
             for q in queries:
                 assert index.query(q, query_tau) == scan_match(entries, q, query_tau)
                 assert index.query(q) == scan_match(entries, q, tau)
-    bad = store[0] if store else (0,) * n
+    bad = entries[0].encoding if entries else (0,) * n
     for value in (-1, CODE_LIMIT, 2**70):
         with pytest.raises(ValueError):
             index.add(DatabaseEntry("bad", (value,) + tuple(bad[1:])))
-    assert len(index) == len(store)
+    assert len(index) == len(entries)
+    assert index.entries == entries
+    assert "bad" not in index._strings
 
 
 def test_query_verifies_entries_added_while_it_collects_candidates():

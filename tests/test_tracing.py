@@ -265,6 +265,17 @@ def test_in_process_transport_round_trips_wire_format():
     assert server.store_size == 1
 
 
+def test_in_process_transport_refuses_an_alert():
+    """An ALERT sent as a report is refused as the TCP server refuses it with
+    ERROR: a ProtocolError, and nothing stored or logged."""
+    server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
+    transport = InProcessTransport(server)
+    with pytest.raises(ProtocolError):
+        transport.send_report(AlertMsg(user_id="u1", encoding=tuple(range(PARAMS.n))))
+    assert server.store_size == 0
+    assert server.infected_log == []
+
+
 def test_socket_transport():
     rng = random.Random(8)
     state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
