@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Sequence
@@ -191,18 +191,11 @@ def table1_report(M: int = 10**19, D: int = 10**14) -> list[ParamRow]:
     geo_mean = math.exp(sum(math.log(q) for q in moduli) / n)
     m = residue_digit_count(M, moduli)
     exact_bits = math.ceil(sum(math.log2(q) for q in moduli))
-    row = _make_row("residues", n, geo_mean, m, k, M, D)
     rows.append(
-        ParamRow(
-            method=row.method,
-            n=row.n,
+        replace(
+            _make_row("residues", n, geo_mean, m, k, M, D),
             p=round(geo_mean),
-            m=row.m,
-            k=row.k,
-            tau=row.tau,
             bits=exact_bits,
-            log10_expected_fp=row.log10_expected_fp,
-            log10_attack_solves=row.log10_attack_solves,
             note=(
                 f"bit size recomputed as ceil(sum log2 p_i) = {exact_bits}; "
                 "reference tables quote 858 for these moduli"

@@ -39,13 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument(
         "--unsorted", action="store_true", help="corrupted basic code, no sorting"
     )
+    p_enc.set_defaults(run=cmd_encode)
 
     p_match = sub.add_parser("match", help="query a stored entry database")
     _add_common(p_match, params=False)
     p_match.add_argument("--db", required=True, help="TSV entry file")
     p_match.add_argument("--tau", type=int, required=True)
-    p_match.add_argument("--exact", action="store_true", help="exact match only (tau 0)")
     p_match.add_argument("query", help="comma-separated encoding")
+    p_match.set_defaults(run=cmd_match)
 
     p_sim = sub.add_parser("simulate", help="run the tracing protocol simulator")
     _add_common(p_sim)
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pass world points through the square-free inflation map "
         "(parameters must cover the inflated range)",
     )
-    p_sim.add_argument("--out", help="alert report CSV")
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_atk = sub.add_parser("attack", help="run an adversary against one encoding")
     _add_common(p_atk)
@@ -78,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atk.add_argument(
         "--mode", choices=("exhaustive", "randomized"), default="randomized"
     )
+    p_atk.set_defaults(run=cmd_attack)
 
     p_ana = sub.add_parser("analyze", help="bounds, Monte Carlo, separation, table")
     ana_sub = p_ana.add_subparsers(dest="analysis", required=True)
@@ -86,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     a_bound.add_argument("--p", type=int, required=True)
     a_bound.add_argument("--n", type=int, required=True)
     a_bound.add_argument("--tau", type=int, required=True)
+    a_bound.set_defaults(run=cmd_analyze_bound)
 
     a_mc = ana_sub.add_parser("mc", help="Monte Carlo estimate vs the bound")
     a_mc.add_argument("--p", type=int, required=True)
@@ -93,22 +96,32 @@ def build_parser() -> argparse.ArgumentParser:
     a_mc.add_argument("--tau", type=int, required=True)
     a_mc.add_argument("--trials", type=int, default=10**6)
     a_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    a_mc.set_defaults(run=cmd_analyze_mc)
 
     a_l1 = ana_sub.add_parser("lemma1", help="unsorted-mode separation check")
     a_l1.add_argument("--params", required=True)
     a_l1.add_argument("--trials", type=int, default=10**4)
     a_l1.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    a_l1.set_defaults(run=cmd_analyze_lemma1)
 
     a_t1 = ana_sub.add_parser("table1", help="reference parameter table")
     a_t1.add_argument("--world", type=lambda s: int(float(s)), default=10**19)
     a_t1.add_argument("--database", type=lambda s: int(float(s)), default=10**14)
     a_t1.add_argument("--csv", help="write the table to this CSV file")
+    a_t1.set_defaults(run=cmd_analyze_table1)
 
     return parser
 
 
 def _parse_point(text: str) -> int:
     return int(text, 16) if text.lower().startswith("0x") else int(text)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_target(path_or_hex: str, params, rng) -> tuple[int, ...]:
@@ -126,8 +139,7 @@ def cmd_encode(args) -> int:
     x = _parse_point(args.x)
     if args.unsorted:
         if not isinstance(params, PolyCodeParams):
-            print("unsorted mode needs polynomial parameters", file=sys.stderr)
-            return 2
+            raise ValueError("unsorted mode needs polynomial parameters")
         coords = encode_unsorted(x, params, rng)
     else:
         coords = encode(x, params, rng)
@@ -136,20 +148,18 @@ def cmd_encode(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.tau < 0:
+        raise ValueError(f"--tau must be non-negative, got {args.tau}")
     entries = matcher.load_entries(args.db)
     query = parse_encoding(args.query)
-    tau = 0 if args.exact else args.tau
-    hits = matcher.build_index(entries, len(query), tau).query(query, tau)
-    for entry in hits:
-        print(f"{entry.user_id}\t{entry.tag}\t{format_encoding(entry.encoding)}")
+    rows = [
+        (entry.user_id, entry.tag, format_encoding(entry.encoding))
+        for entry in matcher.scan_match(entries, query, args.tau)
+    ]
+    for row in rows:
+        print("\t".join(row))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "tag", "encoding"])
-            for entry in hits:
-                writer.writerow(
-                    [entry.user_id, entry.tag, format_encoding(entry.encoding)]
-                )
+        _write_csv(args.csv, ["user_id", "tag", "encoding"], rows)
     return 0
 
 
@@ -182,9 +192,8 @@ def cmd_simulate(args) -> int:
     print(f"true contacts: {len(result.contacts)}, alerted users: {len(alerted)}")
     for user, t, cell, _ in result.recovered:
         print(f"alert\t{user}\tepoch={t}\tcell={cell}")
-    out = args.out or args.csv
-    if out:
-        tracing.write_report_csv(result, out)
+    if args.csv:
+        tracing.write_report_csv(result, args.csv)
     return 0
 
 
@@ -208,12 +217,10 @@ def cmd_attack(args) -> int:
         f"iterations={report.iterations} wall_time={report.wall_time:.3f}s"
     )
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["kind", "recovered", "solves", "encodings", "iterations", "wall_time"]
-            )
-            writer.writerow(
+        _write_csv(
+            args.csv,
+            ["kind", "recovered", "solves", "encodings", "iterations", "wall_time"],
+            [
                 [
                     args.kind,
                     report.recovered,
@@ -222,63 +229,56 @@ def cmd_attack(args) -> int:
                     report.iterations,
                     f"{report.wall_time:.6f}",
                 ]
-            )
+            ],
+        )
     return 0 if report.recovered is not None else 1
 
 
-def cmd_analyze(args) -> int:
-    if args.analysis == "bound":
-        log10 = analysis.fp_bound_log10(args.p, args.n, args.tau)
-        print(f"log10 bound: {log10:.4f}  (~10^{log10:.1f})")
-        return 0
-    if args.analysis == "mc":
-        rng = random.Random(args.seed)
-        e = tuple(sorted(rng.randrange(args.p) for _ in range(args.n)))
-        est = analysis.mc_match_prob(
-            args.p, args.n, args.tau, e, args.trials, seed=args.seed
-        )
-        lo, hi = est.ci
-        bound = analysis.fp_bound(args.p, args.n, args.tau)
-        print(f"estimate: {est.estimate:.3e}  ci99=[{lo:.3e}, {hi:.3e}]")
-        print(f"bound:    {bound:.3e}  holds: {hi <= bound}")
-        return 0 if hi <= bound else 1
-    if args.analysis == "lemma1":
-        params = load_params(args.params)
-        rng = random.Random(args.seed)
-        res = analysis.lemma1_check(params, args.trials, rng)
-        print(
-            f"false negatives: {res.false_negatives}/{res.same_x_trials}  "
-            f"false positives: {res.false_positives}/{res.distinct_x_trials}"
-        )
-        return 0 if res.ok else 1
-    if args.analysis == "table1":
-        rows = analysis.table1_report(M=args.world, D=args.database)
-        header = [f.name for f in dataclasses.fields(analysis.ParamRow)]
-        print("\t".join(header))
-        for row in rows:
-            print("\t".join(str(v) for v in dataclasses.astuple(row)))
-        if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow(dataclasses.astuple(row))
-        return 0
-    raise AssertionError(f"unhandled analysis {args.analysis!r}")
+def cmd_analyze_bound(args) -> int:
+    log10 = analysis.fp_bound_log10(args.p, args.n, args.tau)
+    print(f"log10 bound: {log10:.4f}  (~10^{log10:.1f})")
+    return 0
+
+
+def cmd_analyze_mc(args) -> int:
+    rng = random.Random(args.seed)
+    e = tuple(sorted(rng.randrange(args.p) for _ in range(args.n)))
+    est = analysis.mc_match_prob(args.p, args.n, args.tau, e, args.trials, seed=args.seed)
+    lo, hi = est.ci
+    bound = analysis.fp_bound(args.p, args.n, args.tau)
+    print(f"estimate: {est.estimate:.3e}  ci99=[{lo:.3e}, {hi:.3e}]")
+    print(f"bound:    {bound:.3e}  holds: {hi <= bound}")
+    return 0 if hi <= bound else 1
+
+
+def cmd_analyze_lemma1(args) -> int:
+    params = load_params(args.params)
+    rng = random.Random(args.seed)
+    res = analysis.lemma1_check(params, args.trials, rng)
+    print(
+        f"false negatives: {res.false_negatives}/{res.same_x_trials}  "
+        f"false positives: {res.false_positives}/{res.distinct_x_trials}"
+    )
+    return 0 if res.ok else 1
+
+
+def cmd_analyze_table1(args) -> int:
+    rows = analysis.table1_report(M=args.world, D=args.database)
+    rows = [dataclasses.astuple(row) for row in rows]
+    header = [f.name for f in dataclasses.fields(analysis.ParamRow)]
+    print("\t".join(header))
+    for row in rows:
+        print("\t".join(str(v) for v in row))
+    if args.csv:
+        _write_csv(args.csv, header, rows)
+    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "encode": cmd_encode,
-        "match": cmd_match,
-        "simulate": cmd_simulate,
-        "attack": cmd_attack,
-        "analyze": cmd_analyze,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     # bad input, or an input file that cannot be read: a usage error, not
     # a traceback
     except (ValueError, OSError) as exc:

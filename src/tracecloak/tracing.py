@@ -19,6 +19,7 @@ import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -147,7 +148,10 @@ def format_message(msg: ReportMsg | AlertMsg) -> str:
 
 
 def parse_message(line: str) -> ReportMsg | AlertMsg:
-    parts = line.rstrip("\n").split("\t")
+    line = line.rstrip("\n")
+    if "\n" in line:  # the TCP server would read two lines here
+        raise ProtocolError("newline inside a message")
+    parts = line.split("\t")
     if len(parts) != 4:
         raise ProtocolError(f"expected 4 fields, got {len(parts)}")
     kind, user_id, tag, coords = parts
@@ -171,31 +175,31 @@ def parse_message(line: str) -> ReportMsg | AlertMsg:
 
 
 class ClientState:
-    """Local (t, l, e) database indexed by time and by encoding."""
+    """Local (t, l, e) database: one (t, cell, e) record per report, kept in
+    report order, and the latest record of each encoding, for alerts."""
 
     def __init__(self, user_id: str):
         self.user_id = user_id
-        self._by_encoding: dict[tuple[int, ...], tuple[int, int]] = {}
-        self._by_time: dict[int, list[tuple[int, tuple[int, ...]]]] = defaultdict(list)
+        self._records: list[tuple[int, int, tuple[int, ...]]] = []
+        self._by_encoding: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_time.values())
+        return len(self._records)
 
     def lookup(self, encoding: Sequence[int]) -> tuple[int, int]:
         try:
-            return self._by_encoding[tuple(encoding)]
+            t, cell, _ = self._by_encoding[tuple(encoding)]
         except KeyError:
             raise UnknownEncodingError(tuple(encoding)) from None
+        return t, cell
 
     def records_between(
         self, t_start: int, t_end: int
     ) -> list[tuple[int, int, tuple[int, ...]]]:
-        out = []
-        for t in sorted(self._by_time):
-            if t_start <= t <= t_end:
-                for cell, e in self._by_time[t]:
-                    out.append((t, cell, e))
-        return out
+        """Records with t_start <= t <= t_end, by epoch, then report order."""
+        return sorted(
+            (r for r in self._records if t_start <= r[0] <= t_end), key=itemgetter(0)
+        )
 
 
 def client_tick(
@@ -223,8 +227,9 @@ def client_tick(
         if inflate_world:
             x = inflate(x)
         e = encode(x, params, rng)
-        client._by_encoding[e] = (t, c)
-        client._by_time[t].append((c, e))
+        record = (t, c, e)
+        client._records.append(record)
+        client._by_encoding[e] = record
         msgs.append(ReportMsg(user_id=client.user_id, tag=UNINFECTED, encoding=e))
     return msgs
 

@@ -5,12 +5,14 @@ import pytest
 from tracecloak import kernels
 from tracecloak.cli import main
 from tracecloak.encoder import (
+    CODE_LIMIT,
     PolyCodeParams,
+    RrnsParams,
     encode,
     format_encoding,
     save_params,
 )
-from tracecloak.matcher import DatabaseEntry, save_entries
+from tracecloak.matcher import DatabaseEntry, save_entries, scan_match
 
 DESK = PolyCodeParams(M=10**4, p=31, n=10, k=2)
 
@@ -65,10 +67,40 @@ def test_match_command(tmp_path, capsys):
     assert "hit" in out
 
     assert (
-        main(["match", "--db", str(db), "--tau", "0", "--exact", format_encoding(stored)])
+        main(["match", "--db", str(db), "--tau", "0", format_encoding(stored)])
         == 0
     )
     assert "hit" in capsys.readouterr().out
+
+
+def test_match_equals_scan_match(tmp_path, capsys):
+    """`match` prints and writes exactly what `scan_match` returns, in db
+    order, also for entries with a coordinate no index row could hold."""
+    rng = random.Random(1)
+    x = rng.randrange(DESK.M)
+    query = encode(x, DESK, rng)
+    entries = [DatabaseEntry(f"u{i}", encode(x, DESK, rng)) for i in range(5)]
+    entries += [
+        DatabaseEntry("far", tuple(sorted(rng.randrange(31) for _ in range(10)))),
+        DatabaseEntry("wide", (CODE_LIMIT,) + query[1:], "infected"),
+        DatabaseEntry("wider", query[:-1] + (CODE_LIMIT + 7,)),
+    ]
+    db = tmp_path / "db.tsv"
+    save_entries(entries, db)
+    csv_out = tmp_path / "match.csv"
+    for tau in (0, 1, DESK.tau):
+        argv = ["match", "--db", str(db), "--tau", str(tau), "--csv", str(csv_out)]
+        assert main(argv + [format_encoding(query)]) == 0
+        expected = [
+            f"{e.user_id}\t{e.tag}\t{format_encoding(e.encoding)}"
+            for e in scan_match(entries, query, tau)
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
+        csv_lines = csv_out.read_text().splitlines()
+        assert csv_lines[0] == "user_id,tag,encoding"
+        assert len(csv_lines) == len(expected) + 1
+    # both wide entries are one coordinate away from the query
+    assert {"wide", "wider"} <= {e.user_id for e in scan_match(entries, query, 1)}
 
 
 def test_simulate_command(tmp_path, capsys):
@@ -94,7 +126,7 @@ def test_simulate_command(tmp_path, capsys):
                 "u0@9",
                 "--dilation",
                 "0",
-                "--out",
+                "--csv",
                 str(out_csv),
             ]
         )
@@ -128,6 +160,26 @@ def test_simulate_input_errors_are_usage_errors(
     err = capsys.readouterr().err.splitlines()
     errors = [line for line in err if line.startswith("tracecloak: error:")]
     assert errors == [f"tracecloak: error: {message}"]
+
+
+def test_encode_unsorted_with_rrns_params_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "rrns.txt"
+    save_params(RrnsParams(primes=(97, 101, 103, 107, 109, 113, 127, 131), M=10**6, k=2), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--params", str(path), "--unsorted", "17"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("tracecloak: error:")]
+    assert errors == ["tracecloak: error: unsorted mode needs polynomial parameters"]
+
+
+def test_match_refuses_a_negative_tau(tmp_path, capsys):
+    db = tmp_path / "db.tsv"
+    save_entries([DatabaseEntry("u0", tuple(range(10)))], db)
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "--db", str(db), "--tau", "-1", format_encoding(tuple(range(10)))])
+    assert exc.value.code == 2
+    assert "tracecloak: error: --tau must be non-negative, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

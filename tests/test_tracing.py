@@ -4,9 +4,10 @@ import socket
 import socketserver
 import threading
 import time
+from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracecloak.encoder import CODE_LIMIT, PolyCodeParams, inflate_range_bound
@@ -114,7 +115,10 @@ def test_wire_format_rejects_malformed(line):
         parse_message(line)
 
 
-_users = st.text(st.characters(blacklist_characters="\t"), max_size=8)
+_users = st.one_of(
+    st.text(st.characters(blacklist_characters="\t"), max_size=8),
+    st.text("u\n\r ", max_size=4),  # makes user ids with a newline common
+)
 _encodings = st.lists(
     st.one_of(st.integers(0, 600), st.integers(0, 2**16 + 1), st.integers()),
     min_size=1,
@@ -134,7 +138,13 @@ _messages = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_messages)
 def test_wire_format_round_trip_property(msg):
-    assert parse_message(format_message(msg)) == msg
+    """parse . format is the identity, except that a user id holding a
+    newline is refused, as the TCP server refuses the two lines it reads."""
+    if "\n" in msg.user_id:
+        with pytest.raises(ProtocolError):
+            parse_message(format_message(msg))
+    else:
+        assert parse_message(format_message(msg)) == msg
 
 
 _fields = st.one_of(
@@ -166,6 +176,43 @@ def test_client_tick_and_local_db():
     msgs = client_tick(client, 4, 55, GRID, PARAMS, rng, dilation_radius=1)
     assert len(msgs) == 9
     assert len(client) == 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=20),
+    st.integers(-1, 6),
+    st.integers(-1, 6),
+)
+# out of epoch order, and with k = 0 a repeated tick repeats its encoding
+@example(ticks=[(3, 5), (1, 7), (3, 9), (3, 5), (1, 7)], t_start=0, t_end=19)
+@example(ticks=[(3, 5), (1, 7), (3, 9), (3, 5), (1, 7)], t_start=2, t_end=3)
+def test_records_between_equals_per_epoch_lists(ticks, t_start, t_end):
+    """The same records, in the same order (by epoch, then report order), as
+    a dict of per-epoch lists."""
+    rng = random.Random(1)
+    client = ClientState("u1")
+    by_time = defaultdict(list)
+    for t, c in ticks:
+        (msg,) = client_tick(client, t, c, GRID, DET_PARAMS, rng)
+        by_time[t].append((t, c, msg.encoding))
+    expected = [r for t in sorted(by_time) if t_start <= t <= t_end for r in by_time[t]]
+    assert client.records_between(t_start, t_end) == expected
+    assert len(client) == len(ticks)
+
+
+def test_lookup_returns_the_latest_record_of_an_encoding():
+    # (1, 0) on GRID and (2, 0) on a grid of half the cells pack to one world
+    # point, so with k = 0 both ticks report one encoding
+    half = GridSpec(rows=5, cols=10, epochs=40)
+    rng = random.Random(2)
+    client = ClientState("u1")
+    (first,) = client_tick(client, 1, 0, GRID, DET_PARAMS, rng)
+    assert client.lookup(first.encoding) == (1, 0)
+    (second,) = client_tick(client, 2, 0, half, DET_PARAMS, rng)
+    assert second.encoding == first.encoding
+    assert client.lookup(first.encoding) == (2, 0)
+    assert client.records_between(0, 5) == [(1, 0, first.encoding), (2, 0, first.encoding)]
 
 
 def test_deterministic_mode_same_cell_same_encoding():
@@ -274,6 +321,26 @@ def test_in_process_transport_refuses_an_alert():
         transport.send_report(AlertMsg(user_id="u1", encoding=tuple(range(PARAMS.n))))
     assert server.store_size == 0
     assert server.infected_log == []
+
+
+def test_newline_in_a_user_id_is_refused_by_both_transports():
+    """The TCP server reads a newline as the end of a line, so a report whose
+    user id holds one is refused in process too, and stored by neither."""
+    msg = ReportMsg(user_id="u\n1", tag=UNINFECTED, encoding=tuple(range(PARAMS.n)))
+    state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
+    with pytest.raises(ProtocolError):
+        InProcessTransport(state).send_report(msg)
+    server = SocketServer(("127.0.0.1", 0), state)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(ProtocolError):
+            send_report_over_socket(server.server_address, msg)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert state.store_size == 0
+    assert state.infected_log == []
 
 
 def test_socket_transport():
