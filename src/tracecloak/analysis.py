@@ -173,9 +173,9 @@ class ParamRow:
     note: str = ""
 
 
-def rrns_reference_primes(count: int = 80, start: int = 877) -> list[int]:
+def rrns_reference_primes() -> list[int]:
     """The residue-row moduli: the first 80 primes >= 877 (ends at 1451)."""
-    return primes(count, start)
+    return primes(80, 877)
 
 
 def table1_report(M: int = 10**19, D: int = 10**14) -> list[ParamRow]:

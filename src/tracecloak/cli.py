@@ -19,14 +19,17 @@ from .encoder import (
     parse_encoding,
 )
 
-DEFAULT_SEED = 0
+# flags that several subcommands share, each declared only where read
+_FLAGS = {
+    "--params": dict(required=True, help="key=value parameter file"),
+    "--seed": dict(type=int, default=0),
+    "--csv": dict(help="write results to this CSV file"),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser, params: bool = True) -> None:
-    if params:
-        parser.add_argument("--params", required=True, help="key=value parameter file")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--csv", help="write results to this CSV file")
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enc = sub.add_parser("encode", help="encode a world point")
-    _add_common(p_enc)
+    _add_flags(p_enc, "--params", "--seed")
     p_enc.add_argument("x", help="world point (decimal, or 0x-prefixed hex)")
     p_enc.add_argument(
         "--unsorted", action="store_true", help="corrupted basic code, no sorting"
@@ -42,14 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.set_defaults(run=cmd_encode)
 
     p_match = sub.add_parser("match", help="query a stored entry database")
-    _add_common(p_match, params=False)
+    _add_flags(p_match, "--csv")
     p_match.add_argument("--db", required=True, help="TSV entry file")
     p_match.add_argument("--tau", type=int, required=True)
     p_match.add_argument("query", help="comma-separated encoding")
     p_match.set_defaults(run=cmd_match)
 
     p_sim = sub.add_parser("simulate", help="run the tracing protocol simulator")
-    _add_common(p_sim)
+    _add_flags(p_sim, "--params", "--seed", "--csv")
     p_sim.add_argument("--agents", type=int, default=50)
     p_sim.add_argument("--epochs", type=int, default=50)
     p_sim.add_argument("--grid", default="100x100", help="ROWSxCOLS")
@@ -66,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(run=cmd_simulate)
 
     p_atk = sub.add_parser("attack", help="run an adversary against one encoding")
-    _add_common(p_atk)
+    _add_flags(p_atk, "--params", "--seed", "--csv")
     p_atk.add_argument("--kind", choices=("brute", "table", "direct"), required=True)
     p_atk.add_argument(
         "--target",
@@ -95,19 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
     a_mc.add_argument("--n", type=int, required=True)
     a_mc.add_argument("--tau", type=int, required=True)
     a_mc.add_argument("--trials", type=int, default=10**6)
-    a_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_flags(a_mc, "--seed")
     a_mc.set_defaults(run=cmd_analyze_mc)
 
     a_l1 = ana_sub.add_parser("lemma1", help="unsorted-mode separation check")
-    a_l1.add_argument("--params", required=True)
+    _add_flags(a_l1, "--params", "--seed")
     a_l1.add_argument("--trials", type=int, default=10**4)
-    a_l1.add_argument("--seed", type=int, default=DEFAULT_SEED)
     a_l1.set_defaults(run=cmd_analyze_lemma1)
 
     a_t1 = ana_sub.add_parser("table1", help="reference parameter table")
     a_t1.add_argument("--world", type=lambda s: int(float(s)), default=10**19)
     a_t1.add_argument("--database", type=lambda s: int(float(s)), default=10**14)
-    a_t1.add_argument("--csv", help="write the table to this CSV file")
+    _add_flags(a_t1, "--csv")
     a_t1.set_defaults(run=cmd_analyze_table1)
 
     return parser
@@ -193,7 +195,11 @@ def cmd_simulate(args) -> int:
     for user, t, cell, _ in result.recovered:
         print(f"alert\t{user}\tepoch={t}\tcell={cell}")
     if args.csv:
-        tracing.write_report_csv(result, args.csv)
+        _write_csv(
+            args.csv,
+            ["user_id", "epoch", "cell", "encoding"],
+            [(user, t, cell, format_encoding(e)) for user, t, cell, e in result.recovered],
+        )
     return 0
 
 

@@ -306,12 +306,6 @@ def inflation_factors(y: int) -> list[int]:
     return [f for _, _, f in _band_factors(y)]
 
 
-def inflate_min() -> int:
-    """Smallest inflated value, attained at x = 0 (all residues zero)."""
-    base, offsets, pool = _inflation_tables()
-    return math.prod(pool[s] for s in offsets)
-
-
 def inflate_range_bound() -> int:
     """Exclusive upper bound on inflated values (every band at its top prime)."""
     base, offsets, pool = _inflation_tables()

@@ -9,7 +9,6 @@ own encoding back to its reporter, who recovers (t, l) locally.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import random
@@ -20,7 +19,6 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .encoder import Params, encode, format_encoding, inflate, parse_encoding
@@ -100,18 +98,15 @@ def pack(epoch: int, cell: int, grid: GridSpec) -> int:
     return epoch * grid.cells + cell
 
 
-def unpack(x: int, grid: GridSpec) -> tuple[int, int]:
-    return divmod(x, grid.cells)
-
-
 def quantize(lat: float, lon: float, time_s: float, grid: GridSpec) -> int:
     """World point for a (lat, lon) position at a given time."""
+    horizon = grid.epochs * grid.epoch_seconds
+    if not 0 <= time_s < horizon:  # also refuses NaN and infinity
+        raise OutOfBoundsError(f"time {time_s} outside [0, {horizon})")
     if not grid.lat_min <= lat <= grid.lat_max:
         raise OutOfBoundsError(f"latitude {lat} outside grid")
     if not grid.lon_min <= lon <= grid.lon_max:
         raise OutOfBoundsError(f"longitude {lon} outside grid")
-    if time_s < 0:
-        raise OutOfBoundsError("time before horizon start")
     row = min(
         int((lat - grid.lat_min) / (grid.lat_max - grid.lat_min) * grid.rows),
         grid.rows - 1,
@@ -129,6 +124,8 @@ def dilate(cell: int, radius: int, grid: GridSpec) -> set[int]:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     row, col = divmod(cell, grid.cols)
+    if not 0 <= row < grid.rows:  # the same as cell outside [0, grid.cells)
+        raise OutOfBoundsError(f"cell {cell} outside [0, {grid.cells})")
     out = set()
     for r in range(max(0, row - radius), min(grid.rows, row + radius + 1)):
         for c in range(max(0, col - radius), min(grid.cols, col + radius + 1)):
@@ -577,7 +574,10 @@ def send_report_over_socket(
 
 @dataclass
 class SimulationResult:
-    grid: GridSpec
+    """What a simulation did: each agent's trail, the alerts each agent got,
+    the (t, cell) every alert recovered, the true contacts the alerts are
+    checked against, and the server with its store and infected log."""
+
     trajectories: dict[str, list[int]]  # user -> cell per epoch
     alerts: dict[str, list[AlertMsg]] = field(default_factory=dict)
     # (recipient, epoch, cell, encoding) for every delivered alert
@@ -586,7 +586,6 @@ class SimulationResult:
     )
     contacts: set[str] = field(default_factory=set)
     server: ServerState | None = None
-    infected: list[tuple[str, int]] = field(default_factory=list)
 
     def alerted_users(self) -> set[str]:
         return {u for u, msgs in self.alerts.items() if msgs}
@@ -606,7 +605,8 @@ def run_simulation(
 
     `infections` holds (user_id, epoch) pairs with 0 <= epoch < grid.epochs;
     `window` (>= 0) limits how far back an infected agent re-reports
-    (defaults to the whole horizon).
+    (defaults to the whole horizon).  The result holds the trails, the
+    alerts and what each recovered, the true contacts and the server.
     """
     rng = random.Random(seed)
     users = [f"u{i}" for i in range(agents)]
@@ -617,11 +617,7 @@ def run_simulation(
     positions = {u: rng.randrange(grid.cells) for u in users}
     trajectories: dict[str, list[int]] = {u: [] for u in users}
     result = SimulationResult(
-        grid=grid,
-        trajectories=trajectories,
-        alerts={u: [] for u in users},
-        server=server,
-        infected=list(infections),
+        trajectories=trajectories, alerts={u: [] for u in users}, server=server
     )
     if window is not None and window < 0:
         raise ValueError(f"negative reporting window {window}")
@@ -666,31 +662,19 @@ def _contacts(
 ) -> set[str]:
     """Ground truth: everyone who shares an (epoch, cell) with an infected
     agent inside that agent's reporting window."""
-    spans = [
-        (user, range(0 if window is None else max(0, epoch - window), epoch + 1))
-        for user, epoch in infections
-    ]
-    # epoch -> cell an infected agent reported -> every agent found there;
-    # only those cells are kept, not the whole population's trails
-    watched: dict[int, dict[int, list[str]]] = defaultdict(dict)
-    for user, span in spans:
+    # epoch -> cell -> the infected agents there inside their window
+    infected_at: dict[int, dict[int, set[str]]] = defaultdict(dict)
+    for user, epoch in infections:
         cells = trajectories[user]
-        for t in span:
-            watched[t][cells[t]] = []
-    for t, here in watched.items():
-        for user, cells in trajectories.items():
-            found = here.get(cells[t])
-            if found is not None:
-                found.append(user)
-    contacts: set[str] = set()
-    for user, span in spans:
-        cells = trajectories[user]
-        met = set()
-        for t in span:
-            met.update(watched[t][cells[t]])
-        met.discard(user)  # an agent is not its own contact
-        contacts |= met
-    return contacts
+        for t in range(0 if window is None else max(0, epoch - window), epoch + 1):
+            infected_at[t].setdefault(cells[t], set()).add(user)
+    return {
+        user
+        for user, cells in trajectories.items()
+        for t, here in infected_at.items()
+        # an agent is not its own contact
+        if (there := here.get(cells[t])) and there != {user}
+    }
 
 
 def _walk(cell: int, grid: GridSpec, rng: random.Random) -> int:
@@ -710,11 +694,3 @@ def _deliver(
         t, cell = client_handle_alert(client, alert)
         result.alerts[alert.user_id].append(alert)
         result.recovered.append((alert.user_id, t, cell, alert.encoding))
-
-
-def write_report_csv(result: SimulationResult, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "epoch", "cell", "encoding"])
-        for user, t, cell, encoding in result.recovered:
-            writer.writerow([user, t, cell, format_encoding(encoding)])

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from tracecloak.encoder import (
     save_params,
 )
 from tracecloak.matcher import DatabaseEntry, save_entries, scan_match
+from tracecloak.tracing import GridSpec, run_simulation
 
 DESK = PolyCodeParams(M=10**4, p=31, n=10, k=2)
 
@@ -135,6 +137,46 @@ def test_simulate_command(tmp_path, capsys):
     assert out_csv.exists()
     assert out_csv.read_text().splitlines()[0] == "user_id,epoch,cell,encoding"
     assert "server store size: 60" in capsys.readouterr().out
+
+
+def test_simulation_csv(tmp_path):
+    """`simulate --csv` writes one row per recovered alert."""
+    grid = GridSpec(rows=4, cols=4, epochs=10)
+    params = PolyCodeParams(M=grid.world_size, p=101, n=20, k=2)
+    params_path = tmp_path / "params.txt"
+    save_params(params, params_path)
+    out = tmp_path / "report.csv"
+    argv = ["simulate", "--params", str(params_path), "--agents", "5", "--epochs", "10"]
+    argv += ["--grid", "4x4", "--seed", "1", "--infect", "u0@9", "--csv", str(out)]
+    assert main(argv) == 0
+    result = run_simulation(
+        agents=5, grid=grid, params=params, seed=1, infections=[("u0", 9)]
+    )
+    lines = out.read_text().splitlines()
+    assert lines[0] == "user_id,epoch,cell,encoding"
+    assert len(lines) == 1 + len(result.recovered)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [
+        [user, str(t), str(cell), format_encoding(e)] for user, t, cell, e in result.recovered
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--params", "{params}", "5", "--csv", "{out}"],
+        ["match", "--db", "{out}", "--tau", "1", "1,2,3", "--seed", "1"],
+    ],
+    ids=["encode_csv", "match_seed"],
+)
+def test_flags_a_command_does_not_read_are_refused(params_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(params=params_file, out=out) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

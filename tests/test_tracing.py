@@ -35,8 +35,8 @@ from tracecloak.tracing import (
     quantize,
     run_simulation,
     send_report_over_socket,
-    write_report_csv,
 )
+from tracecloak.tracing import _contacts
 
 GRID = GridSpec(rows=10, cols=10, epochs=20)
 PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=2)
@@ -60,8 +60,10 @@ def test_quantize():
     assert quantize(0.0, 0.0, 0.0, g) == 0
     with pytest.raises(OutOfBoundsError):
         quantize(1.5, 0.5, 0.0, g)
-    with pytest.raises(OutOfBoundsError):
-        quantize(0.5, 0.5, -1.0, g)
+    horizon = g.epochs * g.epoch_seconds
+    for bad_time in (-1.0, float("inf"), float("nan"), horizon):
+        with pytest.raises(OutOfBoundsError):
+            quantize(0.5, 0.5, bad_time, g)
 
 
 def test_grid_spec_validation():
@@ -87,6 +89,20 @@ def test_dilate():
     assert len(dilate(55, 1, GRID)) == 9  # interior
     assert len(dilate(0, 1, GRID)) == 4  # corner
     assert 55 in dilate(55, 2, GRID)
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+@pytest.mark.parametrize("cell", [-1, GRID.cells, GRID.cells + 5])
+def test_cell_outside_the_grid_is_refused(cell, radius):
+    # radius 1 used to clip such a cell onto cells the client never was in,
+    # and radius 0 to report nothing without saying so
+    client = ClientState("u1")
+    client_tick(client, 0, 0, GRID, PARAMS, random.Random(0))
+    with pytest.raises(OutOfBoundsError):
+        dilate(cell, radius, GRID)
+    with pytest.raises(OutOfBoundsError):
+        client_tick(client, 1, cell, GRID, PARAMS, random.Random(0), radius)
+    assert len(client) == 1
 
 
 def test_wire_format_round_trip():
@@ -765,19 +781,6 @@ def test_simulation_store_size_and_recall():
         assert (t, cell) in infected_cells
 
 
-def test_simulation_csv(tmp_path):
-    grid = GridSpec(rows=4, cols=4, epochs=10)
-    params = PolyCodeParams(M=grid.world_size, p=101, n=20, k=2)
-    result = run_simulation(
-        agents=5, grid=grid, params=params, seed=1, infections=[("u0", 9)]
-    )
-    out = tmp_path / "report.csv"
-    write_report_csv(result, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "user_id,epoch,cell,encoding"
-    assert len(lines) == 1 + len(result.recovered)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("window", [None, 0, 3])
 def test_simulation_contacts_match_the_pairwise_scan(seed, window):
@@ -798,6 +801,33 @@ def test_simulation_contacts_match_the_pairwise_scan(seed, window):
                 if other != user and result.trajectories[other][t] == cell:
                     expected.add(other)
     assert result.contacts == expected
+
+
+def _pairwise_contacts(trajectories, infections, window):
+    expected = set()
+    for user, epoch in infections:
+        t_start = 0 if window is None else max(0, epoch - window)
+        for t in range(t_start, epoch + 1):
+            for other, cells in trajectories.items():
+                if other != user and cells[t] == trajectories[user][t]:
+                    expected.add(other)
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_contacts_equal_the_pairwise_scan(data):
+    epochs = data.draw(st.integers(1, 6))
+    agents = data.draw(st.integers(1, 6))
+    trail = st.lists(st.integers(0, 2), min_size=epochs, max_size=epochs)
+    trajectories = {f"u{i}": data.draw(trail) for i in range(agents)}
+    # few users and epochs, so infections often repeat a user or an epoch
+    infection = st.tuples(st.sampled_from(sorted(trajectories)), st.integers(0, epochs - 1))
+    infections = data.draw(st.lists(infection, max_size=3))
+    window = data.draw(st.none() | st.integers(0, 3))
+    assert _contacts(trajectories, infections, window) == _pairwise_contacts(
+        trajectories, infections, window
+    )
 
 
 @pytest.mark.parametrize(
