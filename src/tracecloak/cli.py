@@ -204,6 +204,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.tau is not None and args.tau < 0:
+        raise ValueError(f"--tau must be non-negative, got {args.tau}")
     params = load_params(args.params)
     rng = random.Random(args.seed)
     tau = args.tau if args.tau is not None else params.tau

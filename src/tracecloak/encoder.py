@@ -49,6 +49,12 @@ def residue_digit_count(M: int, moduli: Sequence[int]) -> int:
     raise ValueError("product of all moduli below M")
 
 
+# Every coordinate an encoding can carry lies in [0, CODE_LIMIT): the index
+# stores rows of uint16 and the wire codec interns the same range, so the
+# parameters refuse a wider alphabet.
+CODE_LIMIT = 1 << 16
+
+
 @dataclass(frozen=True)
 class PolyCodeParams:
     """Parameters (M, p, n, k) of the polynomial-code variant."""
@@ -59,6 +65,8 @@ class PolyCodeParams:
     k: int
 
     def __post_init__(self):
+        if self.p > CODE_LIMIT:
+            raise ValueError(f"p={self.p} above the alphabet limit {CODE_LIMIT}")
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
         if not (0 <= self.k <= self.n <= self.p):
@@ -99,6 +107,8 @@ class RrnsParams:
             raise ValueError("need at least one modulus")
         if any(ps[i] >= ps[i + 1] for i in range(len(ps) - 1)):
             raise ValueError("moduli must be strictly increasing")
+        if ps[-1] > CODE_LIMIT:
+            raise ValueError(f"modulus {ps[-1]} above the alphabet limit {CODE_LIMIT}")
         for q in ps:
             if not is_prime(q):
                 raise ValueError(f"modulus {q} is not prime")
@@ -131,21 +141,15 @@ class RrnsParams:
 Params = PolyCodeParams | RrnsParams
 
 
-def _int_dtype(largest: int):
-    """int64 when every value stays below 2^63, Python ints (object) otherwise."""
-    return np.int64 if largest < 2**63 else object
-
-
 @lru_cache(maxsize=64)
 def _vandermonde(params: PolyCodeParams) -> np.ndarray:
     """V[j, i] = i^j mod p, so that digits @ V evaluates the digit polynomial
-    at 0..n-1.  A dot product sums m products below p^2, so int64 is exact
-    while m*(p-1)^2 < 2^63 (every p < 2^16); larger p falls back to Python
-    ints.  The table is shared, so it is read-only."""
+    at 0..n-1.  A dot product sums m products below p^2, and m <= n <= p <=
+    CODE_LIMIT keeps m*(p-1)^2 below 2^48, so int64 is exact.  The table is
+    shared, so it is read-only."""
     p, m = params.p, params.m
     table = np.array(
-        [[pow(i, j, p) for i in range(params.n)] for j in range(m)],
-        dtype=_int_dtype(m * (p - 1) ** 2),
+        [[pow(i, j, p) for i in range(params.n)] for j in range(m)], dtype=np.int64
     )
     table.flags.writeable = False
     return table
@@ -163,11 +167,10 @@ def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
             raise ValueError(f"x={x} outside world [0, {params.M})")
     if isinstance(params, RrnsParams):
         rows = [[x % q for q in params.primes] for x in xs]
-        dtype = _int_dtype(params.alphabet - 1)
-        return np.array(rows, dtype=dtype).reshape(len(xs), params.n)
+        return np.array(rows, dtype=np.int64).reshape(len(xs), params.n)
     table = _vandermonde(params)
     m = table.shape[0]
-    digits = np.array([to_digits(x, params.p, m) for x in xs], dtype=table.dtype)
+    digits = np.array([to_digits(x, params.p, m) for x in xs], dtype=np.int64)
     codes = digits.reshape(len(xs), m) @ table
     codes %= params.p
     return codes
@@ -330,7 +333,6 @@ def inflated_digit_count(p: int) -> int:
 # One table serves the whole process: its content depends on its length
 # alone, so no caller can see another caller's use of it.
 
-CODE_LIMIT = 1 << 16  # coordinates the codec interns and the index stores
 _STR: list[str] = []
 _INT: dict[str, int] = {}
 _GROW_LOCK = threading.Lock()

@@ -156,16 +156,10 @@ class MatchIndex:
     def add(self, entry: DatabaseEntry) -> None:
         """Store entry's user id, encoding and tag; any object with those three
         attributes will do, and the index keeps no reference to it."""
-        enc = entry.encoding
-        if len(enc) != self.n:
-            raise ValueError(f"encoding length {len(enc)} != index length {self.n}")
         try:
-            row = self._row.pack(*enc)
+            row = self._row.pack(*entry.encoding)
         except struct.error:
-            pos = next(i for i, c in enumerate(enc) if not _storable(c))
-            raise ValueError(
-                f"coordinate {enc[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})"
-            ) from None
+            raise self._unstorable(entry.encoding) from None
         with self._lock:
             eid = len(self._user_ids)
             if eid >= ID_LIMIT:
@@ -181,30 +175,31 @@ class MatchIndex:
                 key = row[s]
                 table[key] = table.setdefault(key, b"") + packed
 
+    def _unstorable(self, e: Sequence[int]) -> ValueError:
+        """Why `struct` refused to pack e as a row: its length, or the first
+        coordinate that is not an integer in [0, CODE_LIMIT)."""
+        if len(e) != self.n:
+            return ValueError(f"encoding length {len(e)} != index length {self.n}")
+        pos = next(i for i, c in enumerate(e) if not _storable(c))
+        return ValueError(f"coordinate {e[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})")
+
     def key_count(self) -> int:
         """Total stored block keys; always (tau+1) * D."""
         return sum(len(ids) for table in self._tables for ids in table.values()) // 4
 
     def query(self, e: Sequence[int], tau: int | None = None) -> list[DatabaseEntry]:
         """All entries within distance tau of e, in insertion order; identical
-        to scan_match."""
+        to scan_match.  e is packed as `add` packs a row, so a query of the
+        wrong length, or with a coordinate no row can hold, raises the
+        ValueError that `add` raises."""
         if tau is None:
             tau = self.tau
         if tau > self.tau:
             raise ValueError(f"query tau={tau} exceeds build-time tau={self.tau}")
-        if len(e) != self.n:
-            raise ValueError(f"query length {len(e)} != index length {self.n}")
-        q = None
         try:
             row = self._row.pack(*e)
         except struct.error:
-            # -1 stands for a coordinate no row can hold; its block's key
-            # reads 0 instead, and verification rejects what that collects
-            q = np.array(
-                [c if 0 <= c < CODE_LIMIT else -1 for c in map(operator.index, e)],
-                dtype=np.int32,
-            )
-            row = q.clip(0).astype(np.uint16).tobytes()
+            raise self._unstorable(e) from None
         found = b"".join([table.get(row[s], b"") for table, s in zip(self._tables, self._slices)])
         if len(found) < 4 * NUMPY_MIN_CELLS:
             ids = sorted({*memoryview(found).cast("I")}) if found else []
@@ -220,11 +215,9 @@ class MatchIndex:
                     hits.append(DatabaseEntry(user_ids[i], tuple(r), tags[i]))
         else:
             ids = np.asarray(ids, dtype=np.intp)
-            if q is None:
-                q = np.frombuffer(row, dtype=np.uint16)
             with self._lock:
                 rows = np.frombuffer(codes, dtype=np.uint16).reshape(-1, n)[ids]
-            far = np.count_nonzero(rows != q, axis=1)
+            far = np.count_nonzero(rows != np.frombuffer(row, dtype=np.uint16), axis=1)
             hits = [
                 DatabaseEntry(user_ids[i], tuple(codes[i * n : i * n + n]), tags[i])
                 for i in ids[far <= tau].tolist()

@@ -478,10 +478,7 @@ class SocketServer:
         line = raw.decode("utf-8").rstrip("\n")
         if not line:
             return b""
-        msg = parse_message(line)
-        if not isinstance(msg, ReportMsg):
-            raise ProtocolError("clients may only send reports")
-        alerts = self.state.handle(msg)
+        alerts = self.state.handle(parse_message(line))  # refuses an ALERT line
         return ("".join(format_message(a) + "\n" for a in alerts) + "OK\n").encode("utf-8")
 
     def _reject(self, conn: _Connection, reason: str) -> None:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tracecloak import kernels
+from tracecloak import attacks, kernels
 from tracecloak.cli import main
 from tracecloak.encoder import (
     CODE_LIMIT,
@@ -222,6 +222,22 @@ def test_match_refuses_a_negative_tau(tmp_path, capsys):
         main(["match", "--db", str(db), "--tau", "-1", format_encoding(tuple(range(10)))])
     assert exc.value.code == 2
     assert "tracecloak: error: --tau must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, attack", [("brute", "brute_force_attack"), ("direct", "direct_attack")]
+)
+def test_attack_refuses_a_negative_tau(params_file, monkeypatch, capsys, kind, attack):
+    def refuse(*args, **kwargs):
+        raise AssertionError("attacked with a tau that can never match")
+
+    monkeypatch.setattr(attacks, attack, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--params", params_file, "--kind", kind, "--target", "0x5", "--tau", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("tracecloak: error:")]
+    assert errors == ["tracecloak: error: --tau must be non-negative, got -1"]
 
 
 @pytest.mark.parametrize(

@@ -90,9 +90,7 @@ def test_basic_min_distance_larger_world():
     assert best == params.n - params.m + 1
 
 
-# p=4294967311 is the first prime above 2^32: (p-1)^2 alone passes 2^63, so
-# its table falls back to Python ints
-_PRIMES = (2, 7, 31, 101, 211, 503, 65521, 4294967311)
+_PRIMES = (2, 7, 31, 101, 211, 503, 65521)
 
 
 @st.composite
@@ -129,10 +127,13 @@ def test_sorted_codes_equal_horner_reference(case):
 
 
 def test_table_dtype_bound():
+    """65521 is the largest prime below CODE_LIMIT; 65537 the smallest above,
+    as a polynomial alphabet or as an RRNS modulus."""
     assert _vandermonde(PolyCodeParams(M=10**19, p=65521, n=100, k=0)).dtype == np.int64
-    wide = PolyCodeParams(M=10**30, p=4294967311, n=5, k=0)
-    assert _vandermonde(wide).dtype == object
-    assert sorted_codes([10**30 - 1], wide).tolist() == [sorted(_horner(10**30 - 1, wide))]
+    with pytest.raises(ValueError, match="alphabet limit"):
+        PolyCodeParams(M=10**30, p=65537, n=10, k=0)
+    with pytest.raises(ValueError, match="alphabet limit"):
+        RrnsParams(primes=(65521, 65537), M=2**20, k=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,7 +142,6 @@ def test_table_dtype_bound():
         [
             RrnsParams(primes=(3, 5, 7), M=100, k=1),
             RrnsParams(primes=(97, 101, 103, 107, 109, 113, 127, 131), M=10**6, k=2),
-            RrnsParams(primes=(2**61 - 1, 2**64 + 13, 2**64 + 37), M=2**120, k=1),
         ]
     ),
     st.data(),
@@ -241,7 +241,6 @@ def test_encode_recall_bound():
 _RRNS_WORLDS = [
     ((3, 5, 7), 100),
     ((97, 101, 103, 107, 109, 113, 127, 131), 10**6),
-    ((2**61 - 1, 2**64 + 13, 2**64 + 37), 2**120),
 ]
 
 

@@ -214,7 +214,7 @@ def test_stats_count_queries_candidates_and_hits():
 # mostly a tiny alphabet, so candidate sets reach past NUMPY_MIN_CELLS, and
 # a wider one, so they also skip ids; the top uint16 value pins the edge
 _stored = st.one_of(st.integers(0, 2), st.integers(0, 30), st.just(CODE_LIMIT - 1))
-# queries also carry values no stored row can hold
+# queries also carry values no stored row can hold, which the index refuses
 _probe = st.one_of(
     _stored, st.integers(-3, -1), st.integers(CODE_LIMIT, CODE_LIMIT + 2), st.just(2**70)
 )
@@ -251,8 +251,16 @@ def test_index_equals_scan_match_property(case):
     for cutoff in (matcher.NUMPY_MIN_CELLS, 0, sys.maxsize):
         with mock.patch.object(matcher, "NUMPY_MIN_CELLS", cutoff):
             for q in queries:
-                assert index.query(q, query_tau) == scan_match(entries, q, query_tau)
-                assert index.query(q) == scan_match(entries, q, tau)
+                if all(0 <= c < CODE_LIMIT for c in q):
+                    assert index.query(q, query_tau) == scan_match(entries, q, query_tau)
+                    assert index.query(q) == scan_match(entries, q, tau)
+                    continue
+                pos = next(i for i, c in enumerate(q) if not 0 <= c < CODE_LIMIT)
+                before = index.stats()
+                for args in ((q, query_tau), (q,)):
+                    with pytest.raises(ValueError, match=f"at position {pos} is not"):
+                        index.query(*args)
+                assert index.stats() == before
     bad = entries[0].encoding if entries else (0,) * n
     for value in (-1, CODE_LIMIT, 2**70):
         with pytest.raises(ValueError):

@@ -316,6 +316,17 @@ def test_server_rejects_malformed():
     server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
     with pytest.raises(ProtocolError):
         server.handle(ReportMsg(user_id="x", tag="bogus", encoding=(0,) * PARAMS.n))
+    # an infected report is refused as an uninfected one is, before it is
+    # logged, even when the store holds an entry within tau of it
+    server = ServerState(n=3, tau=2)
+    server.handle(ReportMsg("a", UNINFECTED, (1, 2, 3)))
+    for coords in ((1, 2, 70000), (1, 2, -5)):
+        for tag in (UNINFECTED, INFECTED):
+            with pytest.raises(ValueError, match="at position 2"):
+                server.handle(ReportMsg("b", tag, coords))
+    assert server.store_size == 1
+    assert server.infected_log == []
+    assert [a.user_id for a in server.handle(ReportMsg("b", INFECTED, (1, 2, 4)))] == ["a"]
 
 
 def test_in_process_transport_round_trips_wire_format():
@@ -403,6 +414,9 @@ def test_socket_server_rejects_bad_reports_and_keeps_serving():
             f"REPORT\tu1\t{UNINFECTED}\t1,2,3\n".encode(),  # wrong length
             f"REPORT\tu1\t{INFECTED}\t1,2,3\n".encode(),
             f"REPORT\tu1\t{UNINFECTED}\t70000,{coords[2:]}\n".encode(),  # range
+            f"REPORT\tu1\t{INFECTED}\t70000,{coords[2:]}\n".encode(),
+            f"REPORT\tu1\t{INFECTED}\t-5,{coords[2:]}\n".encode(),
+            f"ALERT\tu1\t{POSSIBLE_INFECTION}\t{coords}\n".encode(),  # not a report
             b"REPORT\tu1\t\xff\xfe\n",  # not UTF-8
         ]
         for line in bad_lines:
