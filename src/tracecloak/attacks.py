@@ -76,8 +76,9 @@ def table_attack_query(table: MatchIndex, e, tau: int) -> AttackReport:
 def projected_table_bytes(params: Params) -> float:
     """Storage for the full-scale table in the cost model: M entries of n
     coordinates at ceil(log2 alphabet) bits, one copy per block table.
-    `MatchIndex` holds less: each coordinate once in its row and once in a
-    block key, plus a 4-byte id per block."""
+    `MatchIndex` holds less: each coordinate once, as 2 bytes of its row,
+    plus per block a 4-byte chain word and at most 4 table slots of 8 bytes
+    (a table keeps 2 to 4 slots per entry)."""
     bits_per_coord = math.ceil(math.log2(params.alphabet))
     return params.M * params.n * bits_per_coord / 8 * (params.tau + 1)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from . import analysis, attacks, matcher, tracing
 from .encoder import (
+    CODE_LIMIT,
     PolyCodeParams,
     encode,
     encode_unsorted,
@@ -154,6 +155,9 @@ def cmd_match(args) -> int:
         raise ValueError(f"--tau must be non-negative, got {args.tau}")
     entries = matcher.load_entries(args.db)
     query = parse_encoding(args.query)
+    pos = matcher.unstorable_position(query)
+    if pos is not None:
+        raise ValueError(f"query coordinate {query[pos]} at position {pos} is not in [0, {CODE_LIMIT})")
     rows = [
         (entry.user_id, entry.tag, format_encoding(entry.encoding))
         for entry in matcher.scan_match(entries, query, args.tau)

@@ -1,23 +1,28 @@
 """Hamming-range matching over stored encodings.
 
 `scan_match` is the definitional oracle; `MatchIndex` is the production
-structure.  The index partitions the n coordinate positions into tau+1
-contiguous blocks: two vectors within distance tau must agree exactly on
-at least one block (pigeonhole), so candidate retrieval by block key
-followed by full verification returns exactly the oracle's result set.
+structure.  The index splits the n coordinate positions into tau+1 strided
+blocks, block b holding the positions i = b (mod tau+1).  Two vectors within
+distance tau must agree exactly on at least one block (pigeonhole), so
+candidate retrieval by block value followed by full verification returns
+exactly the oracle's result set.  Neighbouring coordinates of a sorted
+vector are strongly correlated; a strided block samples the whole vector,
+so few stored entries share one with a query.
 
 The index holds the only copy of each stored encoding: one row of a flat
-`uint16` store, beside columns of user ids and tags.  A large candidate set
-is verified in a single vectorised compare; a small one is verified in
-Python, where numpy's fixed cost per call would dominate.  A `DatabaseEntry`
-is built only when one is returned.
+`uint16` store, its coordinates in block order, beside columns of user ids
+and tags.  Each block has a keyless hash table of `uint32` words with one
+slot per distinct block value, and the entries that share a value are
+chained.  A large candidate set is verified in a single vectorised compare;
+a small one is verified in Python, where numpy's fixed cost per call would
+dominate.  A `DatabaseEntry` is built only when one is returned.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import struct
-import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -34,10 +39,7 @@ from .encoder import CODE_LIMIT, format_encoding, parse_encoding
 # verified with numpy.  Below it, the fixed cost of the numpy calls (about
 # 15 us) exceeds the Python loop's (about 0.05 us per coordinate); on a
 # 2-vCPU VM (Python 3.11, numpy 2.4) the crossover was near 14 candidates
-# at n=20 and 4 at n=200.  Postings holding at least this many ids, repeats
-# included, are deduplicated and sorted with numpy too.  There the crossover
-# with a Python set was near 100 ids (8 us either way), and numpy was 4x
-# faster at 800.
+# at n=20 and 4 at n=200.
 NUMPY_MIN_CELLS = 400
 
 
@@ -62,22 +64,10 @@ def scan_match(
     return [entry for entry in entries if hamming(entry.encoding, e) <= tau]
 
 
-def _partition(n: int, pieces: int) -> list[tuple[int, int]]:
-    """Split positions 0..n-1 into `pieces` contiguous blocks, sizes off by <= 1."""
-    base, rem = divmod(n, pieces)
-    blocks = []
-    start = 0
-    for i in range(pieces):
-        size = base + (1 if i < rem else 0)
-        blocks.append((start, start + size))
-        start += size
-    return blocks
-
-
-# Entry ids are packed into the postings as native uint32, which numpy reads
-# as np.uint32 and memoryview as "I" (a C unsigned int, 32 bits on every
-# platform CPython supports).
-ID_LIMIT = 1 << 32
+# The tables and chains hold entry id + 1 in uint32 words, 0 meaning none.
+ID_LIMIT = (1 << 32) - 1  # entries at most
+FP_MASK = (1 << 30) - 1  # a fingerprint is the low 30 bits of hash(): one int digit
+MIN_SLOTS = 8  # per table; a power of two
 
 
 def _storable(c) -> bool:
@@ -87,34 +77,56 @@ def _storable(c) -> bool:
         return False
 
 
+def unstorable_position(e: Sequence[int]) -> int | None:
+    """The first position of e whose coordinate is not an integer in
+    [0, CODE_LIMIT), which no index row can hold; None if there is none."""
+    return next((i for i, c in enumerate(e) if not _storable(c)), None)
+
+
+def _empty_table(slots: int) -> array:
+    return array("I", [0]) * (2 * slots)
+
+
 class MatchIndex:
     """Static Hamming-range index with exact (oracle-equal) query results.
 
-    Storage is (tau+1) block keys per entry, one `uint16` row of codes and a
-    user id and tag in parallel columns; entry ids are insertion order.
-    Mutations are serialized by a lock; queries read a consistent snapshot
-    (entries are append-only).
+    Storage per entry is one `uint16` row of codes, a user id and tag in
+    parallel columns, and one chain word per block; entry ids are insertion
+    order.  Adds and queries run under one lock (a query probes and
+    verifies under it), so a query sees each add whole; entries are
+    append-only.
 
     No `DatabaseEntry` is stored.  `add` reads the entry's user id, encoding
     and tag and keeps none of its objects but the strings, of which the index
     keeps one copy each, so a user who reports many times costs a pointer
-    per report.  A hit's entry is rebuilt from its row, and `entries`
-    rebuilds them all.
+    per report.  A row holds its coordinates in block order, which a
+    Hamming distance does not see; a hit's entry is rebuilt from its row in
+    the original order, and `entries` rebuilds them all.
 
     The rows live in one flat `array("H")`, row `eid` at `eid * n`, which
     grows in place with amortised O(1) appends.  numpy reads it through a
     buffer view, and an array that is exporting a view cannot grow, so the
-    view is made, gathered from and dropped under the lock.  A slice of the
-    array is a copy that exports nothing, so rows read by slices need no
-    lock.
+    view is made, gathered from and dropped under the lock.
 
-    Each block's table maps the block's slice of a row's bytes to the ids of
-    the entries holding that slice, packed as native uint32 and appended by
-    concatenation.  A dict holding only bytes or str is not tracked by the
-    cyclic garbage collector, so no collection walks the tables or the
-    string copies however large the store grows: an entry adds no tracked
-    object.  An append copies the posting, 4 bytes per id, which is what a
-    query that looks up the key collects anyway.
+    Each block has a keyless open-addressing table, an `array("I")` in which
+    slot i holds the chain head's id + 1 at word 2i and a fingerprint of its
+    block value at word 2i+1 (after Cleary, "Compact Hash Tables Using
+    Bidirectional Linear Probing", 1984).  A probe starts at the slot the
+    fingerprint selects and steps linearly.  On a fingerprint match it
+    compares the block with the head's row, so two values never share a
+    slot, whatever the hash seed, and the candidates are exactly the entries
+    that share a block with the query.  An entry whose value is already in
+    the table becomes the head, and `_next[eid * (tau+1) + b]` holds the
+    previous head, so a repeated value takes one slot and never lengthens
+    another value's probe.  `hash()` of bytes is keyed per process, so no
+    client can precompute colliding blocks.  The probe loops stay inline in
+    `add` and `query`: a call per taken slot would cost more than the probe.
+
+    Every table has at least 2 slots per entry.  When the store passes half
+    a table, each table in turn is rebuilt at twice the size with numpy,
+    which places the live slots by their home in one pass.  No key is a
+    Python object: the tables are a fixed number of arrays, so the cyclic
+    collector has no more objects to walk however large the store grows.
     """
 
     def __init__(self, n: int, tau: int):
@@ -122,10 +134,24 @@ class MatchIndex:
             raise ValueError("need n >= 1 and tau >= 0")
         self.n = n
         self.tau = tau
-        self.blocks = _partition(n, tau + 1)
-        self._slices = [slice(2 * lo, 2 * hi) for lo, hi in self.blocks]  # of row bytes
-        self._tables: list[dict[bytes, bytes]] = [{} for _ in self.blocks]
+        self.blocks = tuple(tuple(range(b, n, tau + 1)) for b in range(tau + 1))
+        perm = [i for block in self.blocks for i in block]
+        inverse = sorted(range(n), key=perm.__getitem__)
+        # a coordinate sequence into block order and back; an itemgetter of
+        # one position returns that coordinate, not a tuple
+        self._order = operator.itemgetter(*perm) if n > 1 else tuple
+        self._unorder = operator.itemgetter(*inverse) if n > 1 else tuple
         self._row = struct.Struct(f"={n}H")  # its pack range-checks every coordinate
+        # a block-ordered row's bytes, one bytes object per block
+        self._keys = struct.Struct("=" + "".join(f"{2 * len(block)}s" for block in self.blocks))
+        # where each block starts in a block-ordered row
+        self._starts = list(itertools.accumulate(map(len, self.blocks), initial=0))
+        self._block_ids = range(tau + 1)
+        self._tables = [_empty_table(MIN_SLOTS) for _ in self.blocks]
+        self._mask = 2 * MIN_SLOTS - 2  # a fingerprint's home slot starts at word fp & _mask
+        self._capacity = MIN_SLOTS // 2  # entries before the tables double
+        self._next = array("I")
+        self._no_next = bytes(4 * (tau + 1))
         self._codes = array("H")
         self._user_ids: list[str] = []
         self._tags: list[str] = []
@@ -141,8 +167,9 @@ class MatchIndex:
         """Every stored entry, in insertion order, rebuilt from the columns."""
         with self._lock:
             codes = self._codes[:]  # a copy, which later adds leave alone
+        unorder = self._unorder
         rows = self._row.iter_unpack(codes)
-        return [DatabaseEntry(u, r, t) for r, u, t in zip(rows, self._user_ids, self._tags)]
+        return [DatabaseEntry(u, unorder(r), t) for r, u, t in zip(rows, self._user_ids, self._tags)]
 
     def stats(self) -> dict[str, int]:
         """Queries answered, candidates verified and hits returned so far."""
@@ -156,36 +183,86 @@ class MatchIndex:
     def add(self, entry: DatabaseEntry) -> None:
         """Store entry's user id, encoding and tag; any object with those three
         attributes will do, and the index keeps no reference to it."""
+        e = entry.encoding
+        if len(e) != self.n:
+            raise self._unstorable(e)
         try:
-            row = self._row.pack(*entry.encoding)
+            row = self._row.pack(*self._order(e))
         except struct.error:
-            raise self._unstorable(entry.encoding) from None
+            raise self._unstorable(e) from None
+        keys = self._keys.unpack(row)
         with self._lock:
             eid = len(self._user_ids)
             if eid >= ID_LIMIT:
-                raise ValueError(f"index full: entry ids are uint32, at most {ID_LIMIT} entries")
-            user_id = self._strings.setdefault(entry.user_id, entry.user_id)
-            tag = self._strings.setdefault(entry.tag, entry.tag)
+                raise ValueError(f"index full: ids are stored as uint32 id + 1, at most {ID_LIMIT} entries")
+            if eid >= self._capacity:
+                self._grow()
             # the row and columns before the id is published in the tables
             self._codes.frombytes(row)
-            self._user_ids.append(user_id)
-            self._tags.append(tag)
-            packed = eid.to_bytes(4, sys.byteorder)
-            for table, s in zip(self._tables, self._slices):
-                key = row[s]
-                table[key] = table.setdefault(key, b"") + packed
+            self._user_ids.append(self._strings.setdefault(entry.user_id, entry.user_id))
+            self._tags.append(self._strings.setdefault(entry.tag, entry.tag))
+            self._next.frombytes(self._no_next)
+            eid += 1  # as the tables store it
+            mask = self._mask
+            for b, table, key in zip(self._block_ids, self._tables, keys):
+                fp = hash(key) & FP_MASK
+                i = fp & mask
+                if table[i]:  # the home slot is taken: probe on
+                    while head := table[i]:
+                        if table[i + 1] == fp:  # compare the head's block
+                            o = (head - 1) * self.n
+                            if self._codes[o + self._starts[b] : o + self._starts[b + 1]].tobytes() == key:
+                                # the value is stored: chain, with this entry as the head
+                                self._next[(eid - 1) * len(self.blocks) + b] = head
+                                break
+                        i = (i + 2) & mask
+                table[i] = eid
+                table[i + 1] = fp
+
+    def _grow(self) -> None:
+        """Double every table, one at a time; the caller holds the lock.
+
+        A slot's two words move as one uint64, which is 0 only in an empty
+        slot.  Sorted by home, live slot k goes to max(home_k, slot of k-1 +
+        1): one running maximum of home_k - k.  The run that passes the end
+        takes the first free slots from the start, in order, as a linear
+        probe that wraps would."""
+        slots = len(self._tables[0])  # twice the old count: two words a slot
+        mask = 2 * slots - 2
+        for b, old in enumerate(self._tables):
+            pairs = np.frombuffer(old, dtype=np.uint64)  # 0 only in an empty slot
+            live = np.flatnonzero(pairs != 0)
+            homes = (np.frombuffer(old, dtype=np.uint32)[1::2][live] & mask) >> 1
+            # one sort of home << 32 | old slot orders the live slots by home
+            by_home = np.sort((homes.astype(np.uint64) << 32) | live.astype(np.uint64))
+            live = (by_home & 0xFFFFFFFF).astype(np.intp)
+            k = np.arange(len(live))
+            at = np.maximum.accumulate((by_home >> 32).astype(np.intp) - k) + k
+            fit = int(np.searchsorted(at, slots))
+            table = _empty_table(slots)
+            new = np.frombuffer(table, dtype=np.uint64)
+            new[at[:fit]] = pairs[live[:fit]]
+            if fit < len(live):
+                new[np.flatnonzero(new == 0)[: len(live) - fit]] = pairs[live[fit:]]
+            self._tables[b] = table
+        self._mask = mask
+        self._capacity = slots // 2
 
     def _unstorable(self, e: Sequence[int]) -> ValueError:
-        """Why `struct` refused to pack e as a row: its length, or the first
+        """Why e cannot be packed as a row: its length, or the first
         coordinate that is not an integer in [0, CODE_LIMIT)."""
         if len(e) != self.n:
             return ValueError(f"encoding length {len(e)} != index length {self.n}")
-        pos = next(i for i, c in enumerate(e) if not _storable(c))
+        pos = unstorable_position(e)
         return ValueError(f"coordinate {e[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})")
 
     def key_count(self) -> int:
-        """Total stored block keys; always (tau+1) * D."""
-        return sum(len(ids) for table in self._tables for ids in table.values()) // 4
+        """Total stored block keys, counted from the tables and chains: a
+        chain of L entries is one live slot and L - 1 links.  Always
+        (tau+1) * D."""
+        with self._lock:
+            heads = sum(np.count_nonzero(np.frombuffer(t, dtype=np.uint32)[::2]) for t in self._tables)
+            return int(heads) + int(np.count_nonzero(np.frombuffer(self._next, dtype=np.uint32)))
 
     def query(self, e: Sequence[int], tau: int | None = None) -> list[DatabaseEntry]:
         """All entries within distance tau of e, in insertion order; identical
@@ -196,33 +273,48 @@ class MatchIndex:
             tau = self.tau
         if tau > self.tau:
             raise ValueError(f"query tau={tau} exceeds build-time tau={self.tau}")
+        n = self.n
+        if len(e) != n:
+            raise self._unstorable(e)
+        q = self._order(e)
         try:
-            row = self._row.pack(*e)
+            row = self._row.pack(*q)
         except struct.error:
             raise self._unstorable(e) from None
-        found = b"".join([table.get(row[s], b"") for table, s in zip(self._tables, self._slices)])
-        if len(found) < 4 * NUMPY_MIN_CELLS:
-            ids = sorted({*memoryview(found).cast("I")}) if found else []
-        else:
-            ids = np.sort(np.frombuffer(found, dtype=np.uint32)).astype(np.intp)  # i * n fits
-            ids = np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]]))
-        codes, n, user_ids, tags = self._codes, self.n, self._user_ids, self._tags
-        if len(ids) * n < NUMPY_MIN_CELLS:
-            hits = []
-            for i in ids:
-                r = codes[i * n : i * n + n]
-                if sum(map(operator.ne, r, e)) <= tau:
-                    hits.append(DatabaseEntry(user_ids[i], tuple(r), tags[i]))
-        else:
-            ids = np.asarray(ids, dtype=np.intp)
-            with self._lock:
-                rows = np.frombuffer(codes, dtype=np.uint16).reshape(-1, n)[ids]
-            far = np.count_nonzero(rows != np.frombuffer(row, dtype=np.uint16), axis=1)
-            hits = [
-                DatabaseEntry(user_ids[i], tuple(codes[i * n : i * n + n]), tags[i])
-                for i in ids[far <= tau].tolist()
-            ]
+        keys = self._keys.unpack(row)
+        found = []  # id + 1 of each entry sharing a block, repeats included
+        codes, nxt, starts, stride = self._codes, self._next, self._starts, self.tau + 1
         with self._lock:
+            mask = self._mask
+            for b, table, key in zip(self._block_ids, self._tables, keys):
+                fp = hash(key) & FP_MASK
+                i = fp & mask
+                while head := table[i]:
+                    if table[i + 1] == fp:  # compare the head's block
+                        o = (head - 1) * n
+                        if codes[o + starts[b] : o + starts[b + 1]].tobytes() == key:
+                            while head:
+                                found.append(head)
+                                head = nxt[(head - 1) * stride + b]
+                            break
+                    i = (i + 2) & mask
+            ids = sorted(set(found))
+            user_ids, tags, unorder = self._user_ids, self._tags, self._unorder
+            if len(ids) * n < NUMPY_MIN_CELLS:
+                hits = []
+                for i in ids:
+                    o = (i - 1) * n
+                    r = codes[o : o + n]
+                    if sum(map(operator.ne, r, q)) <= tau:
+                        hits.append(DatabaseEntry(user_ids[i - 1], unorder(r), tags[i - 1]))
+            else:
+                at = np.array(ids, dtype=np.intp) - 1
+                rows = np.frombuffer(codes, dtype=np.uint16).reshape(-1, n)[at]
+                far = np.count_nonzero(rows != np.frombuffer(row, dtype=np.uint16), axis=1)
+                hits = [
+                    DatabaseEntry(user_ids[i], unorder(codes[i * n : i * n + n]), tags[i])
+                    for i in at[far <= tau].tolist()
+                ]
             self._queries += 1
             self._candidates += len(ids)
             self._hits += len(hits)
@@ -258,5 +350,10 @@ def load_entries(path: str | Path) -> list[DatabaseEntry]:
             encoding = parse_encoding(coords)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad coordinate list {coords!r}") from None
+        pos = unstorable_position(encoding)
+        if pos is not None:
+            raise ValueError(
+                f"{path}:{lineno}: coordinate {encoding[pos]} at position {pos} is not in [0, {CODE_LIMIT})"
+            )
         entries.append(DatabaseEntry(user_id=user_id, tag=tag, encoding=encoding))
     return entries

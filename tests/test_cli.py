@@ -77,15 +77,14 @@ def test_match_command(tmp_path, capsys):
 
 def test_match_equals_scan_match(tmp_path, capsys):
     """`match` prints and writes exactly what `scan_match` returns, in db
-    order, also for entries with a coordinate no index row could hold."""
+    order."""
     rng = random.Random(1)
     x = rng.randrange(DESK.M)
     query = encode(x, DESK, rng)
     entries = [DatabaseEntry(f"u{i}", encode(x, DESK, rng)) for i in range(5)]
     entries += [
         DatabaseEntry("far", tuple(sorted(rng.randrange(31) for _ in range(10)))),
-        DatabaseEntry("wide", (CODE_LIMIT,) + query[1:], "infected"),
-        DatabaseEntry("wider", query[:-1] + (CODE_LIMIT + 7,)),
+        DatabaseEntry("near", query[:-1] + (query[-1] + 1,), "infected"),
     ]
     db = tmp_path / "db.tsv"
     save_entries(entries, db)
@@ -101,8 +100,47 @@ def test_match_equals_scan_match(tmp_path, capsys):
         csv_lines = csv_out.read_text().splitlines()
         assert csv_lines[0] == "user_id,tag,encoding"
         assert len(csv_lines) == len(expected) + 1
-    # both wide entries are one coordinate away from the query
-    assert {"wide", "wider"} <= {e.user_id for e in scan_match(entries, query, 1)}
+    assert "near" in {e.user_id for e in scan_match(entries, query, 1)}
+
+
+def test_match_refuses_coordinates_outside_the_alphabet(tmp_path, capsys):
+    """A db entry or a query holding a coordinate outside [0, CODE_LIMIT),
+    which no index row can hold, is a usage error, as the server refuses it."""
+    rng = random.Random(1)
+    query = encode(rng.randrange(DESK.M), DESK, rng)
+    db = tmp_path / "db.tsv"
+
+    def refused(entries, q, message):
+        save_entries(entries, db)
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "--db", str(db), "--tau", "1", "--", format_encoding(q)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("tracecloak: error:")] == [
+            f"tracecloak: error: {message}"
+        ]
+
+    ok = DatabaseEntry("u0", query)
+    refused(
+        [ok, DatabaseEntry("wide", (CODE_LIMIT,) + query[1:], "infected")],
+        query,
+        f"{db}:2: coordinate {CODE_LIMIT} at position 0 is not in [0, {CODE_LIMIT})",
+    )
+    refused(
+        [DatabaseEntry("wider", query[:-1] + (CODE_LIMIT + 7,)), ok],
+        query,
+        f"{db}:1: coordinate {CODE_LIMIT + 7} at position 9 is not in [0, {CODE_LIMIT})",
+    )
+    refused(
+        [ok],
+        query[:3] + (CODE_LIMIT,) + query[4:],
+        f"query coordinate {CODE_LIMIT} at position 3 is not in [0, {CODE_LIMIT})",
+    )
+    refused(
+        [ok],
+        (-1,) + query[1:],
+        f"query coordinate -1 at position 0 is not in [0, {CODE_LIMIT})",
+    )
 
 
 def test_simulate_command(tmp_path, capsys):

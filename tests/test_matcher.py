@@ -1,7 +1,11 @@
 import gc
 import random
 import sys
+import struct
 import threading
+import tracemalloc
+import zlib
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecloak import matcher
+from tracecloak.encoder import PolyCodeParams, encode, inflate_range_bound
 from tracecloak.matcher import (
     CODE_LIMIT,
     DatabaseEntry,
@@ -104,11 +109,13 @@ def test_index_storage_bound():
 
 
 def test_index_blocks_cover_positions():
-    index = MatchIndex(10, 3)
-    covered = []
-    for lo, hi in index.blocks:
-        covered.extend(range(lo, hi))
-    assert covered == list(range(10))
+    """Every position lies in exactly one of the tau+1 blocks (block b holds
+    the positions i = b mod tau+1), also where blocks outnumber positions."""
+    assert MatchIndex(10, 3).blocks == ((0, 4, 8), (1, 5, 9), (2, 6), (3, 7))
+    for n, tau in [(10, 3), (1, 0), (3, 5), (20, 4), (200, 40)]:
+        blocks = MatchIndex(n, tau).blocks
+        assert len(blocks) == tau + 1
+        assert sorted(i for block in blocks for i in block) == list(range(n))
 
 
 def test_duplicates_stored_distinctly():
@@ -148,36 +155,41 @@ def test_add_rejects_out_of_range_coordinates():
 
 
 def test_add_refuses_ids_past_uint32():
-    """Postings hold ids as uint32: the 2**32nd entry is refused with a
-    ValueError, which the TCP handler answers, not an OverflowError."""
+    """The tables and chains hold id + 1 as uint32, 0 meaning none: the
+    (2**32 - 1)th entry is refused with a ValueError, which the TCP handler
+    answers, not an OverflowError, and nothing of it is stored."""
 
     class Full(list):
         def __len__(self):
             return matcher.ID_LIMIT
 
-    index = MatchIndex(2, 0)
+    assert matcher.ID_LIMIT == 2**32 - 1
+    index = MatchIndex(2, 1)
     index._user_ids = Full()
-    with pytest.raises(ValueError, match=f"at most {2**32} entries"):
+    with pytest.raises(ValueError, match=f"at most {2**32 - 1} entries"):
         index.add(DatabaseEntry("a", (1, 2)))
     assert len(index._codes) == 0
-    assert index._tables == [{}]
+    assert len(index._next) == 0
+    assert not any(any(table) for table in index._tables)
     assert index._tags == []
 
 
 def test_tables_are_not_tracked_by_the_cyclic_collector():
-    """A row-3 store keeps no object the collector tracks, however large it
-    grows: entries made for the adds die with them, so no collection walks
-    the tables or the stored entries."""
+    """A row-3 store gives the collector no more objects to walk however
+    large it grows: entries made for the adds die with them, no key is an
+    object, and each doubling replaces a block's table array with another."""
     rng = random.Random(6)
     encodings = [tuple(sorted(rng.randrange(211) for _ in range(200))) for _ in range(2000)]
     index = MatchIndex(200, 40)
     gc.collect()
     before = len(gc.get_objects())
+    arrays = sum(isinstance(o, array) for o in gc.get_objects())
     for i, enc in enumerate(encodings):
         index.add(DatabaseEntry(f"u{i}", enc))
     gc.collect()
     assert len(gc.get_objects()) - before < 10
-    assert not any(gc.is_tracked(table) for table in index._tables)
+    assert sum(isinstance(o, array) for o in gc.get_objects()) == arrays
+    assert len(index._tables[0]) > 2 * matcher.MIN_SLOTS  # the tables did double
     assert not gc.is_tracked(index._strings)
     assert DatabaseEntry("u7", encodings[7]) in index.query(encodings[7], 0)
 
@@ -202,13 +214,123 @@ def test_index_keeps_one_copy_of_each_string():
 
 
 def test_stats_count_queries_candidates_and_hits():
-    index = MatchIndex(4, 1)  # blocks (0, 1) and (2, 3)
-    for enc in [(0, 0, 0, 0), (0, 0, 1, 1), (5, 5, 0, 0), (9, 9, 9, 9)]:
+    index = MatchIndex(4, 1)  # blocks (0, 2) and (1, 3)
+    # the second shares block (0, 2) with the first query, the third (1, 3)
+    for enc in [(0, 0, 0, 0), (0, 1, 0, 1), (5, 0, 5, 0), (9, 9, 9, 9)]:
         index.add(DatabaseEntry("a", enc))
     assert index.stats() == {"queries": 0, "candidates": 0, "hits": 0}
     assert [e.encoding for e in index.query((0, 0, 0, 0))] == [(0, 0, 0, 0)]
     assert index.query((7, 7, 7, 7)) == []
     assert index.stats() == {"queries": 2, "candidates": 3, "hits": 1}
+
+
+def _live_slots(table) -> int:
+    return int(np.count_nonzero(np.frombuffer(table, dtype=np.uint32)[::2]))
+
+
+def test_a_repeated_block_value_takes_one_slot():
+    """10^4 entries sharing block (0, 2) chain behind one slot of its table,
+    so a query that shares no block with them collects no candidate."""
+    index = MatchIndex(4, 1)  # blocks (0, 2) and (1, 3)
+    for i in range(10_000):
+        index.add(DatabaseEntry(f"u{i}", (7, i, 7, i)))
+    assert _live_slots(index._tables[0]) == 1
+    assert _live_slots(index._tables[1]) == 10_000
+    assert index.key_count() == 2 * 10_000
+    assert index.query((8, 20_000, 8, 20_000)) == []
+    assert index.stats()["candidates"] == 0
+    # a query that shares the block collects the whole chain
+    assert index.query((7, 20_000, 7, 20_000)) == []
+    assert index.stats()["candidates"] == 10_000
+    assert index.query((7, 5, 7, 5)) == [DatabaseEntry("u5", (7, 5, 7, 5))]
+
+
+def test_every_entry_is_found_after_each_doubling():
+    """A store at n = 2 doubles its tables six times.  The first values and
+    every fifth one hash to the largest fingerprint, whose home is the last slot at every
+    size, so a run of equal fingerprints passes the end of each table and
+    wraps to its first slots.  After each doubling, every stored entry comes
+    back from an exact query as its one candidate, and each table keeps 2
+    slots per entry."""
+    wrapped = {v for v in range(401) if v % 5 == 0 or v < 8}
+
+    def skewed_hash(key):
+        (v,) = struct.unpack("=H", key)
+        return matcher.FP_MASK if v in wrapped else zlib.crc32(key)
+
+    index = MatchIndex(2, 1)  # blocks (0,) and (1,)
+    entries = []
+    doublings = 0
+    with mock.patch.object(matcher, "hash", skewed_hash, create=True):
+        for v in range(400):
+            words = len(index._tables[0])
+            entries.append(DatabaseEntry(f"u{v}", (v, v + 1)))
+            index.add(entries[-1])
+            if len(index._tables[0]) == words:
+                continue
+            doublings += 1
+            for table in index._tables:
+                assert len(table) // 2 >= 2 * len(index)
+                assert table[1] == matcher.FP_MASK  # slot 0 holds a wrapped value
+            before = index.stats()["candidates"]
+            for entry in entries:
+                assert index.query(entry.encoding, 0) == [entry]
+            # equal fingerprints, different values: no query collects another's
+            assert index.stats()["candidates"] - before == len(entries)
+    assert doublings >= 4
+    assert index.entries == entries
+
+
+# real encodings at reference row 3 (n = 200, tau = 40) and at the
+# simulator's shape (n = 20, tau = 4), made once for the guards below
+_ROW3 = PolyCodeParams(M=10**19, p=211, n=200, k=20)
+_SIM = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+
+
+def _store(params, size, seed):
+    rng = random.Random(seed)
+    xs = [rng.randrange(params.M) for _ in range(size)]
+    entries = [DatabaseEntry(f"u{rng.randrange(2000)}", encode(x, params, rng)) for x in xs]
+    return xs, entries, rng
+
+
+@pytest.fixture(scope="module")
+def row3_store():
+    return _store(_ROW3, 2000, 12)
+
+
+def test_row3_queries_collect_few_candidates(row3_store):
+    """Strided blocks keep a row-3 query to a few candidates: half the
+    queries re-encode a stored point, half are fresh points."""
+    xs, entries, rng = row3_store
+    index = build_index(entries, _ROW3.n, _ROW3.tau)
+    for j in range(200):
+        x = xs[j] if j % 2 == 0 else rng.randrange(_ROW3.M)
+        index.query(encode(x, _ROW3, rng))
+    stats = index.stats()
+    assert stats["hits"] >= 100
+    assert stats["candidates"] / stats["queries"] <= 3
+
+
+def _index_bytes_per_entry(params, entries) -> float:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build_index(entries, params.n, params.tau)
+        return (tracemalloc.get_traced_memory()[0] - before) / len(index)
+    finally:
+        tracemalloc.stop()
+
+
+def test_index_memory_per_entry(row3_store):
+    """No key is a Python object (tracemalloc, entries made beforehand, 2,000
+    users).  One dict per block took 3,272 B per entry at 2,000 row-3
+    entries and 453 B at 10^4 simulator entries; keyless tables take about
+    1,306 and 256 B.  An int of at least 28 B per key, 41 or 5 keys per
+    entry, would cross either bound."""
+    assert _index_bytes_per_entry(_ROW3, row3_store[1]) < 2061
+    assert _index_bytes_per_entry(_SIM, _store(_SIM, 10_000, 13)[1]) < 380
 
 
 # mostly a tiny alphabet, so candidate sets reach past NUMPY_MIN_CELLS, and
@@ -271,17 +393,28 @@ def test_index_equals_scan_match_property(case):
 
 
 def test_query_verifies_entries_added_while_it_collects_candidates():
-    """Adds that land between candidate collection and verification: the
-    query must verify against a store that holds their rows."""
+    """Adds that land while a query waits for the lock under which it probes
+    and verifies: the query must probe the tables as those adds left them
+    (they double six times here), not as it found them when it started, and
+    verify against a store that holds their rows."""
     index = MatchIndex(2, 1)  # blocks (0,) and (1,)
 
-    class AddsOnLookup(dict):
-        def get(self, key, default=None):
-            while len(index) < 300:
-                index.add(DatabaseEntry(f"u{len(index)}", (len(index), 1)))
-            return super().get(key, default)
+    class AddsBeforeLock:
+        def __init__(self, lock):
+            self.lock, self.armed = lock, False
 
-    index._tables[-1] = AddsOnLookup(index._tables[-1])
+        def __enter__(self):
+            if self.armed:  # the query's; the adds' own pass through
+                self.armed = False
+                while len(index) < 300:
+                    index.add(DatabaseEntry(f"u{len(index)}", (len(index), 1)))
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    index._lock = AddsBeforeLock(index._lock)
+    index._lock.armed = True
     with mock.patch.object(matcher, "NUMPY_MIN_CELLS", 0):
         got = index.query((0, 1))
     assert len(got) == 300
