@@ -11,7 +11,6 @@ from pathlib import Path
 
 from . import analysis, attacks, matcher, tracing
 from .encoder import (
-    CODE_LIMIT,
     PolyCodeParams,
     encode,
     encode_unsorted,
@@ -49,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_match, "--csv")
     p_match.add_argument("--db", required=True, help="TSV entry file")
     p_match.add_argument("--tau", type=int, required=True)
-    p_match.add_argument("query", help="comma-separated encoding")
+    p_match.add_argument("query", help="encoding, 4 hex digits per coordinate (-- before one starting with -)")
     p_match.set_defaults(run=cmd_match)
 
     p_sim = sub.add_parser("simulate", help="run the tracing protocol simulator")
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atk.add_argument(
         "--target",
         required=True,
-        help="file holding the target encoding (comma-separated coords) "
+        help="file holding the target encoding (4 hex digits per coordinate) "
         "or a 0x-prefixed world point to encode first",
     )
     p_atk.add_argument("--budget", type=int, default=10_000)
@@ -155,9 +154,6 @@ def cmd_match(args) -> int:
         raise ValueError(f"--tau must be non-negative, got {args.tau}")
     entries = matcher.load_entries(args.db)
     query = parse_encoding(args.query)
-    pos = matcher.unstorable_position(query)
-    if pos is not None:
-        raise ValueError(f"query coordinate {query[pos]} at position {pos} is not in [0, {CODE_LIMIT})")
     rows = [
         (entry.user_id, entry.tag, format_encoding(entry.encoding))
         for entry in matcher.scan_match(entries, query, args.tau)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-import threading
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -50,8 +50,8 @@ def residue_digit_count(M: int, moduli: Sequence[int]) -> int:
 
 
 # Every coordinate an encoding can carry lies in [0, CODE_LIMIT): the index
-# stores rows of uint16 and the wire codec interns the same range, so the
-# parameters refuse a wider alphabet.
+# stores rows of uint16 and the wire codec writes each coordinate as one, so
+# the parameters refuse a wider alphabet.
 CODE_LIMIT = 1 << 16
 
 
@@ -323,60 +323,37 @@ def inflated_digit_count(p: int) -> int:
 # ---------------------------------------------------------------------------
 # Plain-text parameter files and encoding serialization.
 #
-# Every report and alert crosses the wire as a comma-separated coordinate
-# line, so the codec looks coordinates up in one shared intern table instead
-# of calling str() and int() on each: _STR[i] == str(i) and _INT[str(i)] == i
-# for 0 <= i < len(_STR).  The table grows on demand to the next power of two
-# above the largest coordinate seen, never past CODE_LIMIT, and only under
-# _GROW_LOCK: two threads extending one list at once would shift its indices.
-# Readers need no lock, because an entry never changes once it is there.
-# One table serves the whole process: its content depends on its length
-# alone, so no caller can see another caller's use of it.
-
-_STR: list[str] = []
-_INT: dict[str, int] = {}
-_GROW_LOCK = threading.Lock()
-
-
-def _grow(top: int) -> bool:
-    """Make the intern table cover [0, top]; False when top is out of reach."""
-    if not 0 <= top < CODE_LIMIT:
-        return False
-    with _GROW_LOCK:
-        start, stop = len(_STR), min(1 << top.bit_length(), CODE_LIMIT)
-        if stop > start:
-            new = [str(i) for i in range(start, stop)]
-            _INT.update(zip(new, range(start, stop)))
-            _STR.extend(new)
-    return True
+# Every report and alert crosses the wire as its encoding's row of
+# big-endian uint16, in hex: four lowercase hex digits per coordinate, so
+# (0, 2, 211) is "0000000200d3".  One struct call packs or unpacks the whole
+# row, and a coordinate outside [0, CODE_LIMIT) cannot be written.  The
+# format strings go through the struct module's own bounded cache, so the
+# codec keeps no state that the lengths of the lines it reads could grow.
 
 
 def format_encoding(coords: Sequence[int]) -> str:
-    """`",".join(str(c) for c in coords)`, with the strings of coordinates
-    in [0, CODE_LIMIT) taken from the intern table.  The coordinates are
-    ints: a bool, being one, formats as 0 or 1."""
+    """The hex of coords as big-endian uint16.  Raises ValueError for no
+    coordinates, or for one that is not an int in [0, CODE_LIMIT) (a bool,
+    being an int, writes as 0 or 1)."""
     try:
-        if min(coords) >= 0:
-            return ",".join(map(_STR.__getitem__, coords))
-    except IndexError:  # beyond the table: grow it, unless beyond CODE_LIMIT
-        if _grow(max(coords)):
-            return ",".join(map(_STR.__getitem__, coords))
-    except (TypeError, ValueError):  # no coordinates, or not ints
-        pass
-    return ",".join(str(c) for c in coords)
+        if len(coords):
+            return struct.pack(f">{len(coords)}H", *coords).hex()
+    except struct.error as exc:
+        raise ValueError(f"cannot write {coords!r} as uint16: {exc}") from None
+    raise ValueError("an encoding has at least one coordinate")
 
 
 def parse_encoding(text: str) -> tuple[int, ...]:
-    """`tuple(int(tok) for tok in text.strip().split(","))`: a line of
-    canonical tokens in [0, CODE_LIMIT) is looked up in the intern table,
-    anything else goes through int(), so the codec accepts and rejects
-    exactly what int() does (whitespace, signs, `_`, other decimal digits)."""
+    """The coordinates of 4*k hex digits, k >= 1, as big-endian uint16; upper
+    case digits are read too.  Anything else, whitespace included, raises
+    ValueError."""
     try:
-        return tuple(map(_INT.__getitem__, text.split(",")))
-    except KeyError:
-        coords = tuple(int(tok) for tok in text.strip().split(","))
-    _grow(max(coords))
-    return coords
+        raw = bytes.fromhex(text)  # skips whitespace: the length check sees it
+    except ValueError:  # a character that is not a hex digit or whitespace
+        raw = b""
+    if not raw or len(raw) & 1 or 2 * len(raw) != len(text):
+        raise ValueError(f"not 4 hex digits per coordinate: {text!r}")
+    return struct.unpack(f">{len(raw) >> 1}H", raw)
 
 
 def save_params(params: Params, path: str | Path) -> None:

@@ -31,8 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# stored coordinates lie in [0, CODE_LIMIT): uint16 rows, and the wire codec
-# interns the same range
+# stored coordinates lie in [0, CODE_LIMIT): uint16 rows, as on the wire
 from .encoder import CODE_LIMIT, format_encoding, parse_encoding
 
 # Candidate sets with at least this many coordinates (candidates * n) are
@@ -75,12 +74,6 @@ def _storable(c) -> bool:
         return 0 <= operator.index(c) < CODE_LIMIT
     except TypeError:
         return False
-
-
-def unstorable_position(e: Sequence[int]) -> int | None:
-    """The first position of e whose coordinate is not an integer in
-    [0, CODE_LIMIT), which no index row can hold; None if there is none."""
-    return next((i for i, c in enumerate(e) if not _storable(c)), None)
 
 
 def _empty_table(slots: int) -> array:
@@ -253,7 +246,7 @@ class MatchIndex:
         coordinate that is not an integer in [0, CODE_LIMIT)."""
         if len(e) != self.n:
             return ValueError(f"encoding length {len(e)} != index length {self.n}")
-        pos = unstorable_position(e)
+        pos = next(i for i, c in enumerate(e) if not _storable(c))
         return ValueError(f"coordinate {e[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})")
 
     def key_count(self) -> int:
@@ -331,7 +324,8 @@ def build_index(
 
 
 def save_entries(entries: Iterable[DatabaseEntry], path: str | Path) -> None:
-    """Write entries as `user_id<TAB>tag<TAB>comma-separated-coords` lines."""
+    """Write entries as `user_id<TAB>tag<TAB>hex-encoding` lines, the
+    encoding as `encoder.format_encoding` writes it."""
     with open(path, "w") as fh:
         for entry in entries:
             fh.write(f"{entry.user_id}\t{entry.tag}\t{format_encoding(entry.encoding)}\n")
@@ -349,11 +343,6 @@ def load_entries(path: str | Path) -> list[DatabaseEntry]:
         try:
             encoding = parse_encoding(coords)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad coordinate list {coords!r}") from None
-        pos = unstorable_position(encoding)
-        if pos is not None:
-            raise ValueError(
-                f"{path}:{lineno}: coordinate {encoding[pos]} at position {pos} is not in [0, {CODE_LIMIT})"
-            )
+            raise ValueError(f"{path}:{lineno}: not an encoding: {coords!r}") from None
         entries.append(DatabaseEntry(user_id=user_id, tag=tag, encoding=encoding))
     return entries

@@ -343,7 +343,7 @@ class SocketServer:
     "tracecloak.server" logger."""
 
     idle_timeout = 10.0  # seconds
-    max_line = 1 << 16  # bytes; a report line at reference row 3 is about 700
+    max_line = 1 << 16  # bytes; a report line at reference row 3 is about 830
 
     def __init__(self, address: tuple[str, int], state: ServerState):
         self.state = state

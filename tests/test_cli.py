@@ -11,6 +11,7 @@ from tracecloak.encoder import (
     RrnsParams,
     encode,
     format_encoding,
+    parse_encoding,
     save_params,
 )
 from tracecloak.matcher import DatabaseEntry, save_entries, scan_match
@@ -30,13 +31,12 @@ def test_encode_deterministic(tmp_path, capsys):
     path = tmp_path / "params.txt"
     save_params(PolyCodeParams(M=49, p=7, n=5, k=0), path)
     assert main(["encode", "--params", str(path), "17"]) == 0
-    assert capsys.readouterr().out.strip() == "0,2,3,4,5"
+    assert capsys.readouterr().out.strip() == "00000002000300040005"
 
 
 def test_encode_unsorted_and_hex(params_file, capsys):
     assert main(["encode", "--params", params_file, "--unsorted", "0x10"]) == 0
-    coords = capsys.readouterr().out.strip().split(",")
-    assert len(coords) == DESK.n
+    assert len(parse_encoding(capsys.readouterr().out.strip())) == DESK.n
 
 
 def test_match_command(tmp_path, capsys):
@@ -104,43 +104,30 @@ def test_match_equals_scan_match(tmp_path, capsys):
 
 
 def test_match_refuses_coordinates_outside_the_alphabet(tmp_path, capsys):
-    """A db entry or a query holding a coordinate outside [0, CODE_LIMIT),
-    which no index row can hold, is a usage error, as the server refuses it."""
+    """A coordinate outside [0, CODE_LIMIT) cannot be written as an
+    encoding, so a db line or a query that tries (five hex digits, a sign,
+    the old decimal list) is not an encoding: a usage error naming the
+    file and line of a db line."""
     rng = random.Random(1)
-    query = encode(rng.randrange(DESK.M), DESK, rng)
+    query = format_encoding(encode(rng.randrange(DESK.M), DESK, rng))
     db = tmp_path / "db.tsv"
 
-    def refused(entries, q, message):
-        save_entries(entries, db)
+    def refused(lines, q, message):
+        db.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(SystemExit) as exc:
-            main(["match", "--db", str(db), "--tau", "1", "--", format_encoding(q)])
+            main(["match", "--db", str(db), "--tau", "1", "--", q])
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("tracecloak: error:")] == [
             f"tracecloak: error: {message}"
         ]
 
-    ok = DatabaseEntry("u0", query)
-    refused(
-        [ok, DatabaseEntry("wide", (CODE_LIMIT,) + query[1:], "infected")],
-        query,
-        f"{db}:2: coordinate {CODE_LIMIT} at position 0 is not in [0, {CODE_LIMIT})",
-    )
-    refused(
-        [DatabaseEntry("wider", query[:-1] + (CODE_LIMIT + 7,)), ok],
-        query,
-        f"{db}:1: coordinate {CODE_LIMIT + 7} at position 9 is not in [0, {CODE_LIMIT})",
-    )
-    refused(
-        [ok],
-        query[:3] + (CODE_LIMIT,) + query[4:],
-        f"query coordinate {CODE_LIMIT} at position 3 is not in [0, {CODE_LIMIT})",
-    )
-    refused(
-        [ok],
-        (-1,) + query[1:],
-        f"query coordinate -1 at position 0 is not in [0, {CODE_LIMIT})",
-    )
+    ok = f"u0\tuninfected\t{query}"
+    wide = f"{CODE_LIMIT:x}" + query[4:]  # CODE_LIMIT in five hex digits
+    refused([ok, f"wide\tinfected\t{wide}"], query, f"{db}:2: not an encoding: {wide!r}")
+    refused([f"dec\tuninfected\t1,2,3", ok], query, f"{db}:1: not an encoding: '1,2,3'")
+    for bad in (wide, "-001" + query[4:], query[:-1], query[:8] + " " + query[9:], "1,2,3"):
+        refused([ok], bad, f"not 4 hex digits per coordinate: {bad!r}")
 
 
 def test_simulate_command(tmp_path, capsys):

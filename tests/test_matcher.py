@@ -483,6 +483,6 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("only_two_fields\t1,2,3\n")
     with pytest.raises(ValueError):
         load_entries(path)
-    path.write_text("u1\tuninfected\t1,2,3\n\nu2\tuninfected\t1,x,3\n")
-    with pytest.raises(ValueError, match=r"bad\.tsv:3: bad coordinate list '1,x,3'"):
+    path.write_text("u1\tuninfected\t000100020003\n\nu2\tuninfected\t1,2,3\n")
+    with pytest.raises(ValueError, match=r"bad\.tsv:3: not an encoding: '1,2,3'"):
         load_entries(path)

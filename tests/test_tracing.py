@@ -120,10 +120,15 @@ def test_wire_format_round_trip():
     "line",
     [
         "REPORT\tu1\tuninfected",  # missing field
-        "REPORT\tu1\tbogus\t1,2,3",  # bad tag
-        "ALERT\tu1\tuninfected\t1,2,3",  # wrong tag for alert
-        "PING\tu1\tuninfected\t1,2,3",  # unknown kind
-        "REPORT\tu1\tuninfected\t1,x,3",  # non-integer coord
+        # decimal coordinate lists, which are not encodings
+        "REPORT\tu1\tbogus\t1,2,3",
+        "ALERT\tu1\tuninfected\t1,2,3",
+        "PING\tu1\tuninfected\t1,2,3",
+        "REPORT\tu1\tuninfected\t1,x,3",
+        "REPORT\tu1\tbogus\t000100020003",  # bad tag
+        "ALERT\tu1\tuninfected\t000100020003",  # wrong tag for alert
+        "PING\tu1\tuninfected\t000100020003",  # unknown kind
+        "REPORT\tu1\tuninfected\t00010x020003",  # not a hex digit
     ],
 )
 def test_wire_format_rejects_malformed(line):
@@ -155,23 +160,42 @@ _messages = st.one_of(
 @given(_messages)
 def test_wire_format_round_trip_property(msg):
     """parse . format is the identity, except that a user id holding a
-    newline is refused, as the TCP server refuses the two lines it reads."""
-    if "\n" in msg.user_id:
+    newline is refused, as the TCP server refuses the two lines it reads,
+    and that an encoding with a coordinate outside [0, CODE_LIMIT) cannot
+    be written."""
+    if not all(0 <= c < CODE_LIMIT for c in msg.encoding):
+        with pytest.raises(ValueError):
+            format_message(msg)
+    elif "\n" in msg.user_id:
         with pytest.raises(ProtocolError):
             parse_message(format_message(msg))
     else:
         assert parse_message(format_message(msg)) == msg
 
 
+_hex_fields = _encodings.map(lambda e: "".join(f"{c:04x}" for c in e if 0 <= c < CODE_LIMIT))
 _fields = st.one_of(
     st.sampled_from(["REPORT", "ALERT", "PING", UNINFECTED, INFECTED, POSSIBLE_INFECTION]),
     _encodings.map(lambda e: ",".join(map(str, e))),
+    _hex_fields,
     st.text(max_size=8),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(), st.lists(_fields, min_size=1, max_size=5).map("\t".join)))
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(_fields, min_size=1, max_size=5).map("\t".join),
+        # four fields in message order, so that many lines are accepted
+        st.tuples(
+            st.sampled_from(["REPORT", "ALERT"]),
+            _users,
+            st.sampled_from([UNINFECTED, INFECTED, POSSIBLE_INFECTION]),
+            _hex_fields,
+        ).map("\t".join),
+    )
+)
 def test_parse_message_gives_message_or_protocol_error(line):
     try:
         msg = parse_message(line)
@@ -410,14 +434,22 @@ def test_socket_server_rejects_bad_reports_and_keeps_serving():
     try:
         addr = server.server_address
         coords = ",".join(["1"] * PARAMS.n)
+        hexed = "0001" * PARAMS.n
         bad_lines = [
-            f"REPORT\tu1\t{UNINFECTED}\t1,2,3\n".encode(),  # wrong length
+            f"REPORT\tu1\t{UNINFECTED}\t1,2,3\n".encode(),  # decimal, wrong length
             f"REPORT\tu1\t{INFECTED}\t1,2,3\n".encode(),
             f"REPORT\tu1\t{UNINFECTED}\t70000,{coords[2:]}\n".encode(),  # range
             f"REPORT\tu1\t{INFECTED}\t70000,{coords[2:]}\n".encode(),
             f"REPORT\tu1\t{INFECTED}\t-5,{coords[2:]}\n".encode(),
-            f"ALERT\tu1\t{POSSIBLE_INFECTION}\t{coords}\n".encode(),  # not a report
+            f"ALERT\tu1\t{POSSIBLE_INFECTION}\t{hexed}\n".encode(),  # not a report
             b"REPORT\tu1\t\xff\xfe\n",  # not UTF-8
+            f"REPORT\tu1\t{INFECTED}\t{hexed[:-1]}\n".encode(),  # 3 hex digits last
+            f"REPORT\tu1\t{INFECTED}\t{hexed}0\n".encode(),  # 5 hex digits last
+            f"REPORT\tu1\t{INFECTED}\t{hexed[:8]} {hexed[9:]}\n".encode(),  # a space
+            f"REPORT\tu1\t{INFECTED}\t0X01{hexed[4:]}\n".encode(),  # 0X-style
+            f"REPORT\tu1\t{INFECTED}\t\n".encode(),  # empty field
+            f"REPORT\tu1\t{UNINFECTED}\t{hexed}0001\n".encode(),  # length n + 1
+            f"REPORT\tu1\t{INFECTED}\t{hexed[4:]}\n".encode(),  # length n - 1
         ]
         for line in bad_lines:
             assert _exchange(addr, line).startswith(b"ERROR\t")
@@ -521,10 +553,14 @@ def test_socket_server_caps_line_length():
 # infected ones raise alerts; the rest, and raw bytes, carry non-UTF-8, \r,
 # NUL, and lines past the server's max_line of 64
 _coordinates = st.one_of(
-    st.lists(st.integers(0, 4), min_size=3, max_size=3),
-    st.lists(st.sampled_from([-1, 0, CODE_LIMIT - 1, CODE_LIMIT, 2**70]), min_size=3, max_size=3),
-    st.lists(st.one_of(st.integers(0, 9), st.binary(max_size=3)), max_size=4),
-).map(lambda cs: b",".join(c if isinstance(c, bytes) else str(c).encode() for c in cs))
+    st.lists(st.integers(0, 4).map(b"%04x".__mod__), min_size=3, max_size=3),
+    st.lists(
+        st.sampled_from([b"0000", b"ffff", b"FFFF", b"10000", b"000", b"-001", b"0x01", b" 001", b"1,2"]),
+        min_size=3,
+        max_size=3,
+    ),
+    st.lists(st.one_of(st.integers(0, 9).map(b"%04x".__mod__), st.binary(max_size=4)), max_size=4),
+).map(b"".join)
 _wire_lines = st.one_of(
     st.tuples(
         st.one_of(st.just(b"REPORT"), st.sampled_from([b"ALERT", b"report", b""])),
