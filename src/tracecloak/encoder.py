@@ -223,7 +223,7 @@ def corrupt(
 def encode(x: int, params: Params, rng: random.Random) -> tuple[int, ...]:
     """The released encoding: sorted basic code with k coordinates corrupted."""
     (row,) = sorted_codes([x], params).tolist()
-    return corrupt(tuple(row), params.k, params.alphabet, rng)
+    return corrupt(row, params.k, params.alphabet, rng)
 
 
 def encode_unsorted(
@@ -323,24 +323,39 @@ def inflated_digit_count(p: int) -> int:
 # ---------------------------------------------------------------------------
 # Plain-text parameter files and encoding serialization.
 #
-# Every report and alert crosses the wire as its encoding's row of
-# big-endian uint16, in hex: four lowercase hex digits per coordinate, so
-# (0, 2, 211) is "0000000200d3".  One struct call packs or unpacks the whole
-# row, and a coordinate outside [0, CODE_LIMIT) cannot be written.  The
-# format strings go through the struct module's own bounded cache, so the
-# codec keeps no state that the lengths of the lines it reads could grow.
+# An encoding is kept and sent as its row of big-endian uint16: two bytes a
+# coordinate, so (0, 2, 211) packs to b"\x00\x00\x00\x02\x00\xd3".  The
+# wire and the entry files carry the row in hex, four lowercase hex digits a
+# coordinate ("0000000200d3"); a client keeps the bytes themselves.  One
+# struct call packs or unpacks the whole row, and a coordinate outside
+# [0, CODE_LIMIT) cannot be written.  The format strings go through the
+# struct module's own bounded cache, so the codec keeps no state that the
+# lengths of the rows it reads could grow.
 
 
-def format_encoding(coords: Sequence[int]) -> str:
-    """The hex of coords as big-endian uint16.  Raises ValueError for no
-    coordinates, or for one that is not an int in [0, CODE_LIMIT) (a bool,
-    being an int, writes as 0 or 1)."""
+def pack_encoding(coords: Sequence[int]) -> bytes:
+    """coords as big-endian uint16.  Raises ValueError for no coordinates,
+    or for one that is not an int in [0, CODE_LIMIT) (a bool, being an int,
+    packs as 0 or 1)."""
     try:
         if len(coords):
-            return struct.pack(f">{len(coords)}H", *coords).hex()
+            return struct.pack(f">{len(coords)}H", *coords)
     except struct.error as exc:
         raise ValueError(f"cannot write {coords!r} as uint16: {exc}") from None
     raise ValueError("an encoding has at least one coordinate")
+
+
+def unpack_encoding(row: bytes) -> tuple[int, ...]:
+    """The coordinates of a non-empty row of big-endian uint16; a row of no
+    bytes or of an odd number of them raises ValueError."""
+    if not row or len(row) & 1:
+        raise ValueError(f"not 2 bytes per coordinate: {len(row)} bytes")
+    return struct.unpack(f">{len(row) >> 1}H", row)
+
+
+def format_encoding(coords: Sequence[int]) -> str:
+    """The hex of `pack_encoding(coords)`; raises ValueError where it does."""
+    return pack_encoding(coords).hex()
 
 
 def parse_encoding(text: str) -> tuple[int, ...]:
@@ -351,9 +366,9 @@ def parse_encoding(text: str) -> tuple[int, ...]:
         raw = bytes.fromhex(text)  # skips whitespace: the length check sees it
     except ValueError:  # a character that is not a hex digit or whitespace
         raw = b""
-    if not raw or len(raw) & 1 or 2 * len(raw) != len(text):
+    if 2 * len(raw) != len(text):
         raise ValueError(f"not 4 hex digits per coordinate: {text!r}")
-    return struct.unpack(f">{len(raw) >> 1}H", raw)
+    return unpack_encoding(raw)  # refuses no digits, or 2 mod 4 of them
 
 
 def save_params(params: Params, path: str | Path) -> None:

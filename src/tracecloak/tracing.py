@@ -1,10 +1,12 @@
 """Client/server tracing protocol and simulator.
 
 Clients continuously report encoded (time, cell) points tagged uninfected
-and keep a local (t, l, e) database.  On infection they re-send their
-recent encodings tagged infected; the server matches those against the
-uninfected store at threshold tau = 2k and pushes each matching entry's
-own encoding back to its reporter, who recovers (t, l) locally.
+and keep a local (t, l, e) database, each encoding as its packed uint16
+row (`encoder.pack_encoding`), the row the wire carries in hex.  On
+infection they re-send their recent encodings tagged infected; the server
+matches those against the uninfected store at threshold tau = 2k and
+pushes each matching entry's own encoding back to its reporter, who
+recovers (t, l) locally.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .encoder import Params, encode, format_encoding, inflate, parse_encoding
+from .encoder import (
+    Params,
+    encode,
+    format_encoding,
+    inflate,
+    pack_encoding,
+    parse_encoding,
+    unpack_encoding,
+)
 from .matcher import MatchIndex
 
 UNINFECTED = "uninfected"
@@ -144,6 +154,14 @@ def format_message(msg: ReportMsg | AlertMsg) -> str:
     return f"ALERT\t{msg.user_id}\t{msg.tag}\t{coords}"
 
 
+def _excerpt(field: str, limit: int = 16) -> str:
+    """repr of a refused field, cut to its first `limit` characters plus its
+    length: a reason names the field without echoing a line of any size."""
+    if len(field) <= limit:
+        return repr(field)
+    return f"{field[:limit]!r}... ({len(field)} chars)"
+
+
 def parse_message(line: str) -> ReportMsg | AlertMsg:
     line = line.rstrip("\n")
     if "\n" in line:  # the TCP server would read two lines here
@@ -155,16 +173,16 @@ def parse_message(line: str) -> ReportMsg | AlertMsg:
     try:
         encoding = parse_encoding(coords)
     except ValueError:
-        raise ProtocolError(f"bad coordinate list: {coords!r}") from None
+        raise ProtocolError(f"bad coordinate list: {_excerpt(coords)}") from None
     if kind == "REPORT":
         if tag not in (UNINFECTED, INFECTED):
-            raise ProtocolError(f"bad report tag: {tag!r}")
+            raise ProtocolError(f"bad report tag: {_excerpt(tag)}")
         return ReportMsg(user_id=user_id, tag=tag, encoding=encoding)
     if kind == "ALERT":
         if tag != POSSIBLE_INFECTION:
-            raise ProtocolError(f"bad alert tag: {tag!r}")
+            raise ProtocolError(f"bad alert tag: {_excerpt(tag)}")
         return AlertMsg(user_id=user_id, encoding=encoding)
-    raise ProtocolError(f"unknown message kind: {kind!r}")
+    raise ProtocolError(f"unknown message kind: {_excerpt(kind)}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +190,49 @@ def parse_message(line: str) -> ReportMsg | AlertMsg:
 
 
 class ClientState:
-    """Local (t, l, e) database: one (t, cell, e) record per report, kept in
-    report order, and the latest record of each encoding, for alerts."""
+    """Local (t, l, e) database: one (t, cell, row) record per report, kept
+    in report order, and the latest record of each encoding, for alerts.
+
+    Each encoding is kept once, as its `pack_encoding` row (2n bytes), which
+    the record and the alert key share; `records_between` unpacks the rows
+    it returns.  At n = 20 a record costs about 425 bytes."""
 
     def __init__(self, user_id: str):
         self.user_id = user_id
-        self._records: list[tuple[int, int, tuple[int, ...]]] = []
-        self._by_encoding: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
+        self._records: list[tuple[int, int, bytes]] = []
+        self._by_encoding: dict[bytes, tuple[int, int, bytes]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
 
+    def add(self, t: int, cell: int, encoding: Sequence[int]) -> None:
+        """Record that the encoding of (t, cell) was reported."""
+        row = pack_encoding(encoding)
+        record = (t, cell, row)
+        self._records.append(record)
+        self._by_encoding[row] = record
+
     def lookup(self, encoding: Sequence[int]) -> tuple[int, int]:
+        """The (t, cell) of the latest record of an encoding.  Raises
+        UnknownEncodingError for one this client never reported, including
+        anything `pack_encoding` refuses."""
         try:
-            t, cell, _ = self._by_encoding[tuple(encoding)]
-        except KeyError:
-            raise UnknownEncodingError(tuple(encoding)) from None
+            t, cell, _ = self._by_encoding[pack_encoding(encoding)]
+        except (KeyError, ValueError):
+            raise UnknownEncodingError(encoding) from None
         return t, cell
 
     def records_between(
         self, t_start: int, t_end: int
     ) -> list[tuple[int, int, tuple[int, ...]]]:
         """Records with t_start <= t <= t_end, by epoch, then report order."""
-        return sorted(
-            (r for r in self._records if t_start <= r[0] <= t_end), key=itemgetter(0)
-        )
+        return [
+            (t, cell, unpack_encoding(row))
+            for t, cell, row in sorted(
+                (r for r in self._records if t_start <= r[0] <= t_end),
+                key=itemgetter(0),
+            )
+        ]
 
 
 def client_tick(
@@ -224,9 +260,7 @@ def client_tick(
         if inflate_world:
             x = inflate(x)
         e = encode(x, params, rng)
-        record = (t, c, e)
-        client._records.append(record)
-        client._by_encoding[e] = record
+        client.add(t, c, e)
         msgs.append(ReportMsg(user_id=client.user_id, tag=UNINFECTED, encoding=e))
     return msgs
 
@@ -264,8 +298,10 @@ class ServerState:
         return len(self.index)
 
     def handle(self, msg: ReportMsg) -> list[AlertMsg]:
-        if not isinstance(msg, ReportMsg) or msg.tag not in (UNINFECTED, INFECTED):
-            raise ProtocolError(f"malformed report: {msg!r}")
+        if not isinstance(msg, ReportMsg):  # not its repr: that is the whole line
+            raise ProtocolError(f"not a report: {type(msg).__name__}")
+        if msg.tag not in (UNINFECTED, INFECTED):
+            raise ProtocolError(f"bad report tag: {_excerpt(str(msg.tag))}")
         with self._lock:
             if msg.tag == UNINFECTED:
                 self.index.add(msg)  # keeps its fields, not the message

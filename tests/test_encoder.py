@@ -25,10 +25,12 @@ from tracecloak.encoder import (
     inflation_domain,
     inflation_factors,
     load_params,
+    pack_encoding,
     parse_encoding,
     save_params,
     sort_code,
     sorted_codes,
+    unpack_encoding,
 )
 from tracecloak.matcher import hamming
 from tracecloak.numtheory import eval_poly, to_digits
@@ -373,6 +375,11 @@ def test_encoding_serialization():
     assert format_encoding(np.array([1, 2], dtype=np.int64)) == "00010002"
     with pytest.raises(ValueError):
         format_encoding(())
+    with pytest.raises(ValueError):
+        pack_encoding(())
+    for row in (b"", b"\x00", b"\x00\x01\x02"):  # not whole coordinates
+        with pytest.raises(ValueError):
+            unpack_encoding(row)
 
 
 _rows = st.lists(st.integers(0, CODE_LIMIT - 1), min_size=1, max_size=40).map(tuple)
@@ -388,6 +395,15 @@ def test_encoding_round_trips_as_four_hex_digits_a_coordinate(e):
 
 
 @settings(max_examples=300, deadline=None)
+@given(_rows)
+def test_pack_round_trips_and_is_what_the_hex_spells(e):
+    row = pack_encoding(e)
+    assert len(row) == 2 * len(e)
+    assert unpack_encoding(row) == e
+    assert format_encoding(e) == row.hex()
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     _rows,
     st.integers(0, 40),
@@ -398,6 +414,8 @@ def test_format_encoding_refuses_what_a_field_cannot_hold(e, at, bad):
     e.insert(at, bad)
     with pytest.raises(ValueError):
         format_encoding(e)
+    with pytest.raises(ValueError):
+        pack_encoding(e)
 
 
 @settings(max_examples=500, deadline=None)
@@ -433,14 +451,18 @@ def _module_state(module):
 
 
 def test_codec_state_does_not_grow_with_the_lengths_it_reads():
-    """A client picks its line lengths; the codec keeps nothing per length
-    (struct's own format cache is bounded)."""
+    """A client picks its line lengths; the codec, hex or packed, keeps
+    nothing per length (struct's own format cache is bounded)."""
     before = _module_state(encoder)
     for k in range(1, 1001):
         text = format_encoding(range(k, 2 * k))
         assert parse_encoding(text) == tuple(range(k, 2 * k))
         with pytest.raises(ValueError):
             parse_encoding(text + "0")
+        row = pack_encoding(range(k, 2 * k))
+        assert unpack_encoding(row) == tuple(range(k, 2 * k))
+        with pytest.raises(ValueError):
+            unpack_encoding(row + b"0")
     assert _module_state(encoder) == before
 
 

@@ -4,6 +4,7 @@ import socket
 import socketserver
 import threading
 import time
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -281,6 +282,42 @@ def test_client_handle_alert_unknown():
     client = ClientState("u1")
     with pytest.raises(UnknownEncodingError):
         client_handle_alert(client, AlertMsg(user_id="u1", encoding=(1,) * 20))
+
+
+def test_lookup_refuses_what_it_cannot_have_stored():
+    """An encoding that cannot be packed is as unknown as one never reported:
+    UnknownEncodingError, never ValueError or struct.error."""
+    client = ClientState("u1")
+    (msg,) = client_tick(client, 3, 42, GRID, PARAMS, random.Random(0))
+    e = msg.encoding
+    for bad in ((), (CODE_LIMIT,) + e[1:], (-1,) + e[1:], (1.5,) + e[1:], e + (0,)):
+        with pytest.raises(UnknownEncodingError):
+            client.lookup(bad)
+    assert client.lookup(list(e)) == (3, 42)
+
+
+def test_client_keeps_a_record_in_few_bytes():
+    """40 clients for 50 epochs at the sim workload's parameters: each
+    record keeps its encoding once, as 2n bytes, not as a tuple of ints
+    (about 420 bytes a record, against about 860 with the tuple)."""
+    grid = GridSpec(rows=100, cols=100, epochs=50)
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    rng = random.Random(5)
+    client_tick(ClientState("warm"), 0, 0, grid, params, rng, inflate_world=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clients = [ClientState(f"u{i}") for i in range(40)]
+        for t in range(grid.epochs):
+            for client in clients:
+                cell = rng.randrange(grid.cells)
+                client_tick(client, t, cell, grid, params, rng, inflate_world=True)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    records = sum(len(client) for client in clients)
+    assert records == 2000
+    assert used / records < 600
 
 
 def test_server_flow_co_location():
@@ -771,6 +808,30 @@ def test_over_long_line_is_logged_once(caplog):
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("field", ["kind", "tag", "coords"])
+def test_a_refused_field_is_not_echoed_in_full(caplog, field):
+    """A 60,000-character field gets one short ERROR line and one short
+    warning, which name the field's start and its length."""
+    caplog.set_level(logging.WARNING, logger="tracecloak.server")
+    long = "\x01x" * 30_000  # repr writes each \x01 as four characters
+    fields = {"kind": "REPORT", "tag": UNINFECTED, "coords": "0001" * 3}
+    fields[field] = long
+    line = "\t".join([fields["kind"], "u1", fields["tag"], fields["coords"]]) + "\n"
+    state = ServerState(n=3, tau=0)
+    server = _serving(state)
+    try:
+        reply = _exchange(server.server_address, line.encode())
+        assert reply.startswith(b"ERROR\t") and reply.count(b"\n") == 1
+        assert len(reply) <= 256
+        assert b"(60000 chars)" in reply
+        (record,) = _server_records(caplog)
+        assert len(record.getMessage()) <= 256
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert state.store_size == 0
 
 
 def test_concurrent_infected_reports_alert_once():
