@@ -125,6 +125,8 @@ def lemma1_check(
     Counts same-x re-encoding pairs at distance > tau and distinct-x pairs
     at distance <= tau; both counts must be zero.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     expected_k = (params.n - params.m) // 4
     if params.k != expected_k:
         raise ValueError(

@@ -126,8 +126,8 @@ def direct_attack(
     elif mode == "randomized":
         if rng is None:
             raise ValueError("randomized mode needs an rng")
-        if budget is None:
-            raise ValueError("randomized mode needs an iteration budget")
+        if budget is None or budget < 1:
+            raise ValueError(f"randomized mode needs an iteration budget of at least 1, got {budget}")
         subset_iter = (
             tuple(sorted(rng.sample(range(n), m))) for _ in range(budget)
         )

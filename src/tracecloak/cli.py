@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import random
 import sys
 from pathlib import Path
@@ -107,12 +108,30 @@ def build_parser() -> argparse.ArgumentParser:
     a_l1.set_defaults(run=cmd_analyze_lemma1)
 
     a_t1 = ana_sub.add_parser("table1", help="reference parameter table")
-    a_t1.add_argument("--world", type=lambda s: int(float(s)), default=10**19)
-    a_t1.add_argument("--database", type=lambda s: int(float(s)), default=10**14)
+    a_t1.add_argument("--world", type=_count, default=10**19)
+    a_t1.add_argument("--database", type=_count, default=10**14)
     _add_flags(a_t1, "--csv")
     a_t1.set_defaults(run=cmd_analyze_table1)
 
     return parser
+
+
+# digits a count may have, the limit at which int() stops reading a decimal string
+_COUNT_DIGITS = 4300
+
+
+def _count(text: str) -> int:
+    """A positive integer, written out or as an integral AeB such as 1e19,
+    read exactly: through a float, 1e23 would round and 1e400 overflow."""
+    try:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value.is_finite() or value <= 0 or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    if value.adjusted() >= _COUNT_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_COUNT_DIGITS} digits: {text!r}")
+    return int(value)
 
 
 def _parse_point(text: str) -> int:

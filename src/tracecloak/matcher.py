@@ -13,9 +13,9 @@ The index holds the only copy of each stored encoding: one row of a flat
 `uint16` store, its coordinates in block order, beside columns of user ids
 and tags.  Each block has a keyless hash table of `uint32` words with one
 slot per distinct block value, and the entries that share a value are
-chained.  A large candidate set is verified in a single vectorised compare;
-a small one is verified in Python, where numpy's fixed cost per call would
-dominate.  A `DatabaseEntry` is built only when one is returned.
+chained.  Each candidate is verified by one count over its whole row, read
+as an int of n 16-bit lanes, and a `DatabaseEntry` is built only when one is
+returned.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ import numpy as np
 
 # stored coordinates lie in [0, CODE_LIMIT): uint16 rows, as on the wire
 from .encoder import CODE_LIMIT, format_encoding, parse_encoding
-
-# Candidate sets with at least this many coordinates (candidates * n) are
-# verified with numpy.  Below it, the fixed cost of the numpy calls (about
-# 15 us) exceeds the Python loop's (about 0.05 us per coordinate); on a
-# 2-vCPU VM (Python 3.11, numpy 2.4) the crossover was near 14 candidates
-# at n=20 and 4 at n=200.
-NUMPY_MIN_CELLS = 400
-
 
 @dataclass(frozen=True)
 class DatabaseEntry:
@@ -97,9 +89,11 @@ class MatchIndex:
     the original order, and `entries` rebuilds them all.
 
     The rows live in one flat `array("H")`, row `eid` at `eid * n`, which
-    grows in place with amortised O(1) appends.  numpy reads it through a
-    buffer view, and an array that is exporting a view cannot grow, so the
-    view is made, gathered from and dropped under the lock.
+    grows in place with amortised O(1) appends.  A candidate is verified by
+    reading its row and the query's as ints of n 16-bit lanes and counting
+    the lanes of their XOR that are not 0: `(x & low) + low` sets a lane's
+    top bit when its low 15 bits are not all 0, `| x` adds the lane's own
+    top bit, and no carry leaves a lane.
 
     Each block has a keyless open-addressing table, an `array("I")` in which
     slot i holds the chain head's id + 1 at word 2i and a fingerprint of its
@@ -135,6 +129,9 @@ class MatchIndex:
         self._order = operator.itemgetter(*perm) if n > 1 else tuple
         self._unorder = operator.itemgetter(*inverse) if n > 1 else tuple
         self._row = struct.Struct(f"={n}H")  # its pack range-checks every coordinate
+        # 0x7FFF and 0x8000 in each of a row's n 16-bit lanes
+        self._low = int.from_bytes(b"\xff\x7f" * n, "little")
+        self._top = int.from_bytes(b"\x00\x80" * n, "little")
         # a block-ordered row's bytes, one bytes object per block
         self._keys = struct.Struct("=" + "".join(f"{2 * len(block)}s" for block in self.blocks))
         # where each block starts in a block-ordered row
@@ -176,13 +173,7 @@ class MatchIndex:
     def add(self, entry: DatabaseEntry) -> None:
         """Store entry's user id, encoding and tag; any object with those three
         attributes will do, and the index keeps no reference to it."""
-        e = entry.encoding
-        if len(e) != self.n:
-            raise self._unstorable(e)
-        try:
-            row = self._row.pack(*self._order(e))
-        except struct.error:
-            raise self._unstorable(e) from None
+        row = self._pack(entry.encoding)
         keys = self._keys.unpack(row)
         with self._lock:
             eid = len(self._user_ids)
@@ -241,13 +232,16 @@ class MatchIndex:
         self._mask = mask
         self._capacity = slots // 2
 
-    def _unstorable(self, e: Sequence[int]) -> ValueError:
-        """Why e cannot be packed as a row: its length, or the first
-        coordinate that is not an integer in [0, CODE_LIMIT)."""
+    def _pack(self, e: Sequence[int]) -> bytes:
+        """e as a block-ordered row; a ValueError names its wrong length, or
+        the first coordinate that is not an integer in [0, CODE_LIMIT)."""
         if len(e) != self.n:
-            return ValueError(f"encoding length {len(e)} != index length {self.n}")
-        pos = next(i for i, c in enumerate(e) if not _storable(c))
-        return ValueError(f"coordinate {e[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})")
+            raise ValueError(f"encoding length {len(e)} != index length {self.n}")
+        try:
+            return self._row.pack(*self._order(e))
+        except struct.error:
+            pos = next(i for i, c in enumerate(e) if not _storable(c))
+            raise ValueError(f"coordinate {e[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})") from None
 
     def key_count(self) -> int:
         """Total stored block keys, counted from the tables and chains: a
@@ -266,15 +260,9 @@ class MatchIndex:
             tau = self.tau
         if tau > self.tau:
             raise ValueError(f"query tau={tau} exceeds build-time tau={self.tau}")
-        n = self.n
-        if len(e) != n:
-            raise self._unstorable(e)
-        q = self._order(e)
-        try:
-            row = self._row.pack(*q)
-        except struct.error:
-            raise self._unstorable(e) from None
+        row = self._pack(e)
         keys = self._keys.unpack(row)
+        q, low, top, n = int.from_bytes(row, "little"), self._low, self._top, self.n
         found = []  # id + 1 of each entry sharing a block, repeats included
         codes, nxt, starts, stride = self._codes, self._next, self._starts, self.tau + 1
         with self._lock:
@@ -293,21 +281,13 @@ class MatchIndex:
                     i = (i + 2) & mask
             ids = sorted(set(found))
             user_ids, tags, unorder = self._user_ids, self._tags, self._unorder
-            if len(ids) * n < NUMPY_MIN_CELLS:
-                hits = []
-                for i in ids:
-                    o = (i - 1) * n
-                    r = codes[o : o + n]
-                    if sum(map(operator.ne, r, q)) <= tau:
-                        hits.append(DatabaseEntry(user_ids[i - 1], unorder(r), tags[i - 1]))
-            else:
-                at = np.array(ids, dtype=np.intp) - 1
-                rows = np.frombuffer(codes, dtype=np.uint16).reshape(-1, n)[at]
-                far = np.count_nonzero(rows != np.frombuffer(row, dtype=np.uint16), axis=1)
-                hits = [
-                    DatabaseEntry(user_ids[i], unorder(codes[i * n : i * n + n]), tags[i])
-                    for i in at[far <= tau].tolist()
-                ]
+            hits = []
+            for i in ids:
+                o = (i - 1) * n
+                r = codes[o : o + n]
+                x = int.from_bytes(r, "little") ^ q  # a lane is 0 where r and e agree
+                if (((x & low) + low | x) & top).bit_count() <= tau:
+                    hits.append(DatabaseEntry(user_ids[i - 1], unorder(r), tags[i - 1]))
             self._queries += 1
             self._candidates += len(ids)
             self._hits += len(hits)

@@ -129,18 +129,21 @@ def quantize(lat: float, lon: float, time_s: float, grid: GridSpec) -> int:
     return pack(epoch, row * grid.cols + col, grid)
 
 
-def dilate(cell: int, radius: int, grid: GridSpec) -> set[int]:
-    """All cells within Chebyshev distance `radius`, clipped at the boundary."""
+def dilate(cell: int, radius: int, grid: GridSpec) -> list[int]:
+    """All cells within Chebyshev distance `radius`, clipped at the boundary,
+    in ascending order.  At radius 0 the list holds `cell` itself."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
     row, col = divmod(cell, grid.cols)
     if not 0 <= row < grid.rows:  # the same as cell outside [0, grid.cells)
         raise OutOfBoundsError(f"cell {cell} outside [0, {grid.cells})")
-    out = set()
-    for r in range(max(0, row - radius), min(grid.rows, row + radius + 1)):
-        for c in range(max(0, col - radius), min(grid.cols, col + radius + 1)):
-            out.add(r * grid.cols + c)
-    return out
+    if radius == 0:
+        return [cell]
+    return [
+        r * grid.cols + c
+        for r in range(max(0, row - radius), min(grid.rows, row + radius + 1))
+        for c in range(max(0, col - radius), min(grid.cols, col + radius + 1))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +258,7 @@ def client_tick(
     on another valid point.  Parameters must then cover the inflated range.
     """
     msgs = []
-    for c in sorted(dilate(cell, dilation_radius, grid)):
+    for c in dilate(cell, dilation_radius, grid):
         x = pack(t, c, grid)
         if inflate_world:
             x = inflate(x)
@@ -641,6 +644,8 @@ def run_simulation(
     (defaults to the whole horizon).  The result holds the trails, the
     alerts and what each recovered, the true contacts and the server.
     """
+    if agents < 1:
+        raise ValueError(f"need at least one agent, got {agents}")
     rng = random.Random(seed)
     users = [f"u{i}" for i in range(agents)]
     clients = {u: ClientState(u) for u in users}

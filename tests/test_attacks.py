@@ -124,6 +124,9 @@ def test_direct_attack_mode_validation():
         direct_attack((0,) * 10, DESK, 4, mode="bogus")
     with pytest.raises(ValueError):
         direct_attack((0,) * 10, DESK, 4, mode="randomized")  # no rng/budget
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget of at least 1"):
+            direct_attack((0,) * 10, DESK, 4, rng=random.Random(0), mode="randomized", budget=budget)
 
 
 def test_expected_direct_solves():

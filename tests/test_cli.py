@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tracecloak import attacks, kernels
-from tracecloak.cli import main
+from tracecloak.cli import build_parser, main
 from tracecloak.encoder import (
     CODE_LIMIT,
     PolyCodeParams,
@@ -285,6 +285,34 @@ def test_missing_input_file_is_a_usage_error(params_file, tmp_path, capsys, argv
     assert errors == [f"tracecloak: error: [Errno 2] No such file or directory: '{missing}'"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "lemma1", "--trials", "0"], "need at least one trial"),
+        (["analyze", "lemma1", "--trials", "-3"], "need at least one trial"),
+        (
+            ["attack", "--kind", "direct", "--target", "0x5", "--budget", "-5"],
+            "randomized mode needs an iteration budget of at least 1, got -5",
+        ),
+        (["simulate", "--agents", "-3", "--epochs", "2"], "need at least one agent, got -3"),
+        (["simulate", "--agents", "0", "--epochs", "2"], "need at least one agent, got 0"),
+    ],
+    ids=["trials_0", "trials_negative", "budget_negative", "agents_negative", "agents_0"],
+)
+def test_a_count_below_one_is_a_usage_error(tmp_path, capsys, argv, message):
+    """Each of these used to exit 0 or 1 after doing nothing: a separation
+    check with no trial, an attack with no iteration, a simulation with a
+    negative number of agents."""
+    path = tmp_path / "params.txt"
+    save_params(PolyCodeParams(M=17**3, p=17, n=12, k=2), path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--params", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("tracecloak: error:")]
+    assert errors == [f"tracecloak: error: {message}"]
+
+
 def test_analyze_mc_checks_its_parameters_before_drawing(monkeypatch, capsys):
     def count(*args):
         raise AssertionError("drew rows for parameters it should have rejected")
@@ -387,3 +415,32 @@ def test_analyze_table1(tmp_path, capsys):
     lines = csv_out.read_text().splitlines()
     assert lines[0].startswith("method,")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e23", 10**23), ("1E19", 10**19), ("12345678901234567890123", 12345678901234567890123), ("1.5e3", 1500)],
+)
+def test_table1_counts_are_read_exactly(text, value):
+    # through a float, 1e23 read as 99999999999999991611392
+    for flag in ("--world", "--database"):
+        args = build_parser().parse_args(["analyze", "table1", flag, text])
+        assert getattr(args, flag[2:]) == value
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "2.5", "1e-3", "0", "-0", "abc", "1e5000"])
+def test_table1_refuses_what_is_not_a_positive_integer(capsys, text):
+    for flag in ("--world", "--database"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "table1", f"{flag}={text}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_table1_world_beyond_a_float_is_a_usage_error(capsys):
+    # through a float, 1e400 ended in an OverflowError traceback; read
+    # exactly, it is a world too large for the reference code lengths
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "table1", "--world", "1e400"])
+    assert exc.value.code == 2
+    assert "tracecloak: error: code length n=100 below digit count m=149" in capsys.readouterr().err

@@ -333,9 +333,15 @@ def test_index_memory_per_entry(row3_store):
     assert _index_bytes_per_entry(_SIM, _store(_SIM, 10_000, 13)[1]) < 380
 
 
-# mostly a tiny alphabet, so candidate sets reach past NUMPY_MIN_CELLS, and
-# a wider one, so they also skip ids; the top uint16 value pins the edge
-_stored = st.one_of(st.integers(0, 2), st.integers(0, 30), st.just(CODE_LIMIT - 1))
+# mostly a tiny alphabet, so candidate sets are large, and a wider one, so
+# they also skip ids; the other values differ from a neighbour only in the
+# high byte or only in bit 15 of a 16-bit lane, and the top one pins the edge
+_stored = st.one_of(
+    st.integers(0, 2),
+    st.integers(0, 30),
+    st.sampled_from([0x0100, 0x7FFF, 0x8000, 0xFF00]),
+    st.just(CODE_LIMIT - 1),
+)
 # queries also carry values no stored row can hold, which the index refuses
 _probe = st.one_of(
     _stored, st.integers(-3, -1), st.integers(CODE_LIMIT, CODE_LIMIT + 2), st.just(2**70)
@@ -369,20 +375,17 @@ def test_index_equals_scan_match_property(case):
     n, tau, entries, queries, query_tau = case
     index = build_index(entries, n, tau)
     assert index.entries == entries
-    # the default cutoff, then the numpy path and the Python path alone
-    for cutoff in (matcher.NUMPY_MIN_CELLS, 0, sys.maxsize):
-        with mock.patch.object(matcher, "NUMPY_MIN_CELLS", cutoff):
-            for q in queries:
-                if all(0 <= c < CODE_LIMIT for c in q):
-                    assert index.query(q, query_tau) == scan_match(entries, q, query_tau)
-                    assert index.query(q) == scan_match(entries, q, tau)
-                    continue
-                pos = next(i for i, c in enumerate(q) if not 0 <= c < CODE_LIMIT)
-                before = index.stats()
-                for args in ((q, query_tau), (q,)):
-                    with pytest.raises(ValueError, match=f"at position {pos} is not"):
-                        index.query(*args)
-                assert index.stats() == before
+    for q in queries:
+        if all(0 <= c < CODE_LIMIT for c in q):
+            assert index.query(q, query_tau) == scan_match(entries, q, query_tau)
+            assert index.query(q) == scan_match(entries, q, tau)
+            continue
+        pos = next(i for i, c in enumerate(q) if not 0 <= c < CODE_LIMIT)
+        before = index.stats()
+        for args in ((q, query_tau), (q,)):
+            with pytest.raises(ValueError, match=f"at position {pos} is not"):
+                index.query(*args)
+        assert index.stats() == before
     bad = entries[0].encoding if entries else (0,) * n
     for value in (-1, CODE_LIMIT, 2**70):
         with pytest.raises(ValueError):
@@ -390,6 +393,38 @@ def test_index_equals_scan_match_property(case):
     assert len(index) == len(entries)
     assert index.entries == entries
     assert "bad" not in index._strings
+
+
+# one coordinate's XOR: only the high byte, only bit 15, only bit 0, every bit
+_LANE_DIFFS = (0x0100, 0xFF00, 0x8000, 0x0001, 0xFFFF)
+
+
+@pytest.mark.parametrize("row", [(0x0000,), (0xFFFF,), (0xFFFF, 0x0000, 0xFFFF), (0x0000, 0xFFFF, 0x0000)])
+def test_a_lane_that_differs_in_any_bit_counts_once(row):
+    """A candidate's distance is counted over 16-bit lanes of one int.  A
+    query that differs from the stored row in one coordinate, whichever of
+    its bits differ and beside lanes of 0xFFFF and 0x0000, is a miss at tau 0
+    and a hit at tau 1; one that differs in two coordinates is a miss at
+    tau 1.  Every query here verifies the stored row as its one candidate:
+    at n = 1 the second block is empty, so every entry shares it."""
+    n = len(row)
+    index = MatchIndex(n, 1)  # blocks (0,) and () at n = 1, (0, 2) and (1,) at n = 3
+    stored = DatabaseEntry("u", row)
+    index.add(stored)
+    for tau in (0, 1):
+        assert index.query(row, tau) == [stored]
+    for d in _LANE_DIFFS:
+        for pos in range(n):
+            q = row[:pos] + (row[pos] ^ d,) + row[pos + 1 :]
+            assert index.query(q, 0) == []
+            assert index.query(q, 1) == [stored]
+        if n == 3:  # lanes 0 and 2 differ, and block (1,) is shared
+            for other in _LANE_DIFFS:
+                q = (row[0] ^ d, row[1], row[2] ^ other)
+                assert index.query(q, 1) == []
+    stats = index.stats()
+    assert stats["candidates"] == stats["queries"]
+    assert stats["hits"] == 2 + len(_LANE_DIFFS) * n
 
 
 def test_query_verifies_entries_added_while_it_collects_candidates():
@@ -415,14 +450,13 @@ def test_query_verifies_entries_added_while_it_collects_candidates():
 
     index._lock = AddsBeforeLock(index._lock)
     index._lock.armed = True
-    with mock.patch.object(matcher, "NUMPY_MIN_CELLS", 0):
-        got = index.query((0, 1))
+    got = index.query((0, 1))
     assert len(got) == 300
     assert got == scan_match(index.entries, (0, 1), 1) == index.entries
 
 
 def test_queries_racing_adds_see_every_added_entry():
-    """Queries on the numpy path racing adds that grow the code store."""
+    """Queries racing adds that grow the code store."""
     encodings = [(i % 3, 0, i, i + 1) for i in range(3000)]
     index = MatchIndex(4, 1)
     failures: list = []
@@ -453,13 +487,12 @@ def test_queries_racing_adds_see_every_added_entry():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(matcher, "NUMPY_MIN_CELLS", 0):
-            threads = [threading.Thread(target=reader, args=(s,), daemon=True) for s in range(3)]
-            threads.append(threading.Thread(target=writer, daemon=True))
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+        threads = [threading.Thread(target=reader, args=(s,), daemon=True) for s in range(3)]
+        threads.append(threading.Thread(target=writer, daemon=True))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)

@@ -86,10 +86,15 @@ def test_grid_spec_validation():
 
 
 def test_dilate():
-    assert dilate(55, 0, GRID) == {55}
-    assert len(dilate(55, 1, GRID)) == 9  # interior
-    assert len(dilate(0, 1, GRID)) == 4  # corner
-    assert 55 in dilate(55, 2, GRID)
+    assert dilate(55, 0, GRID) == [55]
+    assert dilate(55, 1, GRID) == [44, 45, 46, 54, 55, 56, 64, 65, 66]  # interior
+    assert dilate(0, 1, GRID) == [0, 1, 10, 11]  # corner
+    assert dilate(99, 2, GRID) == [77, 78, 79, 87, 88, 89, 97, 98, 99]
+    assert len(dilate(55, 2, GRID)) == 25
+    # at radius 0 a record shares the caller's int instead of a copy of it
+    wide = GridSpec(rows=3000, cols=3000, epochs=1)
+    cell = int("8999999")
+    assert dilate(cell, 0, wide)[0] is cell
 
 
 @pytest.mark.parametrize("radius", [0, 1])
