@@ -127,33 +127,28 @@ def lemma1_check(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if params.M < 2:  # no distinct pair to draw: the draw loop would never end
+        raise ValueError(f"distinct-x pairs need a world of at least 2 points, got M={params.M}")
     expected_k = (params.n - params.m) // 4
     if params.k != expected_k:
         raise ValueError(
             f"separation requires k = floor((n-m)/4) = {expected_k}, got {params.k}"
         )
     tau = params.tau
-    fn = fp = 0
-    for _ in range(trials):
-        x = rng.randrange(params.M)
-        a = encode_unsorted(x, params, rng)
-        b = encode_unsorted(x, params, rng)
-        if hamming(a, b) > tau:
-            fn += 1
-    for _ in range(trials):
-        x = rng.randrange(params.M)
-        y = rng.randrange(params.M)
-        while y == x:
-            y = rng.randrange(params.M)
-        a = encode_unsorted(x, params, rng)
-        b = encode_unsorted(y, params, rng)
-        if hamming(a, b) <= tau:
-            fp += 1
+    wrong = {True: 0, False: 0}  # same x: pairs beyond tau; distinct: within
+    for same in (True, False):
+        for _ in range(trials):
+            x = y = rng.randrange(params.M)
+            while not same and y == x:
+                y = rng.randrange(params.M)
+            a = encode_unsorted(x, params, rng)
+            b = encode_unsorted(y, params, rng)
+            wrong[same] += (hamming(a, b) > tau) == same
     return Lemma1Result(
         same_x_trials=trials,
         distinct_x_trials=trials,
-        false_negatives=fn,
-        false_positives=fp,
+        false_negatives=wrong[True],
+        false_positives=wrong[False],
     )
 
 

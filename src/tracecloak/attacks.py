@@ -38,18 +38,10 @@ def matches_target(x: int, params: Params, e, tau: int) -> bool:
 def brute_force_attack(e, params: Params, tau: int) -> AttackReport:
     """Scan the whole world; return the first point matching within tau."""
     start = time.perf_counter()
-    encodings = 0
-    for x in range(params.M):
-        encodings += 1
-        if matches_target(x, params, e, tau):
-            return AttackReport(
-                recovered=x,
-                encodings_performed=encodings,
-                wall_time=time.perf_counter() - start,
-            )
+    x = next((x for x in range(params.M) if matches_target(x, params, e, tau)), None)
     return AttackReport(
-        recovered=None,
-        encodings_performed=encodings,
+        recovered=x,
+        encodings_performed=params.M if x is None else x + 1,
         wall_time=time.perf_counter() - start,
     )
 
@@ -68,7 +60,6 @@ def table_attack_query(table: MatchIndex, e, tau: int) -> AttackReport:
     return AttackReport(
         recovered=hits[0] if hits else None,
         candidates=hits,
-        encodings_performed=0,
         wall_time=time.perf_counter() - start,
     )
 
@@ -116,6 +107,8 @@ def direct_attack(
     """
     n, m = params.n, params.m
     e = tuple(e)
+    if len(e) != n:
+        raise ValueError(f"target has {len(e)} coordinates, the code has n={n}")
     start = time.perf_counter()
     solves = 0
     encodings = 0
@@ -134,6 +127,7 @@ def direct_attack(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    recovered = None
     for subset in subset_iter:
         iterations += 1
         values = [e[j] for j in subset]
@@ -144,15 +138,12 @@ def direct_attack(
                 continue
             encodings += 1
             if matches_target(x, params, e, tau):
-                return AttackReport(
-                    recovered=x,
-                    solves_performed=solves,
-                    encodings_performed=encodings,
-                    iterations=iterations,
-                    wall_time=time.perf_counter() - start,
-                )
+                recovered = x
+                break
+        if recovered is not None:
+            break
     return AttackReport(
-        recovered=None,
+        recovered=recovered,
         solves_performed=solves,
         encodings_performed=encodings,
         iterations=iterations,

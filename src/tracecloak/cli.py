@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import analysis, attacks, matcher, tracing
 from .encoder import (
-    PolyCodeParams,
     encode,
     encode_unsorted,
     format_encoding,
@@ -159,8 +158,6 @@ def cmd_encode(args) -> int:
     rng = random.Random(args.seed)
     x = _parse_point(args.x)
     if args.unsorted:
-        if not isinstance(params, PolyCodeParams):
-            raise ValueError("unsorted mode needs polynomial parameters")
         coords = encode_unsorted(x, params, rng)
     else:
         coords = encode(x, params, rng)

@@ -226,14 +226,15 @@ def encode(x: int, params: Params, rng: random.Random) -> tuple[int, ...]:
     return corrupt(row, params.k, params.alphabet, rng)
 
 
-def encode_unsorted(
-    x: int, params: PolyCodeParams, rng: random.Random
-) -> tuple[int, ...]:
+def encode_unsorted(x: int, params: Params, rng: random.Random) -> tuple[int, ...]:
     """Corrupted basic code with positions intact (no sorting step).
 
     k distinct coordinates are replaced by uniform values in [0, p); easy
     to analyze but also easy to invert, so only useful as a baseline.
+    Polynomial parameters only: any other Params raise ValueError.
     """
+    if not isinstance(params, PolyCodeParams):
+        raise ValueError("unsorted mode needs polynomial parameters")
     code = basic_encode(x, params)
     for i in rng.sample(range(params.n), params.k):
         code[i] = rng.randrange(params.p)
@@ -382,7 +383,11 @@ def save_params(params: Params, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> Params:
-    """Read a key=value parameter file; a `primes` key selects the RRNS variant."""
+    """Read a key=value parameter file; a `primes` key selects the RRNS variant.
+
+    Each key is one of M, k, p, n and primes, and appears at most once; p
+    and n do not go with primes.  Anything else raises ValueError.
+    """
     fields: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -391,11 +396,19 @@ def load_params(path: str | Path) -> Params:
         key, _, value = line.partition("=")
         if not _:
             raise ValueError(f"malformed parameter line: {raw!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("M", "k", "p", "n", "primes"):
+            raise ValueError(f"unknown parameter {key!r}")
+        if key in fields:
+            raise ValueError(f"repeated parameter {key!r}")
+        fields[key] = value.strip()
     try:
         M = int(fields["M"])
         k = int(fields["k"])
         if "primes" in fields:
+            for key in ("p", "n"):
+                if key in fields:
+                    raise ValueError(f"parameter {key!r} does not go with 'primes'")
             ps = tuple(int(tok) for tok in fields["primes"].split(","))
             return RrnsParams(primes=ps, M=M, k=k)
         return PolyCodeParams(M=M, p=int(fields["p"]), n=int(fields["n"]), k=k)

@@ -84,41 +84,31 @@ def eval_poly(digits: Sequence[int], xi: int, p: int) -> int:
     return acc
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def vandermonde_solve(
     points: Sequence[tuple[int, int]], m: int, p: int
 ) -> list[int]:
     """Coefficients of the unique degree-(m-1) polynomial through `points` over Z_p.
 
     `points` is a sequence of m (evaluation index, value) pairs.  Uses
-    Lagrange interpolation; raises SingularSystemError on repeated indices.
+    Newton's divided differences, expanded from the innermost factor by
+    Horner's rule, in O(m^2); raises SingularSystemError on repeated indices.
     """
     if len(points) != m:
         raise ValueError(f"expected {m} points, got {len(points)}")
     xs = [xi % p for xi, _ in points]
     if len(set(xs)) != m:
         raise SingularSystemError("repeated evaluation indices")
+    c = [yi for _, yi in points]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
+    # coeffs <- coeffs * (X - x_i) + c[i]; at step i the degree is m-1-i
     coeffs = [0] * m
-    for j, (xj, yj) in enumerate(points):
-        basis = [1]
-        denom = 1
-        for i, (xi, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = _poly_mul(basis, [(-xi) % p, 1], p)
-            denom = denom * (xj - xi) % p
-        scale = yj * pow(denom, -1, p) % p
-        for t, c in enumerate(basis):
-            coeffs[t] = (coeffs[t] + c * scale) % p
+    for i in range(m - 1, -1, -1):
+        xi = xs[i]
+        for t in range(m - 1 - i, 0, -1):
+            coeffs[t] = (coeffs[t - 1] - xi * coeffs[t]) % p
+        coeffs[0] = (c[i] - xi * coeffs[0]) % p
     return coeffs
 
 

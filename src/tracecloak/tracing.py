@@ -386,15 +386,9 @@ class SocketServer:
 
     def __init__(self, address: tuple[str, int], state: ServerState):
         self.state = state
-        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self.socket.bind(address)
-            self.socket.listen(socket.SOMAXCONN)
-            self.socket.setblocking(False)
-        except OSError:
-            self.socket.close()
-            raise
+        # sets SO_REUSEADDR on POSIX, and closes the socket if bind or listen fails
+        self.socket = socket.create_server(address, backlog=socket.SOMAXCONN)
+        self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self.socket, selectors.EVENT_READ)

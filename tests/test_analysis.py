@@ -100,6 +100,9 @@ def test_lemma1_k0_same_x_is_exact():
     exact = PolyCodeParams(M=17**3, p=17, n=3, k=0)
     res = lemma1_check(exact, trials=200, rng=random.Random(6))
     assert res.false_negatives == 0
+    # a one-point world has no distinct pair; drawing one never ended
+    with pytest.raises(ValueError, match="at least 2 points, got M=1"):
+        lemma1_check(PolyCodeParams(M=1, p=2, n=1, k=0), trials=1, rng=random.Random(7))
 
 
 def test_table1_rows():

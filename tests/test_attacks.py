@@ -26,7 +26,7 @@ def test_brute_force_recovers():
     report = brute_force_attack(e, DESK, DESK.tau)
     assert report.recovered is not None
     assert matches_target(report.recovered, DESK, e, DESK.tau)
-    assert report.encodings_performed <= DESK.M
+    assert report.encodings_performed == report.recovered + 1
 
 
 def test_brute_force_exact_at_k0():
@@ -36,6 +36,7 @@ def test_brute_force_exact_at_k0():
     e = encode(x, params, rng)
     report = brute_force_attack(e, params, 0)
     assert report.recovered == x
+    assert report.encodings_performed == x + 1
 
 
 def test_brute_force_none_for_random_vector():
@@ -46,7 +47,9 @@ def test_brute_force_none_for_random_vector():
     misses = 0
     for _ in range(20):
         e = tuple(sorted(rng.randrange(params.p) for _ in range(params.n)))
-        if brute_force_attack(e, params, 0).recovered is None:
+        report = brute_force_attack(e, params, 0)
+        if report.recovered is None:
+            assert report.encodings_performed == params.M
             misses += 1
     assert misses == 20
 
@@ -127,6 +130,8 @@ def test_direct_attack_mode_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget of at least 1"):
             direct_attack((0,) * 10, DESK, 4, rng=random.Random(0), mode="randomized", budget=budget)
+    with pytest.raises(ValueError, match="target has 3 coordinates, the code has n=10"):
+        direct_attack((0,) * 3, DESK, 4, mode="exhaustive")
 
 
 def test_expected_direct_solves():

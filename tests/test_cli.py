@@ -240,6 +240,19 @@ def test_encode_unsorted_with_rrns_params_is_a_usage_error(tmp_path, capsys):
     assert errors == ["tracecloak: error: unsorted mode needs polynomial parameters"]
 
 
+def test_analyze_lemma1_with_rrns_params_is_a_usage_error(tmp_path, capsys):
+    """The separation check runs the unsorted mode, which only the polynomial
+    code has; residue parameters used to end in an AttributeError traceback."""
+    path = tmp_path / "rrns.txt"
+    save_params(RrnsParams(primes=(101, 103, 107, 109, 113, 127, 131), M=10**6, k=1), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "lemma1", "--params", str(path), "--trials", "10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("tracecloak: error:")]
+    assert errors == ["tracecloak: error: unsorted mode needs polynomial parameters"]
+
+
 def test_match_refuses_a_negative_tau(tmp_path, capsys):
     db = tmp_path / "db.tsv"
     save_entries([DatabaseEntry("u0", tuple(range(10)))], db)
@@ -296,15 +309,30 @@ def test_missing_input_file_is_a_usage_error(params_file, tmp_path, capsys, argv
         ),
         (["simulate", "--agents", "-3", "--epochs", "2"], "need at least one agent, got -3"),
         (["simulate", "--agents", "0", "--epochs", "2"], "need at least one agent, got 0"),
+        (
+            ["attack", "--kind", "direct", "--target", "{short}"],
+            "target has 3 coordinates, the code has n=12",
+        ),
     ],
-    ids=["trials_0", "trials_negative", "budget_negative", "agents_negative", "agents_0"],
+    ids=[
+        "trials_0",
+        "trials_negative",
+        "budget_negative",
+        "agents_negative",
+        "agents_0",
+        "target_of_3_coordinates",
+    ],
 )
 def test_a_count_below_one_is_a_usage_error(tmp_path, capsys, argv, message):
     """Each of these used to exit 0 or 1 after doing nothing: a separation
     check with no trial, an attack with no iteration, a simulation with a
-    negative number of agents."""
+    negative number of agents.  A direct attack on a target with fewer
+    coordinates than the code ended in an IndexError traceback."""
     path = tmp_path / "params.txt"
     save_params(PolyCodeParams(M=17**3, p=17, n=12, k=2), path)
+    short = tmp_path / "short.txt"
+    short.write_text(format_encoding((1, 2, 3)) + "\n")
+    argv = [a.format(short=short) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--params", str(path)])
     assert exc.value.code == 2

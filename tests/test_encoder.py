@@ -485,3 +485,16 @@ def test_param_file_errors(tmp_path):
     path.write_text("garbage line\n")
     with pytest.raises(ValueError):
         load_params(path)
+    # a file that names a key twice, a key no variant reads, or p or n
+    # beside primes is refused by that key, not read by picking one line
+    for text, key in [
+        ("M=1000\nk=2\nk=1\np=31\nn=10\n", "'k'"),
+        ("M=1000\nM=1000\nk=1\np=31\nn=10\n", "'M'"),
+        ("M=1000\nk=1\np=31\nn=10\ntau=2\n", "'tau'"),
+        ("M=1000\nK=1\np=31\nn=10\n", "'K'"),
+        ("M=1000\nk=1\np=31\nprimes=11,13,17,19,23\n", "'p'"),
+        ("M=1000\nk=1\nn=10\nprimes=11,13,17,19,23\n", "'n'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=key):
+            load_params(path)

@@ -86,8 +86,8 @@ def test_vandermonde_solve_repeated_index():
 def test_vandermonde_inverts_polynomial_evaluation():
     rng = random.Random(1)
     for _ in range(1000):
-        p = rng.choice([7, 17, 31, 101])
-        m = rng.randint(1, min(5, p))
+        p = rng.choice([7, 17, 31, 101, 211, 503])
+        m = rng.randint(1, min(16, p))  # up to the inflated m' = 15 and past it
         x = rng.randrange(p**m)
         digits = to_digits(x, p, m)
         xs = rng.sample(range(p), m)
