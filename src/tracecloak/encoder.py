@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -194,27 +194,68 @@ def sort_code(code: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(code))
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn as CPython's
+    `Random._randbelow` draws it: n.bit_length() bits until they are below n."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+def _sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """k distinct ints of range(n), in selection order, drawn as CPython's
+    `Random.sample(range(n), k)` draws them.  Its size rule picks the path:
+    a pool of all n ints while that list is smaller than a set of k, else
+    redraws until k distinct ones are seen.  Refuses k outside [0, n] with
+    ValueError before any draw."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot choose k={k} of {n} coordinates")
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        chosen = []
+        for left in range(n, n - k, -1):
+            j = _below(getrandbits, left)
+            chosen.append(pool[j])
+            pool[j] = pool[left - 1]
+        return chosen
+    seen: dict[int, None] = {}  # keeps the first draw of each int, in order
+    while len(seen) < k:
+        seen[_below(getrandbits, n)] = None
+    return list(seen)
+
+
 def corrupt(
     e: Sequence[int], k: int, alphabet: int, rng: random.Random
 ) -> tuple[int, ...]:
     """Resample k distinct coordinates of a sorted vector, preserving order.
 
-    Each selected coordinate i is redrawn uniformly from the window
-    [e_{i-1}, e_{i+1}] (sentinels 0 and alphabet-1), excluding its current
-    value whenever the window contains another one.  A saturated window
-    leaves the coordinate unchanged.
+    The selected coordinates are redrawn in increasing position.  Position
+    i is redrawn uniformly from the window [out_{i-1}, e_{i+1}], excluding
+    its current value: out_{i-1} is its left neighbour after that
+    neighbour's own redraw, if it had one, and the sentinels are 0 and
+    alphabet-1.  A saturated window (one value) leaves the coordinate
+    unchanged.  k outside [0, len(e)] raises ValueError before any draw.
+
+    The draws are exactly those of `rng.sample(range(len(e)), k)` followed
+    by one `rng.randrange(lo, hi)` per unsaturated position, taken straight
+    from `rng.getrandbits`: for any generator whose getrandbits is
+    `random.Random`'s, the output and the generator's state afterwards are
+    those of that code.  Coordinates are Python ints.
     """
     n = len(e)
-    if k > n:
-        raise ValueError("k exceeds vector length")
+    getrandbits = rng.getrandbits
     out = list(e)
-    for i in sorted(rng.sample(range(n), k)):
+    for i in sorted(_sample(getrandbits, n, k)):
         lo = out[i - 1] if i > 0 else 0
         hi = out[i + 1] if i + 1 < n else alphabet - 1
-        cur = out[i]
         if hi > lo:
-            v = rng.randrange(lo, hi)
-            if v >= cur:
+            v = lo + _below(getrandbits, hi - lo)
+            if v >= out[i]:
                 v += 1
             out[i] = v
     return tuple(out)
@@ -231,13 +272,16 @@ def encode_unsorted(x: int, params: Params, rng: random.Random) -> tuple[int, ..
 
     k distinct coordinates are replaced by uniform values in [0, p); easy
     to analyze but also easy to invert, so only useful as a baseline.
-    Polynomial parameters only: any other Params raise ValueError.
+    Polynomial parameters only: any other Params raise ValueError.  The
+    draws are those of `rng.sample(range(n), k)` followed by one
+    `rng.randrange(p)` per chosen position, as in `corrupt`.
     """
     if not isinstance(params, PolyCodeParams):
         raise ValueError("unsorted mode needs polynomial parameters")
     code = basic_encode(x, params)
-    for i in rng.sample(range(params.n), params.k):
-        code[i] = rng.randrange(params.p)
+    getrandbits = rng.getrandbits
+    for i in _sample(getrandbits, params.n, params.k):
+        code[i] = _below(getrandbits, params.p)
     return tuple(code)
 
 

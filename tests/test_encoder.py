@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -229,6 +231,134 @@ def test_corrupt_properties():
         assert hamming(e, out) <= k
 
 
+def _corrupt_reference(e, k, alphabet, rng):
+    """`corrupt` as it was written before it drew from getrandbits directly:
+    the stream it must reproduce."""
+    n = len(e)
+    if k > n:
+        raise ValueError("k exceeds vector length")
+    out = list(e)
+    for i in sorted(rng.sample(range(n), k)):
+        lo = out[i - 1] if i > 0 else 0
+        hi = out[i + 1] if i + 1 < n else alphabet - 1
+        cur = out[i]
+        if hi > lo:
+            v = rng.randrange(lo, hi)
+            if v >= cur:
+                v += 1
+            out[i] = v
+    return tuple(out)
+
+
+def _encode_unsorted_reference(x, params, rng):
+    code = basic_encode(x, params)
+    for i in rng.sample(range(params.n), params.k):
+        code[i] = rng.randrange(params.p)
+    return tuple(code)
+
+
+def _setsize(k):
+    """The population size up to which `random.sample` keeps a pool list."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def _vectors(n, alphabet, rng):
+    """Sorted vectors of length n that reach the edge cases of `corrupt`:
+    random ones, all-equal ones (every window saturated), ones at 0 and at
+    alphabet - 1 only, and runs of repeats."""
+    top = alphabet - 1
+    yield tuple(sorted(rng.randrange(alphabet) for _ in range(n)))
+    yield (0,) * n
+    yield (top,) * n
+    yield tuple(sorted(rng.choice((0, top)) for _ in range(n)))
+    yield tuple(sorted(rng.choice((0, min(1, top), top // 2, top)) for _ in range(n)))
+
+
+def _assert_same_stream(e, k, alphabet, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert corrupt(e, k, alphabet, rng) == _corrupt_reference(e, k, alphabet, ref)
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6, 20, 21, 22])
+def test_corrupt_matches_sample_and_randrange_at_the_set_size_boundary(k):
+    """`random.sample` switches from its pool to its set path above
+    setsize(k), and setsize jumps after k = 5 and after k = 21."""
+    fill = random.Random(k)
+    for n in (_setsize(k), _setsize(k) + 1):
+        for alphabet in (1, 2, 31, 211, CODE_LIMIT):
+            for e in _vectors(n, alphabet, fill):
+                for kk in {0, k, n}:
+                    _assert_same_stream(e, kk, alphabet, seed=n * 1000 + kk)
+
+
+@st.composite
+def _corrupt_cases(draw):
+    alphabet = draw(st.sampled_from([1, 2, 3, 7, 31, 211, 503, CODE_LIMIT]))
+    n = draw(st.one_of(st.integers(0, 30), st.integers(80, 90), st.integers(270, 290)))
+    kind = draw(st.integers(0, 4))
+    (e,) = itertools.islice(_vectors(n, alphabet, random.Random(draw(st.integers()))), kind, kind + 1)
+    k = draw(st.one_of(st.integers(0, n), st.sampled_from([0, n])))
+    return e, k, alphabet
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupt_cases(), st.integers(0, 2**64))
+def test_corrupt_draws_the_stream_of_sample_and_randrange(case, seed):
+    """Same output and same generator state afterwards as the reference."""
+    e, k, alphabet = case
+    _assert_same_stream(e, k, alphabet, seed)
+
+
+@pytest.mark.parametrize("k", [-1, -5, 6, 7])
+def test_corrupt_refuses_k_outside_the_vector_before_any_draw(k):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        corrupt((0, 2, 3, 4, 5), k, 7, rng)
+    assert rng.getstate() == state
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_cases(), st.integers(0, 2**64))
+def test_encode_unsorted_draws_the_stream_of_sample_and_randrange(case, seed):
+    params, xs = case
+    rng, ref = random.Random(seed), random.Random(seed)
+    for x in xs:
+        assert encode_unsorted(x, params, rng) == _encode_unsorted_reference(x, params, ref)
+    assert rng.getstate() == ref.getstate()
+
+
+# sha256 of the packed rows of 1,000 encodings, each of a point drawn from
+# the same random.Random(0) just before it is encoded.  A change to these
+# digests changes every encoding the simulator and the benchmark make.
+_GOLDEN = {
+    "sim": (
+        PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2),
+        "b6f8a021b1a432bbcfbe8d17c07714a5ff94f1c6508521e2accbaf60e714513d",
+    ),
+    "row1": (
+        PolyCodeParams(M=10**19, p=503, n=100, k=10),
+        "bf56634402257d4952ba2c4bcdb7001ae36474b5ca9b2ff7ba334211729ef134",
+    ),
+    "row3": (
+        PolyCodeParams(M=10**19, p=211, n=200, k=20),
+        "110f2ed1080d1dbece26b6a7e948a2167283103e8c772a3204fba2017aca5133",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_GOLDEN))
+def test_encode_output_stream_is_pinned(shape):
+    params, digest = _GOLDEN[shape]
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for _ in range(1000):
+        h.update(pack_encoding(encode(rng.randrange(params.M), params, rng)))
+    assert h.hexdigest() == digest
+
+
 def test_encode_recall_bound():
     rng = random.Random(2)
     for _ in range(2000):
@@ -352,8 +482,6 @@ def test_inflate_round_trip_and_factors():
         factors = inflation_factors(y)
         assert len(factors) == 16
         assert len(set(factors)) == 16  # square-free
-        import math
-
         assert math.prod(factors) == y
 
 
