@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .encoder import Params, RrnsParams, encode, sorted_codes
+from .encoder import Params, RrnsParams, encode, sorted_code
 from .matcher import MatchIndex, DatabaseEntry, hamming
 from .numtheory import crt_reconstruct, from_digits, vandermonde_solve
 
@@ -31,8 +31,7 @@ class AttackReport:
 
 def matches_target(x: int, params: Params, e, tau: int) -> bool:
     """Does the deterministic sorted basic code of x match e within tau?"""
-    (code,) = sorted_codes([x], params).tolist()
-    return hamming(code, e) <= tau
+    return hamming(sorted_code(x, params), e) <= tau
 
 
 def brute_force_attack(e, params: Params, tau: int) -> AttackReport:

@@ -6,10 +6,12 @@ redundant residue code over n distinct primes.  Both are injective before
 sorting and keep re-encodings of one point within Hamming distance 2k of
 each other, which is what makes threshold matching work.
 
-The deterministic stage (evaluate/reduce, sort) is one numpy function,
-`sorted_codes`: the polynomial code is a product of the digit matrix with
-a cached Vandermonde table.  `numtheory.eval_poly` (Horner's rule) is the
-scalar reference it is tested against.
+The deterministic stage (evaluate/reduce) is one function of one point,
+`_basic_code`: the polynomial code is the product of the point's digit
+vector with a cached Vandermonde table, the residue code its residues.
+`sorted_code` sorts it for `encode` and the attacks, and `basic_encode`
+keeps its positions.  `numtheory.eval_poly` (Horner's rule) is the scalar
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class PolyCodeParams:
     k: int
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError(f"need a world of M >= 1 points, got M={self.M}")
         if self.p > CODE_LIMIT:
             raise ValueError(f"p={self.p} above the alphabet limit {CODE_LIMIT}")
         if not is_prime(self.p):
@@ -101,6 +105,8 @@ class RrnsParams:
     k: int
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError(f"need a world of M >= 1 points, got M={self.M}")
         object.__setattr__(self, "primes", tuple(self.primes))
         ps = self.primes
         if len(ps) < 1:
@@ -114,10 +120,7 @@ class RrnsParams:
                 raise ValueError(f"modulus {q} is not prime")
         if not (0 <= self.k <= self.n):
             raise ValueError("need 0 <= k <= n")
-        m = self.m
-        if m > self.n:
-            raise ValueError("world too large for the given moduli")
-        top = math.prod(ps[self.n - m + 1 :])  # largest m-1 moduli
+        top = math.prod(ps[self.n - self.m + 1 :])  # largest m-1 moduli
         if not top < self.M:
             raise ValueError("product of the largest m-1 moduli must be < M")
 
@@ -155,38 +158,34 @@ def _vandermonde(params: PolyCodeParams) -> np.ndarray:
     return table
 
 
-def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
-    """The unsorted basic codes of xs, one row per point, shape (len(xs), n).
+def _basic_code(x: int, params: Params) -> np.ndarray:
+    """The unsorted basic code of x, n int64 coordinates.
 
-    Polynomial code: the digit polynomial of x evaluated at 0..n-1.  RRNS:
-    the residue vector (x mod p_1, ..., x mod p_n).  Every point is
-    range-checked before any work is done.
+    Polynomial code: the digit polynomial of x evaluated at 0..n-1, the
+    digits times the cached Vandermonde table, mod p.  RRNS: the residue
+    vector (x mod p_1, ..., x mod p_n).  x outside [0, M) raises ValueError.
     """
-    for x in xs:
-        if not 0 <= x < params.M:
-            raise ValueError(f"x={x} outside world [0, {params.M})")
+    if not 0 <= x < params.M:
+        raise ValueError(f"x={x} outside world [0, {params.M})")
     if isinstance(params, RrnsParams):
-        rows = [[x % q for q in params.primes] for x in xs]
-        return np.array(rows, dtype=np.int64).reshape(len(xs), params.n)
+        return np.array([x % q for q in params.primes], dtype=np.int64)
     table = _vandermonde(params)
-    m = table.shape[0]
-    digits = np.array([to_digits(x, params.p, m) for x in xs], dtype=np.int64)
-    codes = digits.reshape(len(xs), m) @ table
-    codes %= params.p
-    return codes
+    code = np.array(to_digits(x, params.p, table.shape[0]), dtype=np.int64) @ table
+    code %= params.p
+    return code
 
 
-def sorted_codes(xs: Sequence[int], params: Params) -> np.ndarray:
-    """Sorted basic codes of xs, shape (len(xs), n): the deterministic part
-    of `encode`, before corruption."""
-    codes = _basic_codes(xs, params)
-    codes.sort(axis=1)
-    return codes
+def sorted_code(x: int, params: Params) -> list[int]:
+    """The sorted basic code of x: the deterministic part of `encode`,
+    before corruption."""
+    code = _basic_code(x, params)
+    code.sort()
+    return code.tolist()
 
 
 def basic_encode(x: int, params: Params) -> list[int]:
     """The index-carrying code of one point, positions intact."""
-    return _basic_codes([x], params)[0].tolist()
+    return _basic_code(x, params).tolist()
 
 
 def sort_code(code: Sequence[int]) -> tuple[int, ...]:
@@ -263,8 +262,7 @@ def corrupt(
 
 def encode(x: int, params: Params, rng: random.Random) -> tuple[int, ...]:
     """The released encoding: sorted basic code with k coordinates corrupted."""
-    (row,) = sorted_codes([x], params).tolist()
-    return corrupt(row, params.k, params.alphabet, rng)
+    return corrupt(sorted_code(x, params), params.k, params.alphabet, rng)
 
 
 def encode_unsorted(x: int, params: Params, rng: random.Random) -> tuple[int, ...]:

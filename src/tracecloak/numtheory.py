@@ -2,10 +2,13 @@
 
 Everything here works on plain Python ints, so world points far beyond
 64 bits (the inflated world needs ~130 bits) are handled transparently.
+The one exception is `is_prime`, a trial division meant for the small
+alphabets and moduli of the encoders (below 2^16).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 
@@ -13,36 +16,14 @@ class SingularSystemError(ValueError):
     """Raised when an interpolation system has repeated evaluation points."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin.
+    """Trial division by every d in [2, isqrt(n)].
 
-    The fixed base set is exact for all n < 3.3e24, far beyond any
-    modulus used by the encoders.
+    Meant for the alphabets and moduli of the encoders, which lie below
+    CODE_LIMIT = 2^16, and for the primes up to 2,621 that the inflation
+    map uses: up to sqrt(n) divisions, so not for large n.
     """
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def primes(count: int, start: int = 2) -> list[int]:

@@ -397,6 +397,42 @@ def test_attack_brute_on_hex_point(params_file, capsys):
     assert rc == 0
 
 
+def test_attack_table(params_file, capsys):
+    """The table attack encodes the whole world once, after the target, and
+    finds the target's point among its candidates."""
+    argv = ["attack", "--kind", "table", "--params", params_file, "--target", "0x64", "--seed", "5"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    rng = random.Random(5)
+    target = encode(0x64, DESK, rng)
+    hits = attacks.table_attack_query(attacks.table_attack_build(DESK, rng), target, DESK.tau)
+    assert first == f"recovered: {hits.recovered}"
+    assert 0x64 in hits.candidates
+
+
+def test_attack_target_file_holding_a_point(params_file, tmp_path, capsys):
+    """A --target file that holds 0x... is the point, encoded as on the
+    command line."""
+    target = tmp_path / "target.txt"
+    target.write_text("0x64\n")
+    argv = ["attack", "--kind", "brute", "--params", params_file, "--seed", "5", "--target"]
+    assert main(argv + [str(target)]) == 0
+    from_file = capsys.readouterr().out.splitlines()[0]
+    assert main(argv + ["0x64"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == from_file
+
+
+def test_encode_with_a_world_of_no_points_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "params.txt"
+    path.write_text("M=0\np=31\nn=10\nk=2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--params", str(path), "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("tracecloak: error:")]
+    assert errors == ["tracecloak: error: need a world of M >= 1 points, got M=0"]
+
+
 def test_analyze_bound(capsys):
     assert main(["analyze", "bound", "--p", "503", "--n", "100", "--tau", "20"]) == 0
     assert "-70.5" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from tracecloak.encoder import (
     corrupt,
     deflate,
     digit_count,
+    residue_digit_count,
     _vandermonde,
     encode,
     encode_unsorted,
@@ -31,7 +32,7 @@ from tracecloak.encoder import (
     parse_encoding,
     save_params,
     sort_code,
-    sorted_codes,
+    sorted_code,
     unpack_encoding,
 )
 from tracecloak.matcher import hamming
@@ -121,10 +122,8 @@ def _horner(x, params):
 @given(_poly_cases())
 def test_sorted_codes_equal_horner_reference(case):
     params, xs = case
-    codes = sorted_codes(xs, params)
-    assert codes.shape == (len(xs), params.n)
-    assert codes.tolist() == [sorted(_horner(x, params)) for x in xs]
     for x in xs:
+        assert sorted_code(x, params) == sorted(_horner(x, params))
         assert basic_encode(x, params) == _horner(x, params)
 
 
@@ -150,10 +149,8 @@ def test_table_dtype_bound():
 )
 def test_rrns_sorted_codes_equal_residues(params, data):
     xs = data.draw(st.lists(st.integers(0, params.M - 1), max_size=6))
-    assert sorted_codes(xs, params).tolist() == [
-        sorted(x % q for q in params.primes) for x in xs
-    ]
     for x in xs:
+        assert sorted_code(x, params) == sorted(x % q for q in params.primes)
         assert basic_encode(x, params) == [x % q for q in params.primes]
 
 
@@ -187,11 +184,10 @@ def test_range_check_before_any_draw():
     state = rng.getstate()
     for bad in (-1, DESK.M):
         with pytest.raises(ValueError, match="outside world"):
-            sorted_codes([0, bad], DESK)
+            sorted_code(bad, DESK)
         with pytest.raises(ValueError, match="outside world"):
             encode(bad, DESK, rng)
     assert rng.getstate() == state
-    assert sorted_codes([], DESK).shape == (0, DESK.n)
 
 
 def test_sort_code():
@@ -428,6 +424,42 @@ def test_rrns_params_derivation():
         RrnsParams(primes=(5, 3, 7), M=20, k=0)  # not increasing
 
 
+@pytest.mark.parametrize("M", [0, -5])
+def test_a_world_with_no_points_is_refused(M):
+    """PolyCodeParams accepted M < 1 with m = 1, and every encode failed
+    later with "x=0 outside world"; RrnsParams refused it only through the
+    m-1 product rule, in a message that did not name M."""
+    with pytest.raises(ValueError, match=f"got M={M}$"):
+        PolyCodeParams(M=M, p=31, n=10, k=2)
+    with pytest.raises(ValueError, match=f"got M={M}$"):
+        RrnsParams(primes=(3, 5, 7), M=M, k=0)
+    assert PolyCodeParams(M=1, p=2, n=1, k=0).m == 1
+    assert RrnsParams(primes=(3,), M=2, k=0).m == 1  # M=1 fails the m-1 product rule
+
+
+@pytest.mark.parametrize(
+    "primes, M, k, message",
+    [
+        ((), 100, 0, "need at least one modulus"),
+        ((3, 9, 11), 100, 0, "modulus 9 is not prime"),
+        ((3, 5, 7), 100, 4, "need 0 <= k <= n"),
+        ((3, 5, 7), 100, -1, "need 0 <= k <= n"),
+        ((3, 5, 7), 106, 0, "product of all moduli below M"),
+    ],
+    ids=["no_moduli", "composite", "k_above_n", "k_negative", "world_too_large"],
+)
+def test_rrns_params_refusals(primes, M, k, message):
+    with pytest.raises(ValueError, match=message):
+        RrnsParams(primes=primes, M=M, k=k)
+
+
+def test_residue_digit_count():
+    assert residue_digit_count(15, (3, 5, 7)) == 2
+    assert residue_digit_count(105, (3, 5, 7)) == 3
+    with pytest.raises(ValueError, match="product of all moduli below M"):
+        residue_digit_count(106, (3, 5, 7))
+
+
 def test_rrns_encode_examples():
     params = RrnsParams(primes=(3, 5, 7), M=100, k=0)
     rng = random.Random(5)
@@ -483,6 +515,14 @@ def test_inflate_round_trip_and_factors():
         assert len(factors) == 16
         assert len(set(factors)) == 16  # square-free
         assert math.prod(factors) == y
+
+
+def test_deflate_refuses_a_value_outside_the_image():
+    y = inflate(12345)
+    f = inflation_factors(y)[0]
+    for bad in (1, y // f, y * f):  # bands with no factor; a repeated factor
+        with pytest.raises(ValueError, match="not in the image of inflate"):
+            deflate(bad)
 
 
 def test_inflated_digit_count():

@@ -46,6 +46,12 @@ def test_hamming_examples():
         hamming((1, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("n, tau", [(0, 0), (-1, 2), (3, -1)])
+def test_index_refuses_no_positions_or_a_negative_tau(n, tau):
+    with pytest.raises(ValueError, match="need n >= 1 and tau >= 0"):
+        MatchIndex(n, tau)
+
+
 def test_scan_match_trivial():
     assert scan_match([], (1, 2, 3), 2) == []
     entry = DatabaseEntry("a", (1, 2, 3))

@@ -23,12 +23,18 @@ def test_is_prime_known_values():
     assert not is_prime(-7)
     assert is_prime(2)
     assert not is_prime(503 * 877)
+    # squares of primes are the trial division's edge: isqrt(n) must be tried
+    for q in (2, 3, 13, 251):
+        assert not is_prime(q * q)
+    assert is_prime(65521)  # the largest prime below 2^16
 
 
 def test_primes_basic():
     assert primes(3, 2) == [2, 3, 5]
     assert primes(0, 2) == []
     assert primes(4, 10) == [11, 13, 17, 19]
+    with pytest.raises(ValueError, match="non-negative"):
+        primes(-1)
 
 
 def test_first_16_primes_product_exceeds_1e19():
@@ -76,6 +82,13 @@ def test_eval_poly_examples():
 def test_vandermonde_solve_examples():
     assert vandermonde_solve([(0, 3), (1, 5)], 2, 7) == [3, 2]
     assert vandermonde_solve([(0, 4)], 1, 7) == [4]
+
+
+def test_vandermonde_solve_refuses_the_wrong_number_of_points():
+    with pytest.raises(ValueError, match="expected 2 points, got 1"):
+        vandermonde_solve([(0, 3)], 2, 7)
+    with pytest.raises(ValueError, match="expected 1 points, got 2"):
+        vandermonde_solve([(0, 3), (1, 5)], 1, 7)
 
 
 def test_vandermonde_solve_repeated_index():

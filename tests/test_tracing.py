@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tracecloak import tracing
 from tracecloak.encoder import CODE_LIMIT, PolyCodeParams, inflate_range_bound
 from tracecloak.tracing import (
     INFECTED,
@@ -645,17 +646,47 @@ def test_socket_server_answers_any_byte_line():
         server.server_close()
 
 
-def test_client_raises_when_stream_ends_without_ok():
-    class ClosesEarly(socketserver.StreamRequestHandler):
-        def handle(self):
-            self.rfile.readline()  # read the report, answer nothing
+def _replying(data: bytes):
+    """A server that reads one line, answers it with `data` and closes."""
 
-    server = socketserver.TCPServer(("127.0.0.1", 0), ClosesEarly)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    class Replies(socketserver.StreamRequestHandler):
+        def handle(self):
+            self.rfile.readline()
+            self.wfile.write(data)
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), Replies)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def test_client_raises_when_stream_ends_without_ok():
+    server = _replying(b"")  # read the report, answer nothing
     try:
         msg = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
         with pytest.raises(ProtocolError, match="before OK"):
+            send_report_over_socket(server.server_address, msg)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+_ALERT = format_message(AlertMsg("u2", tuple(range(PARAMS.n))))
+_REPORT = format_message(ReportMsg("u2", UNINFECTED, tuple(range(PARAMS.n))))
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        (f"{_ALERT}\n{_ALERT[:-2]}".encode(), "bad coordinate list"),
+        (f"{_REPORT}\nOK\n".encode(), "expected an ALERT line"),
+    ],
+    ids=["stream_ends_inside_a_line", "not_an_alert"],
+)
+def test_client_refuses_a_reply_other_than_alerts_then_ok(reply, message):
+    server = _replying(reply)
+    try:
+        msg = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
+        with pytest.raises(ProtocolError, match=message):
             send_report_over_socket(server.server_address, msg)
     finally:
         server.shutdown()
@@ -810,6 +841,150 @@ def test_over_long_line_is_logged_once(caplog):
         assert reply == b"ERROR\tline longer than 64 bytes\n"
         (record,) = _server_records(caplog)
         assert record.getMessage().endswith("line longer than 64 bytes")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_fault_in_handle_drops_only_that_connection(caplog):
+    caplog.set_level(logging.WARNING, logger="tracecloak.server")
+    state = ServerState(n=3, tau=0)
+    handle = state.handle
+
+    def faulty(msg):
+        if msg.user_id == "boom":
+            raise RuntimeError("a fault in the program, not in the input")
+        return handle(msg)
+
+    state.handle = faulty
+    server = _serving(state)
+    try:
+        boom = ReportMsg("boom", UNINFECTED, (1, 2, 3))
+        with pytest.raises(ProtocolError, match="before OK"):
+            send_report_over_socket(server.server_address, boom)
+        ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
+        assert send_report_over_socket(server.server_address, ok) == []
+        assert state.store_size == 1
+        (record,) = _server_records(caplog)
+        assert record.levelno == logging.ERROR
+        assert record.getMessage().endswith(": internal error")
+        assert record.exc_info[0] is RuntimeError
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _read_line(conn: socket.socket) -> bytes:
+    line = b""
+    while not line.endswith(b"\n") and (got := conn.recv(1024)):
+        line += got
+    return line
+
+
+def test_discarding_after_an_error_stops_at_the_discard_limit(monkeypatch):
+    """Past DISCARD_LIMIT dropped bytes the connection closes, long before
+    its idle deadline."""
+    monkeypatch.setattr(tracing, "DISCARD_LIMIT", 10_000)
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, idle_timeout=30)
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as conn:
+            conn.sendall(b"bad\n")
+            assert _read_line(conn).startswith(b"ERROR\t")
+            start = time.monotonic()
+            # 5 s of these is about 2 MB, half the default limit
+            with pytest.raises(OSError):  # reset or broken pipe once it closed
+                while time.monotonic() - start < 5:
+                    conn.sendall(b"x" * 4096)
+                    time.sleep(0.01)
+            assert time.monotonic() - start < 5
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_client_silent_after_its_error_is_closed_at_its_deadline(caplog):
+    caplog.set_level(logging.WARNING, logger="tracecloak.server")
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, idle_timeout=0.3)
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as conn:
+            conn.sendall(b"bad\n")
+            assert _read_line(conn).startswith(b"ERROR\t")
+            assert conn.recv(1024) == b""  # the server stopped sending
+            time.sleep(1.0)
+            # still discarding, the server would read these; closed, it resets
+            with pytest.raises(OSError):
+                for _ in range(50):
+                    conn.sendall(b"x")
+                    time.sleep(0.02)
+        (record,) = _server_records(caplog)  # the rejection; the close is quiet
+        assert record.getMessage().startswith("rejected")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_client_that_never_reads_its_replies_is_dropped(caplog):
+    caplog.set_level(logging.WARNING, logger="tracecloak.server")
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, idle_timeout=0.5)
+    server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    line = (format_message(ReportMsg("pipe", UNINFECTED, (1, 2, 3))) + "\n").encode()
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as pipe:
+            pipe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            pipe.connect(server.server_address)
+            pipe.setblocking(False)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:  # until the server stops reading
+                try:
+                    pipe.send(line * 1000)
+                except OSError:  # BlockingIOError, or dropped already
+                    break
+            while not _server_records(caplog) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        (record,) = _server_records(caplog)
+        assert "reply not read within 0.5 s" in record.getMessage()
+        ok = ReportMsg("u2", UNINFECTED, (4, 5, 6))
+        assert send_report_over_socket(server.server_address, ok) == []
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_blank_line_gets_no_reply():
+    state = ServerState(n=3, tau=0)
+    server = _serving(state)
+    line = (format_message(ReportMsg("u1", UNINFECTED, (1, 2, 3))) + "\n").encode()
+    try:
+        assert _exchange(server.server_address, b"\n") == b""
+        assert _exchange(server.server_address, b"\n" + line + b"\n") == b"OK\n"
+        assert state.store_size == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_sweep_keeps_a_connection_before_its_deadline(caplog):
+    """The sweep that drops an idle connection keeps one whose deadline,
+    set when it was accepted a second later, has not passed."""
+    caplog.set_level(logging.WARNING, logger="tracecloak.server")
+    state = ServerState(n=3, tau=0)
+    server = _serving(state, idle_timeout=2.0)
+    line = (format_message(ReportMsg("u2", UNINFECTED, (1, 2, 3))) + "\n").encode()
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as idle:
+            idle.sendall(b"REPORT\tu1")
+            time.sleep(1.0)
+            with socket.create_connection(server.server_address, timeout=10) as active:
+                active.sendall(line[:5])
+                assert idle.recv(1024) == b""  # dropped by the sweep at about 2 s
+                active.sendall(line[5:])
+                assert active.recv(1024) == b"OK\n"
+        (record,) = _server_records(caplog)
+        assert "no complete line within 2.0 s" in record.getMessage()
+        assert state.store_size == 1
     finally:
         server.shutdown()
         server.server_close()
