@@ -121,7 +121,7 @@ class RrnsParams:
         if not (0 <= self.k <= self.n):
             raise ValueError("need 0 <= k <= n")
         top = math.prod(ps[self.n - self.m + 1 :])  # largest m-1 moduli
-        if not top < self.M:
+        if self.m > 1 and not top < self.M:  # one residue needs no such bound
             raise ValueError("product of the largest m-1 moduli must be < M")
 
     @property

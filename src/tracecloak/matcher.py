@@ -304,16 +304,28 @@ def build_index(
 
 
 def save_entries(entries: Iterable[DatabaseEntry], path: str | Path) -> None:
-    """Write entries as `user_id<TAB>tag<TAB>hex-encoding` lines, the
-    encoding as `encoder.format_encoding` writes it."""
-    with open(path, "w") as fh:
-        for entry in entries:
-            fh.write(f"{entry.user_id}\t{entry.tag}\t{format_encoding(entry.encoding)}\n")
+    """Write entries as UTF-8 `user_id<TAB>tag<TAB>hex-encoding` lines, the
+    encoding as `encoder.format_encoding` writes it.  Raises ValueError,
+    naming the entry, before it writes anything, for an entry that would
+    not load back: a user id or tag that holds a tab, a line separator
+    (`str.splitlines`) or a lone surrogate, or an encoding
+    `format_encoding` refuses."""
+    lines = []
+    for i, entry in enumerate(entries):
+        try:
+            line = f"{entry.user_id}\t{entry.tag}\t{format_encoding(entry.encoding)}"
+            if line.count("\t") != 2 or line.splitlines() != [line]:
+                raise ValueError("a tab or a line separator in the user id or tag")
+            lines.append(f"{line}\n".encode("utf-8"))
+        except ValueError as exc:  # UnicodeEncodeError is one too
+            name = f"entry {i} (user id {entry.user_id!r}, tag {entry.tag!r})"
+            raise ValueError(f"{name}: {exc}") from None
+    Path(path).write_bytes(b"".join(lines))
 
 
 def load_entries(path: str | Path) -> list[DatabaseEntry]:
     entries = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not raw.strip():
             continue
         parts = raw.split("\t")

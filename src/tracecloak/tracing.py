@@ -1,12 +1,14 @@
 """Client/server tracing protocol and simulator.
 
 Clients continuously report encoded (time, cell) points tagged uninfected
-and keep a local (t, l, e) database, each encoding as its packed uint16
-row (`encoder.pack_encoding`), the row the wire carries in hex.  On
-infection they re-send their recent encodings tagged infected; the server
-matches those against the uninfected store at threshold tau = 2k and
-pushes each matching entry's own encoding back to its reporter, who
-recovers (t, l) locally.
+and keep a local (t, l, e) database in three columns: epochs and cells as
+uint64 arrays, and each encoding as its packed uint16 row
+(`encoder.pack_encoding`, the row the wire carries in hex), the rows back
+to back in one bytearray.  On infection they re-send their recent
+encodings tagged infected; the server matches those against the uninfected
+store at threshold tau = 2k and pushes each matching entry's own encoding
+back to its reporter, who recovers (t, l) locally.  The simulator keeps
+each agent's trail as a uint64 array too.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import selectors
 import socket
 import threading
 import time
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import index
 from typing import Iterable, Sequence
 
 from .encoder import (
@@ -192,49 +195,82 @@ def parse_message(line: str) -> ReportMsg | AlertMsg:
 # Client and server state machines.
 
 
-class ClientState:
-    """Local (t, l, e) database: one (t, cell, row) record per report, kept
-    in report order, and the latest record of each encoding, for alerts.
+_U64 = 1 << 64  # epochs and cells are kept as uint64
 
-    Each encoding is kept once, as its `pack_encoding` row (2n bytes), which
-    the record and the alert key share; `records_between` unpacks the rows
-    it returns.  At n = 20 a record costs about 425 bytes."""
+
+class ClientState:
+    """Local (t, l, e) database: one record per report, in report order, in
+    three columns.  Epochs and cells are `array("Q")`s; the encodings are
+    their `pack_encoding` rows (2n bytes each), back to back in one
+    bytearray, and the first record fixes the row width.  At n = 20 a
+    record costs about 68 bytes (tracemalloc, 40 clients of 50 records).
+
+    Forgetting the oldest records would be a prefix delete of each column.
+    `lookup` finds the latest record of an encoding by searching the rows
+    from the end; `records_between` unpacks the rows it returns."""
+
+    __slots__ = ("user_id", "_epochs", "_cells", "_rows", "_width")
 
     def __init__(self, user_id: str):
         self.user_id = user_id
-        self._records: list[tuple[int, int, bytes]] = []
-        self._by_encoding: dict[bytes, tuple[int, int, bytes]] = {}
+        self._epochs = array("Q")
+        self._cells = array("Q")
+        self._rows = bytearray()
+        self._width = 0  # bytes per row, 0 until the first record
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._epochs)
 
     def add(self, t: int, cell: int, encoding: Sequence[int]) -> None:
-        """Record that the encoding of (t, cell) was reported."""
+        """Record that the encoding of (t, cell) was reported.  Raises
+        ValueError, and records nothing, for an encoding `pack_encoding`
+        refuses or of another length than the first record's, or for t or
+        cell outside [0, 2^64); a t or cell that is not an int is a
+        TypeError."""
         row = pack_encoding(encoding)
-        record = (t, cell, row)
-        self._records.append(record)
-        self._by_encoding[row] = record
+        if self._rows and len(row) != self._width:
+            raise ValueError(
+                f"an encoding of {len(row) >> 1} coordinates, not {self._width >> 1}"
+            )
+        t, cell = index(t), index(cell)
+        if not (0 <= t < _U64 and 0 <= cell < _U64):
+            raise ValueError(f"(t, cell) = ({t}, {cell}) outside [0, 2^64)")
+        self._width = len(row)
+        self._epochs.append(t)
+        self._cells.append(cell)
+        self._rows += row
 
     def lookup(self, encoding: Sequence[int]) -> tuple[int, int]:
         """The (t, cell) of the latest record of an encoding.  Raises
         UnknownEncodingError for one this client never reported, including
-        anything `pack_encoding` refuses."""
+        anything `pack_encoding` refuses or of another length."""
         try:
-            t, cell, _ = self._by_encoding[pack_encoding(encoding)]
-        except (KeyError, ValueError):
+            row = pack_encoding(encoding)
+        except ValueError:
             raise UnknownEncodingError(encoding) from None
-        return t, cell
+        width, rows = len(row), self._rows
+        if width == self._width:
+            end = len(rows)
+            # a match that does not start at a row boundary straddles two rows
+            while (at := rows.rfind(row, 0, end)) >= 0:
+                i, off = divmod(at, width)
+                if not off:
+                    return self._epochs[i], self._cells[i]
+                end = at + width - 1
+        raise UnknownEncodingError(encoding)
 
     def records_between(
         self, t_start: int, t_end: int
     ) -> list[tuple[int, int, tuple[int, ...]]]:
         """Records with t_start <= t <= t_end, by epoch, then report order."""
+        epochs, w = self._epochs, self._width
+        picked = sorted(
+            (i for i, t in enumerate(epochs) if t_start <= t <= t_end),
+            key=epochs.__getitem__,
+        )
         return [
-            (t, cell, unpack_encoding(row))
-            for t, cell, row in sorted(
-                (r for r in self._records if t_start <= r[0] <= t_end),
-                key=itemgetter(0),
-            )
+            (epochs[i], self._cells[i], unpack_encoding(self._rows[i * w : i * w + w]))
+            for i in picked
         ]
 
 
@@ -604,11 +640,12 @@ def send_report_over_socket(
 
 @dataclass
 class SimulationResult:
-    """What a simulation did: each agent's trail, the alerts each agent got,
-    the (t, cell) every alert recovered, the true contacts the alerts are
-    checked against, and the server with its store and infected log."""
+    """What a simulation did: each agent's trail (its cell at each epoch, a
+    uint64 array), the alerts each agent got, the (t, cell) every alert
+    recovered, the true contacts the alerts are checked against, and the
+    server with its store and infected log."""
 
-    trajectories: dict[str, list[int]]  # user -> cell per epoch
+    trajectories: dict[str, array[int]]  # user -> cell per epoch
     alerts: dict[str, list[AlertMsg]] = field(default_factory=dict)
     # (recipient, epoch, cell, encoding) for every delivered alert
     recovered: list[tuple[str, int, int, tuple[int, ...]]] = field(
@@ -647,7 +684,7 @@ def run_simulation(
     transport = InProcessTransport(server)
 
     positions = {u: rng.randrange(grid.cells) for u in users}
-    trajectories: dict[str, list[int]] = {u: [] for u in users}
+    trajectories: dict[str, array[int]] = {u: array("Q") for u in users}
     result = SimulationResult(
         trajectories=trajectories, alerts={u: [] for u in users}, server=server
     )
@@ -688,7 +725,7 @@ def run_simulation(
 
 
 def _contacts(
-    trajectories: dict[str, list[int]],
+    trajectories: dict[str, Sequence[int]],
     infections: Sequence[tuple[str, int]],
     window: int | None,
 ) -> set[str]:

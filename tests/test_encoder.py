@@ -434,7 +434,30 @@ def test_a_world_with_no_points_is_refused(M):
     with pytest.raises(ValueError, match=f"got M={M}$"):
         RrnsParams(primes=(3, 5, 7), M=M, k=0)
     assert PolyCodeParams(M=1, p=2, n=1, k=0).m == 1
-    assert RrnsParams(primes=(3,), M=2, k=0).m == 1  # M=1 fails the m-1 product rule
+    assert RrnsParams(primes=(3,), M=2, k=0).m == 1
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (PolyCodeParams, dict(p=2, n=1, k=0)),
+        (RrnsParams, dict(primes=(3,), k=0)),
+        (RrnsParams, dict(primes=(3, 5, 7), k=0)),
+        (RrnsParams, dict(primes=(3, 5, 7), k=1)),
+    ],
+    ids=["poly", "rrns_one_modulus", "rrns_three_moduli", "rrns_corrupted"],
+)
+def test_a_one_point_world_is_accepted(cls, kwargs):
+    """With m = 1 the rule on the largest m-1 moduli holds vacuously:
+    RrnsParams refused every one-point world, because the empty product 1
+    is not below M = 1."""
+    params = cls(M=1, **kwargs)
+    assert params.m == 1
+    e = encode(0, params, random.Random(0))
+    assert len(e) == params.n
+    assert sum(c != 0 for c in e) <= params.k
+    with pytest.raises(ValueError):
+        encode(1, params, random.Random(0))
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,20 @@
 import gc
 import random
-import sys
+import string
 import struct
+import sys
+import tempfile
 import threading
 import tracemalloc
 import zlib
 from array import array
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracecloak import matcher
@@ -324,6 +327,7 @@ def _index_bytes_per_entry(params, entries) -> float:
     try:
         before = tracemalloc.get_traced_memory()[0]
         index = build_index(entries, params.n, params.tau)
+        gc.collect()  # dead tuples on the free list would count as live
         return (tracemalloc.get_traced_memory()[0] - before) / len(index)
     finally:
         tracemalloc.stop()
@@ -333,8 +337,10 @@ def test_index_memory_per_entry(row3_store):
     """No key is a Python object (tracemalloc, entries made beforehand, 2,000
     users).  One dict per block took 3,272 B per entry at 2,000 row-3
     entries and 453 B at 10^4 simulator entries; keyless tables take about
-    1,306 and 256 B.  An int of at least 28 B per key, 41 or 5 keys per
-    entry, would cross either bound."""
+    1,301 and 215 B (1,306 and 256 without the last gc.collect(), which
+    frees the dead 20-tuples that `_order` leaves on the tuple free list).
+    An int of at least 28 B per key, 41 or 5 keys per entry, would cross
+    either bound."""
     assert _index_bytes_per_entry(_ROW3, row3_store[1]) < 2061
     assert _index_bytes_per_entry(_SIM, _store(_SIM, 10_000, 13)[1]) < 380
 
@@ -515,6 +521,50 @@ def test_save_load_round_trip(tmp_path):
     assert [(e.user_id, e.tag, e.encoding) for e in loaded] == [
         (e.user_id, e.tag, e.encoding) for e in entries
     ]
+
+
+# any character, but often one a line cannot carry: a tab, a separator that
+# `str.splitlines` splits at, or a lone surrogate, which UTF-8 cannot encode
+_field = st.text(
+    st.one_of(st.characters(), st.sampled_from("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ud800")),
+    max_size=5,
+)
+_coords = st.one_of(st.integers(0, CODE_LIMIT - 1), st.sampled_from([-1, CODE_LIMIT]))
+_entries = st.lists(
+    st.builds(
+        DatabaseEntry,
+        user_id=_field,
+        encoding=st.lists(_coords, max_size=4).map(tuple),
+        tag=_field,
+    ),
+    max_size=4,
+)
+_PLAIN = set(string.ascii_letters + string.digits + " -_.")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entries)
+@example([DatabaseEntry("u\x85", (1,))])
+@example([DatabaseEntry("u1", (1,), tag="un\u2028infected")])
+@example([DatabaseEntry("\u00e9\u4e2d", (1, 2)), DatabaseEntry("u1", (3,), tag="\r")])
+def test_save_entries_writes_only_what_loads_back(entries):
+    """What save_entries accepts loads back equal; what it refuses names the
+    entry and leaves no file.  Plain entries are always accepted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "db.tsv"
+        try:
+            save_entries(entries, path)
+        except ValueError as exc:
+            assert str(exc).startswith("entry ")
+            assert not path.exists()
+            assert not all(
+                set(e.user_id + e.tag) <= _PLAIN
+                and e.encoding
+                and all(0 <= c < CODE_LIMIT for c in e.encoding)
+                for e in entries
+            )
+        else:
+            assert load_entries(path) == entries
 
 
 def test_load_rejects_malformed(tmp_path):

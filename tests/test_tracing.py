@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import logging
 import random
 import socket
@@ -303,13 +305,17 @@ def test_lookup_refuses_what_it_cannot_have_stored():
 
 
 def test_client_keeps_a_record_in_few_bytes():
-    """40 clients for 50 epochs at the sim workload's parameters: each
-    record keeps its encoding once, as 2n bytes, not as a tuple of ints
-    (about 420 bytes a record, against about 860 with the tuple)."""
+    """40 clients for 50 epochs at the sim workload's parameters: a record
+    is 16 bytes of epoch and cell and a 2n-byte row in three columns, about
+    70 bytes with the columns' spare room (tracemalloc, after gc.collect()).
+    A (t, cell, row) tuple per record, with a bytes row and a dict entry,
+    took about 224.  Without the collections the readings also counted
+    about 200 bytes a record of dead 20-tuples on the tuple free list."""
     grid = GridSpec(rows=100, cols=100, epochs=50)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
     rng = random.Random(5)
     client_tick(ClientState("warm"), 0, 0, grid, params, rng, inflate_world=True)
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -318,12 +324,98 @@ def test_client_keeps_a_record_in_few_bytes():
             for client in clients:
                 cell = rng.randrange(grid.cells)
                 client_tick(client, t, cell, grid, params, rng, inflate_world=True)
+        gc.collect()
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     records = sum(len(client) for client in clients)
     assert records == 2000
-    assert used / records < 600
+    assert used / records < 100
+
+
+def _columns(client):
+    return (
+        client._epochs.tobytes(),
+        client._cells.tobytes(),
+        bytes(client._rows),
+        client._width,
+    )
+
+
+def test_lookup_skips_a_row_found_across_a_row_boundary():
+    """The rows lie back to back, so the tail of one row and the head of
+    the next can spell a third encoding; only an aligned match is a record."""
+    client = ClientState("u1")
+    client.add(1, 10, (1, 2, 3))
+    client.add(2, 20, (4, 5, 6))
+    for straddling in ((2, 3, 4), (3, 4, 5)):
+        with pytest.raises(UnknownEncodingError):
+            client.lookup(straddling)
+    # an aligned copy before the straddling one is still found
+    client = ClientState("u2")
+    client.add(1, 10, (3, 4, 5))
+    client.add(2, 20, (1, 2, 3))
+    client.add(3, 30, (4, 5, 6))
+    assert client.lookup((3, 4, 5)) == (1, 10)
+    # a byte-level match at an odd offset straddles two coordinates
+    client = ClientState("u3")
+    client.add(0, 0, (0x0102, 0x0304))
+    client.add(1, 1, (0x0506, 0x0708))
+    with pytest.raises(UnknownEncodingError):
+        client.lookup((0x0203, 0x0405))
+    assert client.lookup((0x0506, 0x0708)) == (1, 1)
+
+
+def test_lookup_finds_the_newest_of_repeated_records():
+    client = ClientState("u1")
+    for t, cell, e in [(5, 1, (7, 7)), (2, 2, (8, 8)), (9, 3, (7, 7)), (1, 4, (7, 7))]:
+        client.add(t, cell, e)
+    assert client.lookup((7, 7)) == (1, 4)  # report order, not the epoch
+    assert client.lookup((8, 8)) == (2, 2)
+    assert client.records_between(0, 9) == [
+        (1, 4, (7, 7)), (2, 2, (8, 8)), (5, 1, (7, 7)), (9, 3, (7, 7))
+    ]
+
+
+@pytest.mark.parametrize(
+    "t, cell, encoding",
+    [
+        (3, 4, (1, 2)),  # one coordinate short of the first record's
+        (3, 4, (1, 2, 3, 4)),
+        (-1, 4, (1, 2, 3)),
+        (2**64, 4, (1, 2, 3)),
+        (3, -1, (1, 2, 3)),
+        (3, 2**64, (1, 2, 3)),
+        (3, 4, ()),
+        (3, 4, (1, 2, CODE_LIMIT)),
+    ],
+    ids=["short", "long", "t_negative", "t_2_64", "cell_negative", "cell_2_64", "empty", "wide"],
+)
+def test_a_refused_record_changes_no_column(t, cell, encoding):
+    client = ClientState("u1")
+    client.add(2**64 - 1, 2**64 - 1, (1, 2, 3))  # the widest t and cell fit
+    columns = _columns(client)
+    with pytest.raises(ValueError):
+        client.add(t, cell, encoding)
+    assert _columns(client) == columns
+    assert len(client) == 1
+    assert client.lookup((1, 2, 3)) == (2**64 - 1, 2**64 - 1)
+
+
+def test_a_record_that_is_not_an_int_changes_no_column():
+    client = ClientState("u1")
+    client.add(0, 0, (1,))
+    columns = _columns(client)
+    for t, cell in ((1.0, 0), (0, 1.0), ("1", 0)):
+        with pytest.raises(TypeError):
+            client.add(t, cell, (2,))
+    assert _columns(client) == columns
+
+
+def test_lookup_of_an_empty_client():
+    with pytest.raises(UnknownEncodingError):
+        ClientState("u1").lookup((1, 2, 3))
+    assert ClientState("u1").records_between(0, 10) == []
 
 
 def test_server_flow_co_location():
@@ -1070,6 +1162,38 @@ def test_simulation_store_size_and_recall():
     for user, t, cell, _ in result.recovered:
         assert user != "u0"
         assert (t, cell) in infected_cells
+
+
+def test_simulation_outputs_are_pinned():
+    """sha256 of what a dilated, windowed run with four infections gives:
+    the trails, every recovered (t, cell), each user's alert lines, the
+    contacts and the store size.  A change to this digest changes what the
+    simulator reports, not only how it keeps it."""
+    grid = GridSpec(rows=20, cols=20, epochs=8)
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    result = run_simulation(
+        agents=200,
+        grid=grid,
+        params=params,
+        seed=20,
+        infections=[("u0", 3), ("u7", 5), ("u42", 7), ("u199", 7)],
+        dilation_radius=1,
+        window=3,
+        inflate_world=True,
+    )
+    payload = repr(
+        (
+            sorted((u, list(trail)) for u, trail in result.trajectories.items()),
+            result.recovered,
+            sorted((u, [format_message(a) for a in msgs]) for u, msgs in result.alerts.items()),
+            sorted(result.contacts),
+            result.server.store_size,
+        )
+    )
+    assert len(result.recovered) == 646 and len(result.contacts) == 8
+    assert result.server.store_size == 13439
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == "248fb7689628180918a66840f8c36dc4ce38b654e6c0904d7716157f29edd14f"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
