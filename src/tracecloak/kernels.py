@@ -21,6 +21,6 @@ def backend() -> str:
     """Always "pure", the value every benchmark result has recorded so far.
 
     The benchmark's provenance still reads this field. The function stays only
-    until the benchmark drops `kernels_backend` (ROADMAP item 1).
+    until the benchmark drops `kernels_backend` (ROADMAP item 2).
     """
     return "pure"

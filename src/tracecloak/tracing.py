@@ -70,29 +70,21 @@ class AlertMsg:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization of space and time.
+    """Discretization of space and time: a rows x cols grid of cells over
+    `epochs` time steps.
 
-    The world packs (epoch, cell) pairs: x = epoch * cells + cell.
-    Defaults are desk-scale; production scale would be ~10^14 cells at
-    1 m resolution and 10^5 thirty-second epochs.
+    The world packs (epoch, cell) pairs: x = epoch * cells + cell.  At
+    production scale there would be about 10^14 cells at 1 m resolution and
+    10^5 thirty-second epochs.
     """
 
     rows: int
     cols: int
     epochs: int
-    lat_min: float = 0.0
-    lat_max: float = 1.0
-    lon_min: float = 0.0
-    lon_max: float = 1.0
-    epoch_seconds: float = 30.0
 
     def __post_init__(self):
         if min(self.rows, self.cols, self.epochs) < 1:
             raise ValueError("rows, cols and epochs must be at least 1")
-        if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
-            raise ValueError("need lat_min < lat_max and lon_min < lon_max")
-        if not self.epoch_seconds > 0:
-            raise ValueError("epoch_seconds must be positive")
 
     @property
     def cells(self) -> int:
@@ -109,27 +101,6 @@ def pack(epoch: int, cell: int, grid: GridSpec) -> int:
     if not 0 <= cell < grid.cells:
         raise OutOfBoundsError(f"cell {cell} outside [0, {grid.cells})")
     return epoch * grid.cells + cell
-
-
-def quantize(lat: float, lon: float, time_s: float, grid: GridSpec) -> int:
-    """World point for a (lat, lon) position at a given time."""
-    horizon = grid.epochs * grid.epoch_seconds
-    if not 0 <= time_s < horizon:  # also refuses NaN and infinity
-        raise OutOfBoundsError(f"time {time_s} outside [0, {horizon})")
-    if not grid.lat_min <= lat <= grid.lat_max:
-        raise OutOfBoundsError(f"latitude {lat} outside grid")
-    if not grid.lon_min <= lon <= grid.lon_max:
-        raise OutOfBoundsError(f"longitude {lon} outside grid")
-    row = min(
-        int((lat - grid.lat_min) / (grid.lat_max - grid.lat_min) * grid.rows),
-        grid.rows - 1,
-    )
-    col = min(
-        int((lon - grid.lon_min) / (grid.lon_max - grid.lon_min) * grid.cols),
-        grid.cols - 1,
-    )
-    epoch = int(time_s / grid.epoch_seconds)
-    return pack(epoch, row * grid.cols + col, grid)
 
 
 def dilate(cell: int, radius: int, grid: GridSpec) -> list[int]:
@@ -154,10 +125,20 @@ def dilate(cell: int, radius: int, grid: GridSpec) -> list[int]:
 
 
 def format_message(msg: ReportMsg | AlertMsg) -> str:
+    """The message's wire line, without its newline.  Raises ProtocolError
+    for a user id or tag that holds a tab or a newline, which would end its
+    field or its line early."""
     coords = format_encoding(msg.encoding)
+    _check_field("user id", msg.user_id)
+    _check_field("tag", msg.tag)
     if isinstance(msg, ReportMsg):
         return f"REPORT\t{msg.user_id}\t{msg.tag}\t{coords}"
     return f"ALERT\t{msg.user_id}\t{msg.tag}\t{coords}"
+
+
+def _check_field(name: str, value: str) -> None:
+    if "\t" in value or "\n" in value:
+        raise ProtocolError(f"tab or newline in the {name}: {_excerpt(value)}")
 
 
 def _excerpt(field: str, limit: int = 16) -> str:
@@ -322,8 +303,8 @@ def client_handle_alert(client: ClientState, alert: AlertMsg) -> tuple[int, int]
 class ServerState:
     """Uninfected store + match index; infected reports are logged, not indexed.
 
-    `handle` runs under one lock, so concurrent connections see the store,
-    the infected log and the alert dedupe set change one report at a time.
+    `handle` runs under one lock, so concurrent callers see the store, the
+    infected log and the alert dedupe set change one report at a time.
     """
 
     def __init__(self, n: int, tau: int):
@@ -341,6 +322,7 @@ class ServerState:
             raise ProtocolError(f"not a report: {type(msg).__name__}")
         if msg.tag not in (UNINFECTED, INFECTED):
             raise ProtocolError(f"bad report tag: {_excerpt(str(msg.tag))}")
+        _check_field("user id", msg.user_id)  # an alert to it could not be sent
         with self._lock:
             if msg.tag == UNINFECTED:
                 self.index.add(msg)  # keeps its fields, not the message
@@ -462,8 +444,9 @@ class SocketServer:
         self._stopped.wait()
 
     def server_close(self) -> None:
-        """Close the listening socket and every connection still open."""
-        for key in list(self._selector.get_map().values()):
+        """Close the listening socket and every connection still open.  A
+        second call does nothing."""
+        for key in list((self._selector.get_map() or {}).values()):  # None once closed
             if key.data is not None:
                 self._close(key.data)
         self._selector.close()
@@ -608,10 +591,12 @@ def send_report_over_socket(
     """One-shot client: send a report line, read alerts until the OK line.
 
     Raises ProtocolError on an ERROR line or when the stream ends before OK,
-    so a report the server did not accept never looks accepted."""
+    so a report the server did not accept never looks accepted.  A report
+    `format_message` refuses raises before anything is sent."""
+    line = (format_message(msg) + "\n").encode("utf-8")
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as conn:
         conn.connect(address)
-        conn.sendall((format_message(msg) + "\n").encode("utf-8"))
+        conn.sendall(line)
         conn.shutdown(socket.SHUT_WR)
         alerts, rest = [], b""
         while True:

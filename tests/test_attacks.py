@@ -14,6 +14,7 @@ from tracecloak.attacks import (
     table_attack_build,
     table_attack_query,
 )
+from tracecloak.attacks import _solve_candidate
 from tracecloak.encoder import PolyCodeParams, RrnsParams, encode
 
 DESK = PolyCodeParams(M=10**4, p=31, n=10, k=2)
@@ -113,6 +114,22 @@ def test_direct_attack_rrns():
     assert matches_target(report.recovered, params, e, params.tau)
 
 
+def test_direct_attack_rrns_skips_a_value_above_its_modulus():
+    """A value at or above the modulus it is assigned to is no residue of
+    it: that pair is counted as a solve but never re-encoded."""
+    params = RrnsParams(
+        primes=(97, 101, 103, 107, 109, 113, 127, 131), M=10**6, k=0
+    )
+    assert _solve_candidate([120, 5, 6], [0, 1, 2], params) is None
+    rng = random.Random(0)
+    x = rng.randrange(params.M)
+    e = encode(x, params, rng)
+    assert max(e) >= params.primes[0]
+    report = direct_attack(e, params, 0, mode="exhaustive")
+    assert report.recovered == x
+    assert report.solves_performed > report.encodings_performed
+
+
 def test_direct_attack_budget_exhaustion():
     rng = random.Random(7)
     e = tuple(sorted(rng.randrange(DESK.p) for _ in range(DESK.n)))
@@ -149,6 +166,9 @@ def test_expected_direct_solves():
     assert round(expected_direct_solves_log10(80, 7, 8)) == 14 or round(
         expected_direct_solves_log10(80, 7, 8)
     ) == 13
+    for n, m, k in ((3, 4, 0), (10, -1, 0), (10, 3, -1)):
+        with pytest.raises(ValueError, match="0 <= m <= n"):
+            expected_direct_solves_log10(n, m, k)
 
 
 def test_attack_report_counters_exact():

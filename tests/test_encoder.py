@@ -667,6 +667,11 @@ def test_param_file_round_trip(tmp_path):
     save_params(rrns, path)
     assert load_params(path) == rrns
 
+    # blank lines and comment lines are skipped
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# desk parameters\n\n" + poly.read_text() + "  \n  # end\n")
+    assert load_params(commented) == DESK
+
 
 def test_param_file_errors(tmp_path):
     path = tmp_path / "bad.txt"

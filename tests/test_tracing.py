@@ -36,7 +36,6 @@ from tracecloak.tracing import (
     format_message,
     pack,
     parse_message,
-    quantize,
     run_simulation,
     send_report_over_socket,
 )
@@ -56,36 +55,15 @@ def test_pack_examples():
         pack(0, 100, GRID)
 
 
-def test_quantize():
-    g = GridSpec(rows=10, cols=10, epochs=20)
-    x1 = quantize(0.55, 0.55, 35.0, g)
-    x2 = quantize(0.57, 0.58, 59.0, g)  # same cell, same epoch
-    assert x1 == x2
-    assert quantize(0.0, 0.0, 0.0, g) == 0
-    with pytest.raises(OutOfBoundsError):
-        quantize(1.5, 0.5, 0.0, g)
-    horizon = g.epochs * g.epoch_seconds
-    for bad_time in (-1.0, float("inf"), float("nan"), horizon):
-        with pytest.raises(OutOfBoundsError):
-            quantize(0.5, 0.5, bad_time, g)
-
-
 def test_grid_spec_validation():
     for bad in (
         dict(rows=0, cols=10, epochs=5),
         dict(rows=10, cols=-1, epochs=5),
         dict(rows=10, cols=10, epochs=0),
-        dict(rows=10, cols=10, epochs=5, lat_min=0.5, lat_max=0.5),
-        dict(rows=10, cols=10, epochs=5, lon_min=1.0, lon_max=0.0),
-        dict(rows=10, cols=10, epochs=5, lat_max=float("nan")),
-        dict(rows=10, cols=10, epochs=5, epoch_seconds=0.0),
-        dict(rows=10, cols=10, epochs=5, epoch_seconds=-30.0),
     ):
         with pytest.raises(ValueError):
             GridSpec(**bad)
-    # a one-cell grid is valid and quantizes without dividing by zero
-    one = GridSpec(rows=1, cols=1, epochs=1, lat_min=0.0, lat_max=1e-9)
-    assert quantize(0.0, 0.5, 0.0, one) == 0
+    assert GridSpec(rows=1, cols=1, epochs=1).world_size == 1
 
 
 def test_dilate():
@@ -94,6 +72,8 @@ def test_dilate():
     assert dilate(0, 1, GRID) == [0, 1, 10, 11]  # corner
     assert dilate(99, 2, GRID) == [77, 78, 79, 87, 88, 89, 97, 98, 99]
     assert len(dilate(55, 2, GRID)) == 25
+    with pytest.raises(ValueError, match="non-negative"):
+        dilate(55, -1, GRID)
     # at radius 0 a record shares the caller's int instead of a copy of it
     wide = GridSpec(rows=3000, cols=3000, epochs=1)
     cell = int("8999999")
@@ -147,7 +127,7 @@ def test_wire_format_rejects_malformed(line):
 
 _users = st.one_of(
     st.text(st.characters(blacklist_characters="\t"), max_size=8),
-    st.text("u\n\r ", max_size=4),  # makes user ids with a newline common
+    st.text("u\n\r\t ", max_size=4),  # makes user ids with a tab or newline common
 )
 _encodings = st.lists(
     st.one_of(st.integers(0, 600), st.integers(0, 2**16 + 1), st.integers()),
@@ -168,16 +148,15 @@ _messages = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_messages)
 def test_wire_format_round_trip_property(msg):
-    """parse . format is the identity, except that a user id holding a
-    newline is refused, as the TCP server refuses the two lines it reads,
-    and that an encoding with a coordinate outside [0, CODE_LIMIT) cannot
-    be written."""
+    """parse . format is the identity, except that a user id holding a tab
+    or a newline, which would end its field or its line early, and an
+    encoding with a coordinate outside [0, CODE_LIMIT) cannot be written."""
     if not all(0 <= c < CODE_LIMIT for c in msg.encoding):
         with pytest.raises(ValueError):
             format_message(msg)
-    elif "\n" in msg.user_id:
-        with pytest.raises(ProtocolError):
-            parse_message(format_message(msg))
+    elif "\t" in msg.user_id or "\n" in msg.user_id:
+        with pytest.raises(ProtocolError, match="tab or newline in the user id"):
+            format_message(msg)
     else:
         assert parse_message(format_message(msg)) == msg
 
@@ -529,6 +508,39 @@ def test_newline_in_a_user_id_is_refused_by_both_transports():
     assert state.infected_log == []
 
 
+def test_a_user_id_that_holds_a_second_report_is_not_sent():
+    """The id's tab and newline would make the server store an uninfected
+    report from "a" and run an infected query as "b", whose alert to the
+    victim goes to a connection already closed."""
+    state = ServerState(n=3, tau=0)
+    state.handle(ReportMsg("victim", UNINFECTED, (1, 2, 3)))
+    crafted = ReportMsg("a\tuninfected\t000400050006\nREPORT\tb", INFECTED, (1, 2, 3))
+    server = SocketServer(("127.0.0.1", 0), state)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(ProtocolError, match="tab or newline in the user id"):
+            send_report_over_socket(server.server_address, crafted)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert state.store_size == 1
+    assert state.infected_log == []
+    assert state._alerted == set()
+
+
+@pytest.mark.parametrize("tag", [UNINFECTED, INFECTED])
+@pytest.mark.parametrize("user_id", ["x\ny", "x\ty"])
+def test_handle_refuses_a_user_id_it_could_not_write_back(user_id, tag):
+    """An alert to such an id would be a line that `parse_message` refuses,
+    so the report is refused before anything is stored or queried."""
+    state = ServerState(n=3, tau=0)
+    with pytest.raises(ProtocolError, match="tab or newline in the user id"):
+        state.handle(ReportMsg(user_id, tag, (1, 2, 3)))
+    assert state.store_size == 0
+    assert state.infected_log == []
+
+
 def test_socket_transport():
     rng = random.Random(8)
     state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
@@ -868,6 +880,13 @@ def test_pipelined_reports_are_answered_in_order():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_a_second_server_close_does_nothing():
+    server = SocketServer(("127.0.0.1", 0), ServerState(n=3, tau=0))
+    server.server_close()
+    server.server_close()
+    assert server.socket.fileno() == -1
 
 
 def test_server_close_closes_open_connections():
