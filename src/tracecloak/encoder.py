@@ -302,6 +302,7 @@ def _inflation_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     return base, tuple(offsets), pool
 
 
+@lru_cache(maxsize=1)
 def inflation_domain() -> int:
     """Size of the admissible input range: the product of the first 16 primes."""
     base, _, _ = _inflation_tables()

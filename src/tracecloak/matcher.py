@@ -4,23 +4,22 @@
 structure.  The index splits the n coordinate positions into tau+1 strided
 blocks, block b holding the positions i = b (mod tau+1).  Two vectors within
 distance tau must agree exactly on at least one block (pigeonhole), so
-candidate retrieval by block value followed by full verification returns
-exactly the oracle's result set.  Neighbouring coordinates of a sorted
-vector are strongly correlated; a strided block samples the whole vector,
-so few stored entries share one with a query.
+candidate retrieval by block fingerprint followed by full verification
+returns exactly the oracle's result set.  Neighbouring coordinates of a
+sorted vector are strongly correlated; a strided block samples the whole
+vector, so few stored entries share one with a query.
 
 The index holds the only copy of each stored encoding: one row of a flat
 `uint16` store, its coordinates in block order, beside columns of user ids
 and tags.  Each block has a keyless hash table of `uint32` words with one
-slot per distinct block value, and the entries that share a value are
-chained.  Each candidate is verified by one count over its whole row, read
-as an int of n 16-bit lanes, and a `DatabaseEntry` is built only when one is
-returned.
+slot per distinct block fingerprint, and the entries that share a
+fingerprint are chained.  Each candidate is verified by one count over its
+whole row, read as an int of n 16-bit lanes, and a `DatabaseEntry` is built
+only when one is returned.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import struct
 import threading
@@ -97,17 +96,23 @@ class MatchIndex:
 
     Each block has a keyless open-addressing table, an `array("I")` in which
     slot i holds the chain head's id + 1 at word 2i and a fingerprint of its
-    block value at word 2i+1 (after Cleary, "Compact Hash Tables Using
-    Bidirectional Linear Probing", 1984).  A probe starts at the slot the
-    fingerprint selects and steps linearly.  On a fingerprint match it
-    compares the block with the head's row, so two values never share a
-    slot, whatever the hash seed, and the candidates are exactly the entries
-    that share a block with the query.  An entry whose value is already in
-    the table becomes the head, and `_next[eid * (tau+1) + b]` holds the
-    previous head, so a repeated value takes one slot and never lengthens
-    another value's probe.  `hash()` of bytes is keyed per process, so no
-    client can precompute colliding blocks.  The probe loops stay inline in
-    `add` and `query`: a call per taken slot would cost more than the probe.
+    block value, `hash(key) & FP_MASK`, at word 2i+1 (after Cleary, "Compact
+    Hash Tables Using Bidirectional Linear Probing", 1984).  A probe starts
+    at the slot the fingerprint selects and steps linearly.  A table is
+    keyed on the fingerprint alone, and no block is compared: an entry whose
+    fingerprint is already in the table becomes the head, and
+    `_next[eid * (tau+1) + b]` holds the previous head, so there is one slot
+    per distinct fingerprint and a repeated value never lengthens another
+    value's probe.  The candidates are the entries that share a block
+    fingerprint with the query, which is what `stats()["candidates"]`
+    counts, and verification decides every result.  Besides the entries
+    that share a block, a query collects those whose block only shares its
+    fingerprint: about (tau+1) * D / 2^30 per query, 0.04 at row 3 with
+    D = 10^6, each costing one verification.  `hash()` of bytes is keyed per
+    process (unless PYTHONHASHSEED fixes the key), so no client can
+    precompute colliding blocks.  The probe loops
+    stay inline in `add` and `query`: a call per taken slot would cost more
+    than the probe.
 
     Every table has at least 2 slots per entry.  When the store passes half
     a table, each table in turn is rebuilt at twice the size with numpy,
@@ -134,8 +139,6 @@ class MatchIndex:
         self._top = int.from_bytes(b"\x00\x80" * n, "little")
         # a block-ordered row's bytes, one bytes object per block
         self._keys = struct.Struct("=" + "".join(f"{2 * len(block)}s" for block in self.blocks))
-        # where each block starts in a block-ordered row
-        self._starts = list(itertools.accumulate(map(len, self.blocks), initial=0))
         self._block_ids = range(tau + 1)
         self._tables = [_empty_table(MIN_SLOTS) for _ in self.blocks]
         self._mask = 2 * MIN_SLOTS - 2  # a fingerprint's home slot starts at word fp & _mask
@@ -191,15 +194,11 @@ class MatchIndex:
             for b, table, key in zip(self._block_ids, self._tables, keys):
                 fp = hash(key) & FP_MASK
                 i = fp & mask
-                if table[i]:  # the home slot is taken: probe on
-                    while head := table[i]:
-                        if table[i + 1] == fp:  # compare the head's block
-                            o = (head - 1) * self.n
-                            if self._codes[o + self._starts[b] : o + self._starts[b + 1]].tobytes() == key:
-                                # the value is stored: chain, with this entry as the head
-                                self._next[(eid - 1) * len(self.blocks) + b] = head
-                                break
-                        i = (i + 2) & mask
+                while head := table[i]:
+                    if table[i + 1] == fp:  # chain, with this entry as the head
+                        self._next[(eid - 1) * len(self.blocks) + b] = head
+                        break
+                    i = (i + 2) & mask
                 table[i] = eid
                 table[i + 1] = fp
 
@@ -263,21 +262,19 @@ class MatchIndex:
         row = self._pack(e)
         keys = self._keys.unpack(row)
         q, low, top, n = int.from_bytes(row, "little"), self._low, self._top, self.n
-        found = []  # id + 1 of each entry sharing a block, repeats included
-        codes, nxt, starts, stride = self._codes, self._next, self._starts, self.tau + 1
+        found = []  # id + 1 of each entry sharing a block fingerprint, repeats included
+        codes, nxt, stride = self._codes, self._next, self.tau + 1
         with self._lock:
             mask = self._mask
             for b, table, key in zip(self._block_ids, self._tables, keys):
                 fp = hash(key) & FP_MASK
                 i = fp & mask
                 while head := table[i]:
-                    if table[i + 1] == fp:  # compare the head's block
-                        o = (head - 1) * n
-                        if codes[o + starts[b] : o + starts[b + 1]].tobytes() == key:
-                            while head:
-                                found.append(head)
-                                head = nxt[(head - 1) * stride + b]
-                            break
+                    if table[i + 1] == fp:  # the chain of every entry with this fingerprint
+                        while head:
+                            found.append(head)
+                            head = nxt[(head - 1) * stride + b]
+                        break
                     i = (i + 2) & mask
             ids = sorted(set(found))
             user_ids, tags, unorder = self._user_ids, self._tags, self._unorder

@@ -237,35 +237,75 @@ def _live_slots(table) -> int:
     return int(np.count_nonzero(np.frombuffer(table, dtype=np.uint32)[::2]))
 
 
+def _fingerprint(index, e, b) -> int:
+    """The fingerprint under which the index files block b of encoding e."""
+    block = index.blocks[b]
+    return hash(struct.pack(f"={len(block)}H", *(e[i] for i in block))) & matcher.FP_MASK
+
+
+def _sharing(index, encodings, q) -> int:
+    """How many of the encodings share a block fingerprint with q: the
+    candidates that a query of q collects."""
+    blocks = range(len(index.blocks))
+    fps = [_fingerprint(index, q, b) for b in blocks]
+    return sum(any(_fingerprint(index, e, b) == fps[b] for b in blocks) for e in encodings)
+
+
 def test_a_repeated_block_value_takes_one_slot():
     """10^4 entries sharing block (0, 2) chain behind one slot of its table,
-    so a query that shares no block with them collects no candidate."""
+    so a query that shares no block fingerprint with them collects no
+    candidate.  The 10^4 distinct values of block (1, 3) take one slot per
+    distinct fingerprint, which under the real hash may be fewer."""
     index = MatchIndex(4, 1)  # blocks (0, 2) and (1, 3)
-    for i in range(10_000):
-        index.add(DatabaseEntry(f"u{i}", (7, i, 7, i)))
+    encodings = [(7, i, 7, i) for i in range(10_000)]
+    for i, e in enumerate(encodings):
+        index.add(DatabaseEntry(f"u{i}", e))
     assert _live_slots(index._tables[0]) == 1
-    assert _live_slots(index._tables[1]) == 10_000
+    assert _live_slots(index._tables[1]) == len({_fingerprint(index, e, 1) for e in encodings})
     assert index.key_count() == 2 * 10_000
     assert index.query((8, 20_000, 8, 20_000)) == []
-    assert index.stats()["candidates"] == 0
+    assert index.stats()["candidates"] == _sharing(index, encodings, (8, 20_000, 8, 20_000))
     # a query that shares the block collects the whole chain
+    before = index.stats()["candidates"]
     assert index.query((7, 20_000, 7, 20_000)) == []
-    assert index.stats()["candidates"] == 10_000
+    assert index.stats()["candidates"] - before == _sharing(index, encodings, (7, 20_000, 7, 20_000))
     assert index.query((7, 5, 7, 5)) == [DatabaseEntry("u5", (7, 5, 7, 5))]
+
+
+def test_values_on_one_fingerprint_share_one_slot_and_one_chain():
+    """Distinct block values whose fingerprints are equal are not told apart:
+    they take one slot and one chain, a query collects the whole chain, and
+    verification alone decides what it returns."""
+    rng = random.Random(7)
+    entries = random_entries(rng, 60, 4, 5)
+    with mock.patch.object(matcher, "hash", lambda key: 12345, create=True):
+        index = build_index(entries, 4, 1)  # blocks (0, 2) and (1, 3)
+        assert [_live_slots(table) for table in index._tables] == [1, 1]
+        assert index.key_count() == 2 * len(entries)
+        hits = 0
+        for j in range(40):
+            q = entries[j].encoding if j % 2 else tuple(sorted(rng.randrange(5) for _ in range(4)))
+            before = index.stats()["candidates"]
+            got = index.query(q)
+            assert got == scan_match(entries, q, 1)
+            assert index.stats()["candidates"] - before == len(entries)
+            hits += len(got)
+    assert hits >= 20
 
 
 def test_every_entry_is_found_after_each_doubling():
     """A store at n = 2 doubles its tables six times.  The first values and
-    every fifth one hash to the largest fingerprint, whose home is the last slot at every
-    size, so a run of equal fingerprints passes the end of each table and
-    wraps to its first slots.  After each doubling, every stored entry comes
-    back from an exact query as its one candidate, and each table keeps 2
-    slots per entry."""
+    every fifth one hash to distinct fingerprints whose low 15 bits are all
+    set, so their home is the last slot at every size: a run of them passes
+    the end of each table and wraps to its first slots.  After each
+    doubling, every stored entry comes back from an exact query as its one
+    candidate, and each table keeps 2 slots per entry."""
     wrapped = {v for v in range(401) if v % 5 == 0 or v < 8}
+    last_home = {matcher.FP_MASK ^ (v << 15) for v in wrapped}
 
     def skewed_hash(key):
         (v,) = struct.unpack("=H", key)
-        return matcher.FP_MASK if v in wrapped else zlib.crc32(key)
+        return matcher.FP_MASK ^ (v << 15) if v in wrapped else zlib.crc32(key)
 
     index = MatchIndex(2, 1)  # blocks (0,) and (1,)
     entries = []
@@ -280,11 +320,11 @@ def test_every_entry_is_found_after_each_doubling():
             doublings += 1
             for table in index._tables:
                 assert len(table) // 2 >= 2 * len(index)
-                assert table[1] == matcher.FP_MASK  # slot 0 holds a wrapped value
+                assert table[1] in last_home  # slot 0 holds a wrapped value
             before = index.stats()["candidates"]
             for entry in entries:
                 assert index.query(entry.encoding, 0) == [entry]
-            # equal fingerprints, different values: no query collects another's
+            # one home, different fingerprints: no query collects another's
             assert index.stats()["candidates"] - before == len(entries)
     assert doublings >= 4
     assert index.entries == entries
@@ -405,6 +445,21 @@ def test_index_equals_scan_match_property(case):
     assert len(index) == len(entries)
     assert index.entries == entries
     assert "bad" not in index._strings
+
+
+@settings(max_examples=150, deadline=None)
+@given(_index_cases())
+def test_index_equals_scan_match_under_four_fingerprints(case):
+    """With hash() giving at most 4 fingerprints, most block values share one
+    with other values, and results still equal scan_match's."""
+    n, tau, entries, queries, query_tau = case
+    with mock.patch.object(matcher, "hash", lambda key: zlib.crc32(key) % 4, create=True):
+        index = build_index(entries, n, tau)
+        assert index.key_count() == (tau + 1) * len(entries)
+        for q in queries:
+            if all(0 <= c < CODE_LIMIT for c in q):
+                assert index.query(q, query_tau) == scan_match(entries, q, query_tau)
+                assert index.query(q) == scan_match(entries, q, tau)
 
 
 # one coordinate's XOR: only the high byte, only bit 15, only bit 0, every bit
