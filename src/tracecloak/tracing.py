@@ -24,7 +24,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import index
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .encoder import (
     Params,
@@ -40,10 +40,13 @@ from .matcher import MatchIndex
 UNINFECTED = "uninfected"
 INFECTED = "infected"
 POSSIBLE_INFECTION = "possible-infection"
+# the tags a line of each kind may carry
+_TAGS = {"REPORT": (UNINFECTED, INFECTED), "ALERT": (POSSIBLE_INFECTION,)}
 
 
 class ProtocolError(ValueError):
-    """Malformed wire message; connection-level reject."""
+    """A refused message, malformed or one the store refuses; over TCP it
+    is the ERROR line that ends the connection."""
 
 
 class UnknownEncodingError(KeyError):
@@ -65,7 +68,7 @@ class ReportMsg:
 class AlertMsg:
     user_id: str  # recipient
     encoding: tuple[int, ...]
-    tag: str = POSSIBLE_INFECTION
+    tag: ClassVar[str] = POSSIBLE_INFECTION  # the only tag an ALERT line carries
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,8 @@ def format_message(msg: ReportMsg | AlertMsg) -> str:
     coords = format_encoding(msg.encoding)
     _check_field("user id", msg.user_id)
     _check_field("tag", msg.tag)
-    if isinstance(msg, ReportMsg):
-        return f"REPORT\t{msg.user_id}\t{msg.tag}\t{coords}"
-    return f"ALERT\t{msg.user_id}\t{msg.tag}\t{coords}"
+    kind = "REPORT" if isinstance(msg, ReportMsg) else "ALERT"
+    return f"{kind}\t{msg.user_id}\t{msg.tag}\t{coords}"
 
 
 def _check_field(name: str, value: str) -> None:
@@ -141,12 +143,15 @@ def _check_field(name: str, value: str) -> None:
         raise ProtocolError(f"tab or newline in the {name}: {_excerpt(value)}")
 
 
-def _excerpt(field: str, limit: int = 16) -> str:
-    """repr of a refused field, cut to its first `limit` characters plus its
-    length: a reason names the field without echoing a line of any size."""
-    if len(field) <= limit:
+_EXCERPT = 16  # characters of a refused field that a reason shows
+
+
+def _excerpt(field: str) -> str:
+    """repr of a refused field, cut to its first `_EXCERPT` characters plus
+    its length: a reason names the field without echoing a line of any size."""
+    if len(field) <= _EXCERPT:
         return repr(field)
-    return f"{field[:limit]!r}... ({len(field)} chars)"
+    return f"{field[:_EXCERPT]!r}... ({len(field)} chars)"
 
 
 def parse_message(line: str) -> ReportMsg | AlertMsg:
@@ -161,15 +166,14 @@ def parse_message(line: str) -> ReportMsg | AlertMsg:
         encoding = parse_encoding(coords)
     except ValueError:
         raise ProtocolError(f"bad coordinate list: {_excerpt(coords)}") from None
+    try:
+        if tag not in _TAGS[kind]:
+            raise ProtocolError(f"bad {kind.lower()} tag: {_excerpt(tag)}")
+    except KeyError:
+        raise ProtocolError(f"unknown message kind: {_excerpt(kind)}") from None
     if kind == "REPORT":
-        if tag not in (UNINFECTED, INFECTED):
-            raise ProtocolError(f"bad report tag: {_excerpt(tag)}")
         return ReportMsg(user_id=user_id, tag=tag, encoding=encoding)
-    if kind == "ALERT":
-        if tag != POSSIBLE_INFECTION:
-            raise ProtocolError(f"bad alert tag: {_excerpt(tag)}")
-        return AlertMsg(user_id=user_id, encoding=encoding)
-    raise ProtocolError(f"unknown message kind: {_excerpt(kind)}")
+    return AlertMsg(user_id=user_id, encoding=encoding)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +309,7 @@ class ServerState:
 
     `handle` runs under one lock, so concurrent callers see the store, the
     infected log and the alert dedupe set change one report at a time.
+    A report it refuses raises ProtocolError before anything changes.
     """
 
     def __init__(self, n: int, tau: int):
@@ -320,14 +325,18 @@ class ServerState:
     def handle(self, msg: ReportMsg) -> list[AlertMsg]:
         if not isinstance(msg, ReportMsg):  # not its repr: that is the whole line
             raise ProtocolError(f"not a report: {type(msg).__name__}")
-        if msg.tag not in (UNINFECTED, INFECTED):
+        if msg.tag not in _TAGS["REPORT"]:
             raise ProtocolError(f"bad report tag: {_excerpt(str(msg.tag))}")
         _check_field("user id", msg.user_id)  # an alert to it could not be sent
         with self._lock:
-            if msg.tag == UNINFECTED:
-                self.index.add(msg)  # keeps its fields, not the message
-                return []
-            hits = self.index.query(msg.encoding)  # raises before anything is logged
+            # the store refuses a report before it keeps or logs anything
+            try:
+                if msg.tag == UNINFECTED:
+                    self.index.add(msg)  # keeps its fields, not the message
+                    return []
+                hits = self.index.query(msg.encoding)
+            except ValueError as exc:  # its length, range and capacity checks
+                raise ProtocolError(str(exc)) from exc
             self.infected_log.append(msg)
             alerts = []
             for entry in hits:
@@ -518,8 +527,8 @@ class SocketServer:
                 del buf[:end]
                 conn.outbuf += self._reply(line)
                 self._set_deadline(conn)
-        # ProtocolError, UnicodeDecodeError and the store's length and range
-        # checks are all ValueErrors
+        # ProtocolError, the store's refusals included, and UnicodeDecodeError
+        # are the ValueErrors that arrive here
         except ValueError as exc:
             self._reject(conn, str(exc))
             return
@@ -590,9 +599,10 @@ def send_report_over_socket(
 ) -> list[AlertMsg]:
     """One-shot client: send a report line, read alerts until the OK line.
 
-    Raises ProtocolError on an ERROR line or when the stream ends before OK,
-    so a report the server did not accept never looks accepted.  A report
-    `format_message` refuses raises before anything is sent."""
+    Raises ProtocolError on an ERROR line, on any other line that is not an
+    ALERT line (one that is not UTF-8 included) or when the stream ends
+    before OK, so a report the server did not accept never looks accepted.
+    A report `format_message` refuses raises before anything is sent."""
     line = (format_message(msg) + "\n").encode("utf-8")
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as conn:
         conn.connect(address)
@@ -605,7 +615,11 @@ def send_report_over_socket(
             if not got and rest:
                 lines.append(rest)  # the stream ended inside a line
             for raw in lines:
-                line = raw.decode("utf-8")
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    text = raw.decode("utf-8", "replace")
+                    raise ProtocolError(f"reply line not UTF-8: {_excerpt(text)}") from None
                 if line == "OK":
                     return alerts
                 if line.startswith("ERROR\t"):

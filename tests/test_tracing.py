@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import gc
 import hashlib
 import logging
@@ -488,6 +490,21 @@ def test_in_process_transport_refuses_an_alert():
     assert server.infected_log == []
 
 
+@contextlib.contextmanager
+def _serving(state, **limits):
+    """A SocketServer for `state`, with `limits` set on it, served from a
+    thread and shut down and closed when the block ends."""
+    server = SocketServer(("127.0.0.1", 0), state)
+    for name, value in limits.items():
+        setattr(server, name, value)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_newline_in_a_user_id_is_refused_by_both_transports():
     """The TCP server reads a newline as the end of a line, so a report whose
     user id holds one is refused in process too, and stored by neither."""
@@ -495,16 +512,28 @@ def test_newline_in_a_user_id_is_refused_by_both_transports():
     state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
     with pytest.raises(ProtocolError):
         InProcessTransport(state).send_report(msg)
-    server = SocketServer(("127.0.0.1", 0), state)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(state) as server:
         with pytest.raises(ProtocolError):
             send_report_over_socket(server.server_address, msg)
-    finally:
-        server.shutdown()
-        server.server_close()
     assert state.store_size == 0
+    assert state.infected_log == []
+
+
+def test_a_report_the_store_refuses_raises_one_protocol_error_on_both_transports():
+    """The store's length check surfaces in process as the TCP client reads
+    it from the ERROR line: a ProtocolError with the same text, and nothing
+    stored or logged."""
+    state = ServerState(n=3, tau=0)
+    state.handle(ReportMsg("a", UNINFECTED, (1, 2, 3)))
+    with _serving(state) as server:
+        over_tcp = functools.partial(send_report_over_socket, server.server_address)
+        for send in (InProcessTransport(state).send_report, over_tcp):
+            for tag in (UNINFECTED, INFECTED):
+                with pytest.raises(ProtocolError) as raised:
+                    send(ReportMsg("b", tag, (1, 2)))
+                assert raised.type is ProtocolError
+                assert str(raised.value) == "encoding length 2 != index length 3"
+    assert state.store_size == 1
     assert state.infected_log == []
 
 
@@ -515,15 +544,9 @@ def test_a_user_id_that_holds_a_second_report_is_not_sent():
     state = ServerState(n=3, tau=0)
     state.handle(ReportMsg("victim", UNINFECTED, (1, 2, 3)))
     crafted = ReportMsg("a\tuninfected\t000400050006\nREPORT\tb", INFECTED, (1, 2, 3))
-    server = SocketServer(("127.0.0.1", 0), state)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(state) as server:
         with pytest.raises(ProtocolError, match="tab or newline in the user id"):
             send_report_over_socket(server.server_address, crafted)
-    finally:
-        server.shutdown()
-        server.server_close()
     assert state.store_size == 1
     assert state.infected_log == []
     assert state._alerted == set()
@@ -544,10 +567,7 @@ def test_handle_refuses_a_user_id_it_could_not_write_back(user_id, tag):
 def test_socket_transport():
     rng = random.Random(8)
     state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    server = SocketServer(("127.0.0.1", 0), state)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(state) as server:
         addr = server.server_address
         alice, bob = ClientState("alice"), ClientState("bob")
         (ra,) = client_tick(alice, 2, 33, GRID, PARAMS, rng)
@@ -559,9 +579,6 @@ def test_socket_transport():
             alerts.extend(send_report_over_socket(addr, msg))
         assert [a.user_id for a in alerts] == ["alice"]
         assert client_handle_alert(alice, alerts[0]) == (2, 33)
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def _exchange(address, data: bytes) -> bytes:
@@ -575,10 +592,7 @@ def _exchange(address, data: bytes) -> bytes:
 
 def test_socket_server_rejects_bad_reports_and_keeps_serving():
     state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    server = SocketServer(("127.0.0.1", 0), state)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(state) as server:
         addr = server.server_address
         coords = ",".join(["1"] * PARAMS.n)
         hexed = "0001" * PARAMS.n
@@ -607,23 +621,11 @@ def test_socket_server_rejects_bad_reports_and_keeps_serving():
         ok = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
         assert send_report_over_socket(addr, ok) == []
         assert state.store_size == 1
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def _serving(state, **limits):
-    server = SocketServer(("127.0.0.1", 0), state)
-    for name, value in limits.items():
-        setattr(server, name, value)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
 
 
 def test_socket_server_drops_idle_client():
     state = ServerState(n=3, tau=0)
-    server = _serving(state, idle_timeout=0.2)
-    try:
+    with _serving(state, idle_timeout=0.2) as server:
         with socket.create_connection(server.server_address, timeout=10) as idle:
             idle.sendall(b"REPORT\tu1")  # no newline, then nothing
             start = time.monotonic()
@@ -632,15 +634,11 @@ def test_socket_server_drops_idle_client():
         ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
         assert send_report_over_socket(server.server_address, ok) == []
         assert state.store_size == 1
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_socket_server_drops_trickling_client():
     state = ServerState(n=3, tau=0)
-    server = _serving(state, idle_timeout=0.3)
-    try:
+    with _serving(state, idle_timeout=0.3) as server:
         with socket.create_connection(server.server_address, timeout=10) as slow:
             start = time.monotonic()
             closed = False
@@ -662,16 +660,12 @@ def test_socket_server_drops_trickling_client():
         ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
         assert send_report_over_socket(server.server_address, ok) == []
         assert state.store_size == 1
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_socket_server_caps_line_length():
     state = ServerState(n=3, tau=0)
     line = format_message(ReportMsg("u1", UNINFECTED, (1, 2, 3))) + "\n"
-    server = _serving(state, max_line=len(line) - 1)
-    try:
+    with _serving(state, max_line=len(line) - 1) as server:
         reply = _exchange(server.server_address, line.encode())
         assert reply.startswith(b"ERROR\tline longer than")
         assert reply.count(b"\n") == 1  # the connection closed after ERROR
@@ -684,16 +678,9 @@ def test_socket_server_caps_line_length():
         short = ReportMsg("u", UNINFECTED, (1, 2, 3))  # one byte shorter
         assert send_report_over_socket(server.server_address, short) == []
         assert state.store_size == 1
-    finally:
-        server.shutdown()
-        server.server_close()
-    server = _serving(state, max_line=len(line))  # a line of exactly max_line
-    try:
+    with _serving(state, max_line=len(line)) as server:  # a line of exactly max_line
         assert _exchange(server.server_address, line.encode()) == b"OK\n"
         assert state.store_size == 2
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # each field is well formed half the time, so many lines reach the store and
@@ -727,51 +714,50 @@ def test_socket_server_answers_any_byte_line():
     """Every line gets OK, possibly after ALERT lines, or exactly one ERROR
     line, and the server keeps serving good reports after it."""
     state = ServerState(n=3, tau=1)
-    server = _serving(state, max_line=64)
-    addr = server.server_address
-    good = ReportMsg("good", UNINFECTED, (1, 2, 3))
+    with _serving(state, max_line=64) as server:
+        addr = server.server_address
+        good = ReportMsg("good", UNINFECTED, (1, 2, 3))
 
-    @settings(max_examples=300, deadline=None)
-    @given(_wire_lines, st.sampled_from([b"\n", b""]))
-    def check(line, end):
-        lines = _exchange(addr, line + end).split(b"\n")
-        assert lines.pop() == b""  # every reply line ends in a newline
-        if lines[-1].startswith(b"ERROR\t"):
-            assert len(lines) == 1
-        else:
-            assert lines[-1] == b"OK"
-            assert all(reply.startswith(b"ALERT\t") for reply in lines[:-1])
-        assert send_report_over_socket(addr, good) == []
+        @settings(max_examples=300, deadline=None)
+        @given(_wire_lines, st.sampled_from([b"\n", b""]))
+        def check(line, end):
+            lines = _exchange(addr, line + end).split(b"\n")
+            assert lines.pop() == b""  # every reply line ends in a newline
+            if lines[-1].startswith(b"ERROR\t"):
+                assert len(lines) == 1
+            else:
+                assert lines[-1] == b"OK"
+                assert all(reply.startswith(b"ALERT\t") for reply in lines[:-1])
+            assert send_report_over_socket(addr, good) == []
 
-    try:
         check()
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
+@contextlib.contextmanager
 def _replying(data: bytes):
-    """A server that reads one line, answers it with `data` and closes."""
+    """A server that reads one line, answers it with its `reply`, at first
+    `data`, and closes; shut down and closed when the block ends."""
 
     class Replies(socketserver.StreamRequestHandler):
         def handle(self):
             self.rfile.readline()
-            self.wfile.write(data)
+            self.wfile.write(self.server.reply)
 
     server = socketserver.TCPServer(("127.0.0.1", 0), Replies)
+    server.reply = data
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
-
-
-def test_client_raises_when_stream_ends_without_ok():
-    server = _replying(b"")  # read the report, answer nothing
     try:
-        msg = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
-        with pytest.raises(ProtocolError, match="before OK"):
-            send_report_over_socket(server.server_address, msg)
+        yield server
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_client_raises_when_stream_ends_without_ok():
+    with _replying(b"") as server:  # read the report, answer nothing
+        msg = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
+        with pytest.raises(ProtocolError, match="before OK"):
+            send_report_over_socket(server.server_address, msg)
 
 
 _ALERT = format_message(AlertMsg("u2", tuple(range(PARAMS.n))))
@@ -783,49 +769,105 @@ _REPORT = format_message(ReportMsg("u2", UNINFECTED, tuple(range(PARAMS.n))))
     [
         (f"{_ALERT}\n{_ALERT[:-2]}".encode(), "bad coordinate list"),
         (f"{_REPORT}\nOK\n".encode(), "expected an ALERT line"),
+        (b"\xff\xfe\n", "not UTF-8"),
     ],
-    ids=["stream_ends_inside_a_line", "not_an_alert"],
+    ids=["stream_ends_inside_a_line", "not_an_alert", "not_utf_8"],
 )
 def test_client_refuses_a_reply_other_than_alerts_then_ok(reply, message):
-    server = _replying(reply)
-    try:
+    with _replying(reply) as server:
         msg = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
         with pytest.raises(ProtocolError, match=message):
             send_report_over_socket(server.server_address, msg)
-    finally:
-        server.shutdown()
-        server.server_close()
+
+
+def _alerts_before_ok(reply: bytes):
+    """The alerts a reply carries before its first OK line, or None unless
+    every line before that one is an ALERT line.  A last line may lack its
+    newline."""
+    lines = reply.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    alerts = []
+    for raw in lines:
+        if raw == b"OK":
+            return alerts
+        try:
+            msg = parse_message(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ProtocolError):
+            return None
+        if not isinstance(msg, AlertMsg):
+            return None
+        alerts.append(msg)
+    return None
+
+
+_codes = st.lists(st.integers(0, CODE_LIMIT - 1), min_size=1, max_size=4).map(tuple)
+_alert_lines = st.builds(AlertMsg, st.sampled_from(["u2", "u3", "\r"]), _codes).map(format_message)
+# a line of each kind a reply may hold; \xff is in no UTF-8 text
+_reply_lines = st.one_of(
+    st.one_of(
+        _alert_lines,
+        st.just("OK"),
+        st.text(max_size=12).map("ERROR\t".__add__),
+        st.builds(ReportMsg, st.just("u2"), st.sampled_from([UNINFECTED, INFECTED]), _codes)
+        .map(format_message),
+        st.text(max_size=12),
+    ).map(str.encode),
+    st.lists(st.binary(max_size=3), min_size=2, max_size=2).map(b"\xff".join),
+)
+
+
+def test_client_returns_the_alerts_before_ok_or_raises_protocol_error():
+    """Alerts then OK gives exactly those alerts; any other reply, whatever
+    its bytes, raises ProtocolError and nothing else."""
+    msg = ReportMsg("u1", UNINFECTED, tuple(range(PARAMS.n)))
+    with _replying(b"") as server:
+        # alert lines first and OK often, so that about half the replies
+        # are accepted, most of them with alerts
+        @settings(max_examples=60, deadline=None)
+        @given(
+            st.lists(_alert_lines.map(str.encode), max_size=3),
+            st.lists(st.just(b"OK") | _reply_lines, min_size=1, max_size=4),
+            st.sampled_from([b"\n", b""]),
+        )
+        def check(alerts, lines, end):
+            server.reply = b"\n".join(alerts + lines) + end
+            expected = _alerts_before_ok(server.reply)
+            if expected is None:
+                with pytest.raises(ProtocolError):
+                    send_report_over_socket(server.server_address, msg)
+            else:
+                assert send_report_over_socket(server.server_address, msg) == expected
+
+        check()
 
 
 def test_idle_connections_do_not_delay_a_report():
     """Idle clients hold sockets, not threads, and wait beside the others."""
     state = ServerState(n=3, tau=0)
-    server = _serving(state)
-    threads = threading.active_count()
-    idle = [socket.create_connection(server.server_address, timeout=10) for _ in range(50)]
-    try:
-        for conn in idle[::2]:
-            conn.sendall(b"REPORT\tu1")  # half a line, then nothing
-        start = time.monotonic()
-        ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
-        assert send_report_over_socket(server.server_address, ok) == []
-        assert time.monotonic() - start < 1
-        assert threading.active_count() == threads
-    finally:
-        for conn in idle:
-            conn.close()
-        server.shutdown()
-        server.server_close()
+    with _serving(state) as server:
+        threads = threading.active_count()
+        idle = [socket.create_connection(server.server_address, timeout=10) for _ in range(50)]
+        try:
+            for conn in idle[::2]:
+                conn.sendall(b"REPORT\tu1")  # half a line, then nothing
+            start = time.monotonic()
+            ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
+            assert send_report_over_socket(server.server_address, ok) == []
+            assert time.monotonic() - start < 1
+            assert threading.active_count() == threads
+        finally:
+            for conn in idle:
+                conn.close()
 
 
 def test_client_that_never_reads_does_not_stall_others():
     state = ServerState(n=3, tau=0)
-    server = _serving(state)
-    # accepted sockets inherit the listener's buffer sizes: with small ones,
-    # the pipelined replies below overflow what the kernel holds for them
-    server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-    line = (format_message(ReportMsg("pipe", UNINFECTED, (1, 2, 3))) + "\n").encode()
-    try:
+    with _serving(state) as server:
+        # accepted sockets inherit the listener's buffer sizes: with small ones,
+        # the pipelined replies below overflow what the kernel holds for them
+        server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        line = (format_message(ReportMsg("pipe", UNINFECTED, (1, 2, 3))) + "\n").encode()
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as pipe:
             pipe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             pipe.connect(server.server_address)
@@ -850,22 +892,18 @@ def test_client_that_never_reads_does_not_stall_others():
                 time.sleep(0.2)
                 settled = state.store_size
             assert handled == settled < sent // len(line) // 2
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_pipelined_reports_are_answered_in_order():
     state = ServerState(n=3, tau=0)
-    server = _serving(state)
-    reports = [
-        ReportMsg("a", UNINFECTED, (1, 2, 3)),
-        ReportMsg("b", UNINFECTED, (4, 5, 6)),
-        ReportMsg("c", INFECTED, (4, 5, 6)),
-        ReportMsg("c", INFECTED, (1, 2, 3)),
-        ReportMsg("c", INFECTED, (7, 8, 9)),
-    ]
-    try:
+    with _serving(state) as server:
+        reports = [
+            ReportMsg("a", UNINFECTED, (1, 2, 3)),
+            ReportMsg("b", UNINFECTED, (4, 5, 6)),
+            ReportMsg("c", INFECTED, (4, 5, 6)),
+            ReportMsg("c", INFECTED, (1, 2, 3)),
+            ReportMsg("c", INFECTED, (7, 8, 9)),
+        ]
         data = "".join(format_message(r) + "\n" for r in reports).encode()
         reply = _exchange(server.server_address, data).decode().splitlines()
         assert reply == [
@@ -877,9 +915,6 @@ def test_pipelined_reports_are_answered_in_order():
             "OK",
             "OK",
         ]
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_a_second_server_close_does_nothing():
@@ -928,8 +963,7 @@ def _server_records(caplog):
 def test_dropped_idle_connection_is_logged_once(caplog):
     caplog.set_level(logging.WARNING, logger="tracecloak.server")
     state = ServerState(n=3, tau=0)
-    server = _serving(state, idle_timeout=0.2)
-    try:
+    with _serving(state, idle_timeout=0.2) as server:
         ok = ReportMsg("u2", UNINFECTED, (1, 2, 3))
         assert send_report_over_socket(server.server_address, ok) == []
         assert _server_records(caplog) == []  # nothing on the OK path
@@ -938,23 +972,16 @@ def test_dropped_idle_connection_is_logged_once(caplog):
             assert idle.recv(1024) == b""
         (record,) = _server_records(caplog)
         assert "no complete line within 0.2 s" in record.getMessage()
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_over_long_line_is_logged_once(caplog):
     caplog.set_level(logging.WARNING, logger="tracecloak.server")
     state = ServerState(n=3, tau=0)
-    server = _serving(state, max_line=64)
-    try:
+    with _serving(state, max_line=64) as server:
         reply = _exchange(server.server_address, b"x" * 10**5 + b"\n")
         assert reply == b"ERROR\tline longer than 64 bytes\n"
         (record,) = _server_records(caplog)
         assert record.getMessage().endswith("line longer than 64 bytes")
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_a_fault_in_handle_drops_only_that_connection(caplog):
@@ -968,8 +995,7 @@ def test_a_fault_in_handle_drops_only_that_connection(caplog):
         return handle(msg)
 
     state.handle = faulty
-    server = _serving(state)
-    try:
+    with _serving(state) as server:
         boom = ReportMsg("boom", UNINFECTED, (1, 2, 3))
         with pytest.raises(ProtocolError, match="before OK"):
             send_report_over_socket(server.server_address, boom)
@@ -980,9 +1006,6 @@ def test_a_fault_in_handle_drops_only_that_connection(caplog):
         assert record.levelno == logging.ERROR
         assert record.getMessage().endswith(": internal error")
         assert record.exc_info[0] is RuntimeError
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def _read_line(conn: socket.socket) -> bytes:
@@ -997,8 +1020,7 @@ def test_discarding_after_an_error_stops_at_the_discard_limit(monkeypatch):
     its idle deadline."""
     monkeypatch.setattr(tracing, "DISCARD_LIMIT", 10_000)
     state = ServerState(n=3, tau=0)
-    server = _serving(state, idle_timeout=30)
-    try:
+    with _serving(state, idle_timeout=30) as server:
         with socket.create_connection(server.server_address, timeout=10) as conn:
             conn.sendall(b"bad\n")
             assert _read_line(conn).startswith(b"ERROR\t")
@@ -1009,16 +1031,12 @@ def test_discarding_after_an_error_stops_at_the_discard_limit(monkeypatch):
                     conn.sendall(b"x" * 4096)
                     time.sleep(0.01)
             assert time.monotonic() - start < 5
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_a_client_silent_after_its_error_is_closed_at_its_deadline(caplog):
     caplog.set_level(logging.WARNING, logger="tracecloak.server")
     state = ServerState(n=3, tau=0)
-    server = _serving(state, idle_timeout=0.3)
-    try:
+    with _serving(state, idle_timeout=0.3) as server:
         with socket.create_connection(server.server_address, timeout=10) as conn:
             conn.sendall(b"bad\n")
             assert _read_line(conn).startswith(b"ERROR\t")
@@ -1031,18 +1049,14 @@ def test_a_client_silent_after_its_error_is_closed_at_its_deadline(caplog):
                     time.sleep(0.02)
         (record,) = _server_records(caplog)  # the rejection; the close is quiet
         assert record.getMessage().startswith("rejected")
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_a_client_that_never_reads_its_replies_is_dropped(caplog):
     caplog.set_level(logging.WARNING, logger="tracecloak.server")
     state = ServerState(n=3, tau=0)
-    server = _serving(state, idle_timeout=0.5)
-    server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-    line = (format_message(ReportMsg("pipe", UNINFECTED, (1, 2, 3))) + "\n").encode()
-    try:
+    with _serving(state, idle_timeout=0.5) as server:
+        server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        line = (format_message(ReportMsg("pipe", UNINFECTED, (1, 2, 3))) + "\n").encode()
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as pipe:
             pipe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             pipe.connect(server.server_address)
@@ -1059,22 +1073,15 @@ def test_a_client_that_never_reads_its_replies_is_dropped(caplog):
         assert "reply not read within 0.5 s" in record.getMessage()
         ok = ReportMsg("u2", UNINFECTED, (4, 5, 6))
         assert send_report_over_socket(server.server_address, ok) == []
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_a_blank_line_gets_no_reply():
     state = ServerState(n=3, tau=0)
-    server = _serving(state)
-    line = (format_message(ReportMsg("u1", UNINFECTED, (1, 2, 3))) + "\n").encode()
-    try:
+    with _serving(state) as server:
+        line = (format_message(ReportMsg("u1", UNINFECTED, (1, 2, 3))) + "\n").encode()
         assert _exchange(server.server_address, b"\n") == b""
         assert _exchange(server.server_address, b"\n" + line + b"\n") == b"OK\n"
         assert state.store_size == 1
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_a_sweep_keeps_a_connection_before_its_deadline(caplog):
@@ -1082,9 +1089,8 @@ def test_a_sweep_keeps_a_connection_before_its_deadline(caplog):
     set when it was accepted a second later, has not passed."""
     caplog.set_level(logging.WARNING, logger="tracecloak.server")
     state = ServerState(n=3, tau=0)
-    server = _serving(state, idle_timeout=2.0)
-    line = (format_message(ReportMsg("u2", UNINFECTED, (1, 2, 3))) + "\n").encode()
-    try:
+    with _serving(state, idle_timeout=2.0) as server:
+        line = (format_message(ReportMsg("u2", UNINFECTED, (1, 2, 3))) + "\n").encode()
         with socket.create_connection(server.server_address, timeout=10) as idle:
             idle.sendall(b"REPORT\tu1")
             time.sleep(1.0)
@@ -1096,9 +1102,6 @@ def test_a_sweep_keeps_a_connection_before_its_deadline(caplog):
         (record,) = _server_records(caplog)
         assert "no complete line within 2.0 s" in record.getMessage()
         assert state.store_size == 1
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 @pytest.mark.parametrize("field", ["kind", "tag", "coords"])
@@ -1111,17 +1114,13 @@ def test_a_refused_field_is_not_echoed_in_full(caplog, field):
     fields[field] = long
     line = "\t".join([fields["kind"], "u1", fields["tag"], fields["coords"]]) + "\n"
     state = ServerState(n=3, tau=0)
-    server = _serving(state)
-    try:
+    with _serving(state) as server:
         reply = _exchange(server.server_address, line.encode())
         assert reply.startswith(b"ERROR\t") and reply.count(b"\n") == 1
         assert len(reply) <= 256
         assert b"(60000 chars)" in reply
         (record,) = _server_records(caplog)
         assert len(record.getMessage()) <= 256
-    finally:
-        server.shutdown()
-        server.server_close()
     assert state.store_size == 0
 
 
