@@ -372,21 +372,27 @@ def inflated_digit_count(p: int) -> int:
 # wire and the entry files carry the row in hex, four lowercase hex digits a
 # coordinate ("0000000200d3"); a client keeps the bytes themselves.  One
 # struct call packs or unpacks the whole row, and a coordinate outside
-# [0, CODE_LIMIT) cannot be written.  The format strings go through the
-# struct module's own bounded cache, so the codec keeps no state that the
-# lengths of the rows it reads could grow.
+# [0, CODE_LIMIT) cannot be written.  The codec keeps one `struct.Struct`,
+# the format of the last row length it saw, in a one-element list, and a row
+# of another length replaces it: the state is one slot, whatever lengths the
+# rows it reads have.
+
+_row_struct = [struct.Struct(">1H")]  # the slot
 
 
 def pack_encoding(coords: Sequence[int]) -> bytes:
     """coords as big-endian uint16.  Raises ValueError for no coordinates,
     or for one that is not an int in [0, CODE_LIMIT) (a bool, being an int,
     packs as 0 or 1)."""
+    codec, k = _row_struct[0], len(coords)  # one read: another thread may replace it
     try:
-        if len(coords):
-            return struct.pack(f">{len(coords)}H", *coords)
+        if codec.size != 2 * k:
+            if not k:
+                raise ValueError("an encoding has at least one coordinate")
+            codec = _row_struct[0] = struct.Struct(f">{k}H")
+        return codec.pack(*coords)
     except struct.error as exc:
         raise ValueError(f"cannot write {coords!r} as uint16: {exc}") from None
-    raise ValueError("an encoding has at least one coordinate")
 
 
 def unpack_encoding(row: bytes) -> tuple[int, ...]:
@@ -394,7 +400,10 @@ def unpack_encoding(row: bytes) -> tuple[int, ...]:
     bytes or of an odd number of them raises ValueError."""
     if not row or len(row) & 1:
         raise ValueError(f"not 2 bytes per coordinate: {len(row)} bytes")
-    return struct.unpack(f">{len(row) >> 1}H", row)
+    codec = _row_struct[0]  # one read: another thread may replace it
+    if codec.size != len(row):
+        codec = _row_struct[0] = struct.Struct(f">{len(row) >> 1}H")
+    return codec.unpack(row)
 
 
 def format_encoding(coords: Sequence[int]) -> str:

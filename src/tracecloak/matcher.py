@@ -33,7 +33,7 @@ import numpy as np
 # stored coordinates lie in [0, CODE_LIMIT): uint16 rows, as on the wire
 from .encoder import CODE_LIMIT, format_encoding, parse_encoding
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatabaseEntry:
     user_id: str
     encoding: tuple[int, ...]

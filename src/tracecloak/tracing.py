@@ -57,14 +57,14 @@ class OutOfBoundsError(ValueError):
     """Position or time outside the configured grid."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReportMsg:
     user_id: str
     tag: str  # UNINFECTED or INFECTED
     encoding: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AlertMsg:
     user_id: str  # recipient
     encoding: tuple[int, ...]
@@ -419,6 +419,10 @@ class SocketServer:
         self.server_address = self.socket.getsockname()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self.socket, selectors.EVENT_READ)
+        # `shutdown` writes a byte to `_waker`, which ends the loop's select
+        self._wakeup, self._waker = socket.socketpair()
+        self._wakeup.setblocking(False)
+        self._selector.register(self._wakeup, selectors.EVENT_READ)
         # one receive buffer for every connection: a fresh buffer per recv,
         # shrunk to the line, leaves holes between the store's long-lived
         # entries, and peak RSS grew by 3 MB on the tcp_row1 benchmark workload
@@ -429,7 +433,8 @@ class SocketServer:
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Serve every connection until `shutdown` is called, which takes
-        effect within `poll_interval` seconds."""
+        effect at once: it wakes the selector.  No select waits longer than
+        `poll_interval` seconds."""
         self._stopped.clear()
         try:
             while not self._stop:
@@ -438,10 +443,12 @@ class SocketServer:
                     self._expire(now)
                 wait = min(poll_interval, self._next_expiry - now)
                 for key, events in self._selector.select(max(wait, 0.0)):
-                    if key.data is None:
-                        self._accept()
-                    else:
+                    if key.data is not None:
                         self._serve(key, events)
+                    elif key.fileobj is self.socket:
+                        self._accept()
+                    else:  # the wake-up byte of `shutdown`
+                        self._wakeup.recv(64)
         finally:
             self._stop = False
             self._stopped.set()
@@ -450,16 +457,20 @@ class SocketServer:
         """Stop `serve_forever` and wait until it has returned.  Call it from
         another thread; open connections stay open until `server_close`."""
         self._stop = True
+        if not self._stopped.is_set():  # unless the loop has ended, end its select
+            self._waker.send(b"\0")
         self._stopped.wait()
 
     def server_close(self) -> None:
-        """Close the listening socket and every connection still open.  A
-        second call does nothing."""
+        """Close the listening socket, the wake-up pair and every connection
+        still open.  A second call does nothing."""
         for key in list((self._selector.get_map() or {}).values()):  # None once closed
             if key.data is not None:
                 self._close(key.data)
         self._selector.close()
         self.socket.close()
+        self._wakeup.close()
+        self._waker.close()
 
     def _accept(self) -> None:
         try:

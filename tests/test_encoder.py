@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import math
 import random
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -631,20 +634,31 @@ def test_parse_encoding_reads_exactly_four_hex_digits_a_coordinate(text):
 
 def _module_state(module):
     """The size of each container, and of each function cache, that a
-    module holds."""
+    module holds, and the `struct.Struct`s it holds, each of one format, at
+    top level or in its lists."""
     state = {}
     for name, value in vars(module).items():
         if hasattr(value, "cache_info"):
             state[name] = value.cache_info().currsize
         elif isinstance(value, (dict, list, set, bytearray)):
             state[name] = len(value)
+        items = value if isinstance(value, list) else [value]
+        structs = sum(isinstance(item, struct.Struct) for item in items)
+        if structs:
+            state[f"{name} struct.Struct"] = structs
     return state
 
 
+def _structs(state):
+    """How many `struct.Struct`s a `_module_state` counted."""
+    return sum(v for k, v in state.items() if k.endswith(" struct.Struct"))
+
+
 def test_codec_state_does_not_grow_with_the_lengths_it_reads():
-    """A client picks its line lengths; the codec, hex or packed, keeps
-    nothing per length (struct's own format cache is bounded)."""
+    """A client picks its line lengths; the codec, hex or packed, keeps one
+    `struct.Struct` and nothing per length."""
     before = _module_state(encoder)
+    assert _structs(before) == 1  # the codec's one slot
     for k in range(1, 1001):
         text = format_encoding(range(k, 2 * k))
         assert parse_encoding(text) == tuple(range(k, 2 * k))
@@ -655,6 +669,68 @@ def test_codec_state_does_not_grow_with_the_lengths_it_reads():
         with pytest.raises(ValueError):
             unpack_encoding(row + b"0")
     assert _module_state(encoder) == before
+
+
+def test_threads_that_keep_replacing_the_kept_struct_still_get_their_rows():
+    """Each codec call reads the kept Struct once: threads that replace it
+    with their own lengths, switching every microsecond, never pack or
+    unpack a row with another thread's format."""
+    errors, lengths = [], (1, 2, 3, 20, 21)
+    start = threading.Barrier(len(lengths), timeout=30)
+
+    def work(k):
+        coords = tuple(range(k))
+        row = struct.pack(f">{k}H", *coords)
+        try:
+            start.wait()
+            for _ in range(3000):
+                if pack_encoding(coords) != row or unpack_encoding(row) != coords:
+                    raise AssertionError(f"wrong row at length {k}")
+        except Exception as exc:  # reported below, with the thread's length
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in lengths]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+_CODEC_CALLS = ("pack", "unpack", "format", "parse")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        # small lengths repeat often, so that calls reuse the kept Struct
+        st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 300)), st.sampled_from(_CODEC_CALLS)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_codec_equals_struct_whatever_the_order_of_lengths(calls, rng):
+    """Over any sequence of row lengths, each codec call gives what `struct`
+    gives with that length's own format."""
+    for k, call in calls:
+        coords = [rng.randrange(CODE_LIMIT) for _ in range(k)]
+        fmt = f">{k}H"
+        row = struct.pack(fmt, *coords)
+        if call == "pack":
+            assert pack_encoding(coords) == row
+        elif call == "unpack":
+            assert unpack_encoding(row) == struct.unpack(fmt, row)
+        elif call == "format":
+            assert format_encoding(coords) == row.hex()
+        else:
+            assert parse_encoding(row.hex()) == struct.unpack(fmt, row)
 
 
 def test_param_file_round_trip(tmp_path):

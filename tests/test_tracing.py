@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import functools
 import gc
 import hashlib
+import itertools
 import logging
 import random
 import socket
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from tracecloak import tracing
 from tracecloak.encoder import CODE_LIMIT, PolyCodeParams, inflate_range_bound
+from tracecloak.matcher import DatabaseEntry
 from tracecloak.tracing import (
     INFECTED,
     POSSIBLE_INFECTION,
@@ -105,6 +108,34 @@ def test_wire_format_round_trip():
     parsed = parse_message(format_message(alert))
     assert parsed == alert
     assert parsed.tag == POSSIBLE_INFECTION
+
+
+def test_messages_are_slotted_and_entries_slotted_and_frozen():
+    """No record has a `__dict__`.  Records of different kinds built from the
+    same values are unequal, and none equals the tuple of its fields."""
+    e = (1, 2, 3)
+    records = [
+        ReportMsg("u1", UNINFECTED, e),
+        AlertMsg("u1", e),
+        DatabaseEntry("u1", e, UNINFECTED),
+    ]
+    alert, entry = records[1:]
+    for a, b in itertools.combinations(records, 2):
+        assert a != b and b != a
+    for record in records:
+        assert record != dataclasses.astuple(record)
+        assert not hasattr(record, "__dict__")
+    assert [[f.name for f in dataclasses.fields(r)] for r in records] == [
+        ["user_id", "tag", "encoding"],
+        ["user_id", "encoding"],
+        ["user_id", "encoding", "tag"],
+    ]
+    assert alert.tag == POSSIBLE_INFECTION
+    with pytest.raises(AttributeError):
+        alert.tag = UNINFECTED
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.user_id = "u2"
+    assert entry == DatabaseEntry("u1", e) and hash(entry) == hash(DatabaseEntry("u1", e))
 
 
 @pytest.mark.parametrize(
@@ -922,6 +953,39 @@ def test_a_second_server_close_does_nothing():
     server.server_close()
     server.server_close()
     assert server.socket.fileno() == -1
+
+
+def test_shutdown_returns_at_once_whatever_the_poll_interval():
+    """`shutdown` wakes the selector: it does not wait out a 5 s select."""
+    state = ServerState(n=3, tau=0)
+    server = SocketServer(("127.0.0.1", 0), state)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 5})
+    thread.start()
+    try:
+        msg = ReportMsg("u1", UNINFECTED, (1, 2, 3))
+        assert send_report_over_socket(server.server_address, msg) == []
+    finally:
+        started = time.monotonic()
+        server.shutdown()
+        took = time.monotonic() - started
+        server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert took < 1
+    assert state.store_size == 1
+
+
+def test_shutdown_after_the_loop_ended_and_server_close_returns():
+    """Once `serve_forever` has returned, `shutdown` has no loop to wake,
+    also after `server_close` has closed the wake-up pair."""
+    server = SocketServer(("127.0.0.1", 0), ServerState(n=3, tau=0))
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    server.shutdown()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    server.server_close()
+    server.shutdown()
 
 
 def test_server_close_closes_open_connections():

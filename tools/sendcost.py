@@ -1,0 +1,132 @@
+"""Time one in-process send, layer by layer.
+
+    PYTHONPATH=src python3 tools/sendcost.py [--entries D] [--sends S]
+        [--rounds R] [--check C] [--seed S]
+
+At each benchmark shape it fills a `ServerState` with the store that
+`tools/querycost.py` builds there, at that workload's store size unless
+`--entries` sets one for all three.  Each round then times S messages
+through each layer:
+
+- `format_message` and `parse_message` of an uninfected report;
+- `handle.uninfected`: `ServerState.handle` of an uninfected report of a
+  new random point, which the store keeps;
+- `handle.infected`: `ServerState.handle` of an infected report that
+  re-sends a stored encoding by its own reporter, as every infected report
+  of the `sim` workload does;
+- `send_report`: `InProcessTransport.send_report` of an uninfected report,
+  whole.
+
+Before it times anything, it checks that `parse_message(format_message(m))`
+equals m for every message it will send, and that C infected sends of
+stored encodings, by a reporter the store does not hold, alert exactly the
+entries `scan_match` finds, each (recipient, encoding) once; on a
+difference it exits 1.  Then it prints per shape and layer the median
+process CPU microseconds of one call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import statistics
+import sys
+import time
+
+from querycost import SHAPES, build
+from tracecloak.encoder import encode
+from tracecloak.matcher import scan_match
+from tracecloak.tracing import (
+    INFECTED,
+    UNINFECTED,
+    AlertMsg,
+    InProcessTransport,
+    ReportMsg,
+    ServerState,
+    format_message,
+    parse_message,
+)
+
+LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
+CHECKER = "sendcost-checker"  # a reporter that holds no stored entry
+
+
+def timed(fn, args: list) -> list[int]:
+    """The process CPU nanoseconds of each call fn(a)."""
+    clock = time.process_time_ns
+    times = []
+    for a in args:
+        t0 = clock()
+        fn(a)
+        times.append(clock() - t0)
+    return times
+
+
+def expected_alerts(entries: list, msg: ReportMsg, tau: int, alerted: set) -> list[AlertMsg]:
+    """The alerts `ServerState.handle` owes an infected report, from
+    `scan_match`: every other reporter's matching entry, each (recipient,
+    encoding) once over all the reports `alerted` has seen."""
+    alerts = []
+    for entry in scan_match(entries, msg.encoding, tau):
+        key = (entry.user_id, entry.encoding)
+        if entry.user_id != msg.user_id and key not in alerted:
+            alerted.add(key)
+            alerts.append(AlertMsg(entry.user_id, entry.encoding))
+    return alerts
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--entries", type=int, help="store size at every shape")
+    parser.add_argument("--sends", type=int, default=1000, help="per layer and round")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--check", type=int, default=5, help="infected sends checked")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if min(args.entries or 1, args.sends, args.rounds) < 1 or args.check < 0:
+        parser.error("--entries, --sends and --rounds must be at least 1, --check at least 0")
+    rng = random.Random(args.seed)
+    count = args.sends * args.rounds
+    for shape, (params, size) in SHAPES.items():
+        size = args.entries or size
+        entries, _ = build(params, size, 0, rng)
+        state = ServerState(params.n, params.tau)
+        transport = InProcessTransport(state)
+        for entry in entries:
+            state.handle(ReportMsg(entry.user_id, UNINFECTED, entry.encoding))
+
+        def fresh() -> ReportMsg:
+            e = encode(rng.randrange(params.M), params, rng)
+            return ReportMsg(f"u{rng.randrange(2000)}", UNINFECTED, e)
+
+        stored = [entries[rng.randrange(size)] for _ in range(count + args.check)]
+        checked = [ReportMsg(CHECKER, INFECTED, entry.encoding) for entry in stored[: args.check]]
+        infected = [ReportMsg(e.user_id, INFECTED, e.encoding) for e in stored[args.check :]]
+        kept, sent = [fresh() for _ in range(count)], [fresh() for _ in range(count)]
+        for msg in checked + infected + kept + sent:
+            if parse_message(format_message(msg)) != msg:
+                print(f"{shape}: {msg!r} does not survive the wire", file=sys.stderr)
+                return 1
+        alerted: set = set()
+        for msg in checked:
+            if transport.send_report(msg) != expected_alerts(entries, msg, params.tau, alerted):
+                print(f"{shape}: the alerts differ from scan_match", file=sys.stderr)
+                return 1
+
+        times = {layer: [] for layer in LAYERS}
+        for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
+            part = slice(r * args.sends, (r + 1) * args.sends)
+            lines = [format_message(m) for m in kept[part]]
+            times["format_message"] += timed(format_message, kept[part])
+            times["parse_message"] += timed(parse_message, lines)
+            times["handle.uninfected"] += timed(state.handle, kept[part])
+            times["handle.infected"] += timed(state.handle, infected[part])
+            times["send_report"] += timed(transport.send_report, sent[part])
+        for layer in LAYERS:
+            us = statistics.median(times[layer]) / 1e3
+            print(f"{shape:5} D={size:<6} {layer:17} {us:8.2f} us")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
