@@ -291,22 +291,23 @@ INFLATION_FACTORS = 16
 
 
 @lru_cache(maxsize=1)
-def _inflation_tables() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    base = tuple(primes(INFLATION_FACTORS))  # q_1..q_16
-    offsets = []
-    s = 0
+def _inflation_bands() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(q_i, band_i) for i = 1..16: q_i is the i-th prime, and band_i the
+    q_i consecutive primes after those of the bands before it, so the bands
+    are disjoint and together are the first 381 primes."""
+    base = primes(INFLATION_FACTORS)  # q_1..q_16
+    pool = primes(sum(base))
+    bands, s = [], 0
     for q in base:
-        offsets.append(s)  # s_i = sum of the primes before q_i
+        bands.append((q, tuple(pool[s : s + q])))
         s += q
-    pool = tuple(primes(offsets[-1] + base[-1]))  # q_1..q_381 covers every band
-    return base, tuple(offsets), pool
+    return tuple(bands)
 
 
 @lru_cache(maxsize=1)
 def inflation_domain() -> int:
     """Size of the admissible input range: the product of the first 16 primes."""
-    base, _, _ = _inflation_tables()
-    return math.prod(base)
+    return math.prod(q for q, _ in _inflation_bands())
 
 
 def inflate(x: int) -> int:
@@ -316,24 +317,22 @@ def inflate(x: int) -> int:
     the bands are disjoint, so the factor multiset determines all 16
     residues and the map is injective.
     """
-    base, offsets, pool = _inflation_tables()
     if not 0 <= x < inflation_domain():
         raise ValueError("x outside the inflation domain")
     y = 1
-    for q, s in zip(base, offsets):
-        y *= pool[s + x % q]  # the (s_i + c_i + 1)-th prime, 1-indexed
+    for q, band in _inflation_bands():
+        y *= band[x % q]  # the (x mod q + 1)-th prime of the band
     return y
 
 
 def _band_factors(y: int) -> list[tuple[int, int, int]]:
     """(c_i, q_i, factor) for each band of an inflated value: the first
     candidate prime of band i that divides y is its (c_i + 1)-th."""
-    base, offsets, pool = _inflation_tables()
     out = []
-    for q, s in zip(base, offsets):
-        for c in range(q):
-            if y % pool[s + c] == 0:
-                out.append((c, q, pool[s + c]))
+    for q, band in _inflation_bands():
+        for c, f in enumerate(band):
+            if y % f == 0:
+                out.append((c, q, f))
                 break
         else:
             raise ValueError("value is not in the image of inflate")
@@ -355,8 +354,7 @@ def inflation_factors(y: int) -> list[int]:
 
 def inflate_range_bound() -> int:
     """Exclusive upper bound on inflated values (every band at its top prime)."""
-    base, offsets, pool = _inflation_tables()
-    return math.prod(pool[s + q - 1] for q, s in zip(base, offsets)) + 1
+    return math.prod(band[-1] for _, band in _inflation_bands()) + 1
 
 
 def inflated_digit_count(p: int) -> int:

@@ -40,13 +40,18 @@ def primes(count: int, start: int = 2) -> list[int]:
 
 
 def to_digits(x: int, p: int, m: int) -> list[int]:
-    """Base-p digits of x, least-significant first, zero-padded to length m."""
-    if x < 0 or x >= p**m:
+    """Base-p digits of x, p >= 2, least-significant first, zero-padded to
+    length m.  x outside [0, p^m) raises ValueError: x < 0, or a quotient
+    left after m divisions by p, so p^m itself is never computed."""
+    if x < 0:
         raise ValueError(f"x={x} out of range [0, {p}^{m})")
     digits = []
+    rest = x
     for _ in range(m):
-        digits.append(x % p)
-        x //= p
+        digits.append(rest % p)
+        rest //= p
+    if rest:
+        raise ValueError(f"x={x} out of range [0, {p}^{m})")
     return digits
 
 

@@ -28,6 +28,7 @@ from typing import ClassVar, Iterable, Sequence
 
 from .encoder import (
     Params,
+    _below,
     encode,
     format_encoding,
     inflate,
@@ -693,7 +694,7 @@ def run_simulation(
     server = ServerState(n=params.n, tau=params.tau)
     transport = InProcessTransport(server)
 
-    positions = {u: rng.randrange(grid.cells) for u in users}
+    cells = [rng.randrange(grid.cells) for _ in users]  # each agent's current cell
     trajectories: dict[str, array[int]] = {u: array("Q") for u in users}
     result = SimulationResult(
         trajectories=trajectories, alerts={u: [] for u in users}, server=server
@@ -710,25 +711,23 @@ def run_simulation(
             )
         infections_by_epoch[epoch].append(user)
 
+    # the agents as columns, in user order: the draws of every epoch follow it
+    columns = list(enumerate(zip(clients.values(), trajectories.values())))
+    send = transport.send_report
     for t in range(grid.epochs):
-        for u in users:
-            positions[u] = _walk(positions[u], grid, rng)
-            trajectories[u].append(positions[u])
+        for i, (client, trail) in columns:
+            cells[i] = cell = _walk(cells[i], grid, rng)
+            trail.append(cell)
             for msg in client_tick(
-                clients[u],
-                t,
-                positions[u],
-                grid,
-                params,
-                rng,
-                dilation_radius,
-                inflate_world,
+                client, t, cell, grid, params, rng, dilation_radius, inflate_world
             ):
-                _deliver(transport.send_report(msg), clients, result)
+                if alerts := send(msg):
+                    _deliver(alerts, clients, result)
         for u in infections_by_epoch.get(t, ()):
             t_start = 0 if window is None else max(0, t - window)
             for msg in client_report_infection(clients[u], t_start, t):
-                _deliver(transport.send_report(msg), clients, result)
+                if alerts := send(msg):
+                    _deliver(alerts, clients, result)
 
     result.contacts = _contacts(trajectories, infections, window)
     return result
@@ -757,9 +756,13 @@ def _contacts(
 
 
 def _walk(cell: int, grid: GridSpec, rng: random.Random) -> int:
+    """One step of a lazy king's walk, clamped to the grid.  Each of the row
+    and column steps is `_below(getrandbits, 3) - 1`, which draws what
+    `rng.randint(-1, 1)` draws: 2 bits until they are below 3."""
+    getrandbits = rng.getrandbits
     row, col = divmod(cell, grid.cols)
-    row = min(max(row + rng.randint(-1, 1), 0), grid.rows - 1)
-    col = min(max(col + rng.randint(-1, 1), 0), grid.cols - 1)
+    row = min(max(row + _below(getrandbits, 3) - 1, 0), grid.rows - 1)
+    col = min(max(col + _below(getrandbits, 3) - 1, 0), grid.cols - 1)
     return row * grid.cols + col
 
 

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracecloak import encoder
@@ -39,7 +39,7 @@ from tracecloak.encoder import (
     unpack_encoding,
 )
 from tracecloak.matcher import hamming
-from tracecloak.numtheory import eval_poly, to_digits
+from tracecloak.numtheory import eval_poly, primes, to_digits
 
 SMALL = PolyCodeParams(M=49, p=7, n=5, k=0)
 DESK = PolyCodeParams(M=10**4, p=31, n=10, k=2)
@@ -522,11 +522,15 @@ def test_rrns_recall_bound():
 
 
 def test_inflation_offsets_and_range():
-    from tracecloak.encoder import _inflation_tables
+    from tracecloak.encoder import _inflation_bands
 
-    base, offsets, _ = _inflation_tables()
-    assert base[:3] == (2, 3, 5)
-    assert offsets[:3] == (0, 2, 5)
+    bands = _inflation_bands()
+    base = tuple(q for q, _ in bands)
+    assert base == tuple(primes(16)) and base[:3] == (2, 3, 5)
+    # band i holds q_i primes from offset s_i = q_1 + ... + q_{i-1} of the pool
+    assert [len(band) for _, band in bands] == list(base)
+    assert bands[0][1] == (2, 3) and bands[1][1] == (5, 7, 11)
+    assert sum((band for _, band in bands), ()) == tuple(primes(sum(base)))
     assert inflation_domain() > 10**19
     assert inflate(0) < inflate_range_bound()
 
@@ -541,6 +545,30 @@ def test_inflate_round_trip_and_factors():
         assert len(factors) == 16
         assert len(set(factors)) == 16  # square-free
         assert math.prod(factors) == y
+
+
+_BASE = primes(16)
+_POOL = primes(sum(_BASE))
+
+
+def _inflate_reference(x):
+    """`inflate` as a product over one pool of the first 381 primes: band i
+    starts at offset s_i = q_1 + ... + q_{i-1}, and x picks pool[s_i + x mod q_i]."""
+    y, s = 1, 0
+    for q in _BASE:
+        y *= _POOL[s + x % q]
+        s += q
+    return y
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, inflation_domain() - 1))
+@example(0)
+@example(inflation_domain() - 1)
+def test_inflate_equals_the_pool_product(x):
+    y = inflate(x)
+    assert y == _inflate_reference(x)
+    assert deflate(y) == x
 
 
 def test_deflate_refuses_a_value_outside_the_image():

@@ -5,6 +5,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LINECOV = ROOT / "tools" / "linecov.py"
+sys.path.insert(0, str(LINECOV.parent))
+
+import linecov  # noqa: E402
 NUMTHEORY = ROOT / "src" / "tracecloak" / "numtheory.py"
 
 ONE_TEST = '''from tracecloak.numtheory import primes
@@ -44,3 +47,29 @@ def test_linecov_lists_the_statements_a_run_missed(tmp_path):
     assert missed == total > 0
     assert out[-1].endswith("statements not run  total")
     assert counts["total"][0] == sum(m for name, (m, _) in counts.items() if name != "total")
+
+
+DECLARATIONS = """counter = 0
+
+
+def bump():
+    global counter
+    counter += 1
+
+    def inner():
+        nonlocal step
+        step = 2
+
+    step = 1
+    inner()
+    return step
+"""
+
+
+def test_declarations_are_not_statements():
+    """`global` and `nonlocal` compile to no line a tracer sees, so a run
+    that executes every line of `bump` would still list them."""
+    found = linecov.statements(DECLARATIONS)
+    lines = DECLARATIONS.splitlines()
+    assert [lines[i - 1].strip() for i in (5, 9)] == ["global counter", "nonlocal step"]
+    assert sorted(found) == [1, 6, 10, 12, 13, 14]  # neither 5 nor 9

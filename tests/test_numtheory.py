@@ -62,6 +62,22 @@ def test_to_digits_examples():
         to_digits(49, 7, 2)
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (7, 2), (503, 15), (65521, 3)])
+def test_to_digits_edges(p, m):
+    """p^m and x < 0 are refused with the same message; p^m - 1 is the
+    largest point with m digits, all of them p - 1."""
+    assert to_digits(p**m - 1, p, m) == [p - 1] * m
+    for x in (p**m, p**m + 1, -1, -(p**m)):
+        with pytest.raises(ValueError, match=rf"^x={x} out of range \[0, {p}\^{m}\)$"):
+            to_digits(x, p, m)
+
+
+def test_to_digits_of_no_digits():
+    assert to_digits(0, 7, 0) == []
+    with pytest.raises(ValueError, match=r"^x=1 out of range \[0, 7\^0\)$"):
+        to_digits(1, 7, 0)
+
+
 def test_digit_round_trip():
     rng = random.Random(0)
     for _ in range(2000):

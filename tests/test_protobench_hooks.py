@@ -35,6 +35,31 @@ def test_tracer_installs_and_restores_every_wrapper():
     assert (tracing.ServerState.handle, matcher.MatchIndex.add) == (handle, add)
 
 
+def test_simulation_calls_every_wrapped_layer():
+    """The tracer's call counts of a small inflated simulation equal the
+    run's own counts, so a simulator loop that calls a layer some other way
+    than through the attribute the tracer wraps fails here."""
+    grid = tracing.GridSpec(rows=4, cols=4, epochs=8)
+    params = encoder.PolyCodeParams(M=encoder.inflate_range_bound(), p=503, n=20, k=2)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        result = tracing.run_simulation(
+            agents=12, grid=grid, params=params, seed=26,
+            infections=[("u0", 5), ("u3", 7)], inflate_world=True,
+        )  # fmt: skip
+    uninfected, infected = result.server.store_size, len(result.server.infected_log)
+    assert uninfected == 12 * 8 and infected > 0 and result.recovered
+    calls = tracer.calls
+    assert calls["tracing.run_simulation"] == 1
+    for name in ("tracing.client_tick", "encoder.inflate", "encoder.encode", "encoder.corrupt"):
+        assert calls[name] == uninfected, name  # one tick a report at radius 0
+    assert calls["numtheory.to_digits"] == uninfected
+    assert calls["tracing.transport.send"] == uninfected + infected
+    assert calls["tracing.handle.uninfected"] == uninfected
+    assert calls["tracing.handle.infected"] == infected
+    assert calls["tracing.client_handle_alert"] == len(result.recovered)
+
+
 def test_provenance_records_the_kernels_backend():
     args = Namespace(workload="sim", seed=1, seconds=10, trace=0)
     assert run.provenance(args)["kernels_backend"] == "pure"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SENDCOST = ROOT / "tools" / "sendcost.py"
+CLIENT_LAYERS = ("walk", "inflate", "sorted_code", "corrupt", "client.add", "client_tick")
 LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
 
 
@@ -18,16 +19,16 @@ def _run(*args: str) -> subprocess.CompletedProcess:
 
 def test_sendcost_prints_each_shape_and_layer():
     """A tiny store at each shape, so that the smoke test takes under 2 s,
-    with its wire and alert checks run first."""
+    with its client, wire and alert checks run first."""
     result = _run("--entries", "40", "--sends", "10", "--rounds", "2", "--check", "3")
     assert result.returncode == 0, result.stderr
-    pattern = r"(sim|row1|row3) +D=40 +([a-z_.]+) +(\d+\.\d\d) us"
+    pattern = r"(sim|row1|row3) +(client|D=40) +([a-z_.]+) +(\d+\.\d\d) us"
     lines = [re.fullmatch(pattern, line) for line in result.stdout.splitlines()]
     assert all(lines), result.stdout
-    assert [(m[1], m[2]) for m in lines] == [
-        (shape, layer) for shape in ("sim", "row1", "row3") for layer in LAYERS
-    ]
-    assert all(float(m[3]) > 0 for m in lines)
+    assert [(m[1], m[2], m[3]) for m in lines] == [
+        ("sim", "client", layer) for layer in CLIENT_LAYERS
+    ] + [(shape, "D=40", layer) for shape in ("sim", "row1", "row3") for layer in LAYERS]
+    assert all(float(m[4]) > 0 for m in lines)
 
 
 def test_sendcost_refuses_a_count_below_one():

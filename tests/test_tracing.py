@@ -44,7 +44,7 @@ from tracecloak.tracing import (
     run_simulation,
     send_report_over_socket,
 )
-from tracecloak.tracing import _contacts
+from tracecloak.tracing import _contacts, _walk
 
 GRID = GridSpec(rows=10, cols=10, epochs=20)
 PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=2)
@@ -1219,6 +1219,43 @@ def test_concurrent_infected_reports_alert_once():
     assert not any(t.is_alive() for t in threads)
     assert [len(a) for a in alerts] == [1] * rounds
     assert len(state.infected_log) == workers * rounds
+
+
+def _walk_reference(cell, grid, rng):
+    """The walk step with two `rng.randint(-1, 1)` draws: the reference."""
+    row, col = divmod(cell, grid.cols)
+    row = min(max(row + rng.randint(-1, 1), 0), grid.rows - 1)
+    col = min(max(col + rng.randint(-1, 1), 0), grid.cols - 1)
+    return row * grid.cols + col
+
+
+@st.composite
+def _walk_starts(draw):
+    """A grid, 1x1, 1xN and Nx1 among them, and a start cell that is a corner
+    or an edge cell as often as not."""
+    rows, cols = draw(
+        st.sampled_from([(1, 1), (1, 7), (7, 1), (1, 2), (2, 1)])
+        | st.tuples(st.integers(1, 9), st.integers(1, 9))
+    )
+    edges = sorted(
+        {r * cols + c for r in range(rows) for c in range(cols) if r in (0, rows - 1) or c in (0, cols - 1)}
+    )
+    cell = draw(st.sampled_from(edges) | st.integers(0, rows * cols - 1))
+    return GridSpec(rows=rows, cols=cols, epochs=1), cell
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_starts(), st.integers(0, 2**32), st.integers(1, 20))
+def test_walk_draws_what_two_randints_draw(start, seed, steps):
+    """Each step lands where two `randint(-1, 1)` draws put it, and leaves
+    the generator in the same state: the simulator's stream is unchanged."""
+    grid, cell = start
+    rng, ref = random.Random(seed), random.Random(seed)
+    expected = cell
+    for _ in range(steps):
+        cell, expected = _walk(cell, grid, rng), _walk_reference(expected, grid, ref)
+        assert cell == expected and 0 <= cell < grid.cells
+        assert rng.getstate() == ref.getstate()
 
 
 def test_simulation_store_size_and_recall():

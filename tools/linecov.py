@@ -11,7 +11,8 @@ frames of the package's files are handed to the tracer: its own
 skip every `__init__.py` once it has skipped one.
 
 A statement is a node of the module's `ast`, without docstrings, `def` and
-`class` lines and imports.  It ran when a line of it ran; for a compound
+`class` lines, imports, and `global` and `nonlocal` declarations, which
+compile to no traced line.  It ran when a line of it ran; for a compound
 statement (`if`, `for`, `try`, ...) only the lines before its body count.
 For each module it prints every statement that never ran, as file:line and
 its first line of source, then one count per module and a total.  The exit
@@ -30,7 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tracecloak"
 
-_NOT_COUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+_NOT_COUNTED = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
+    ast.Global, ast.Nonlocal,
+)  # fmt: skip
 
 
 def statements(source: str) -> dict[int, range]:

@@ -1,9 +1,24 @@
-"""Time one in-process send, layer by layer.
+"""Time one in-process send, and the client tick that makes it, layer by layer.
 
     PYTHONPATH=src python3 tools/sendcost.py [--entries D] [--sends S]
         [--rounds R] [--check C] [--seed S]
 
-At each benchmark shape it fills a `ServerState` with the store that
+First it times the client half of a `sim` report, on the `sim` workload's
+100x100 grid and 50 epochs with its inflated world, S calls a round of
+each:
+
+- `walk`: one `_walk` step from a random cell;
+- `inflate` of the packed point, `sorted_code` of the inflated point and
+  `corrupt` of that code;
+- `client.add`: `ClientState.add` of the record;
+- `client_tick`: `client_tick` whole, which does all but the walk.
+
+Before it times them, it checks that C ticks report exactly what
+`inflate`, `sorted_code` and `corrupt` give from a generator of the same
+state, that each leaves the generator in the same state, and that the
+client's `lookup` finds each record.
+
+Then at each benchmark shape it fills a `ServerState` with the store that
 `tools/querycost.py` builds there, at that workload's store size unless
 `--entries` sets one for all three.  Each round then times S messages
 through each layer:
@@ -17,12 +32,12 @@ through each layer:
 - `send_report`: `InProcessTransport.send_report` of an uninfected report,
   whole.
 
-Before it times anything, it checks that `parse_message(format_message(m))`
+Before it times a shape, it checks that `parse_message(format_message(m))`
 equals m for every message it will send, and that C infected sends of
 stored encodings, by a reporter the store does not hold, alert exactly the
 entries `scan_match` finds, each (recipient, encoding) once; on a
-difference it exits 1.  Then it prints per shape and layer the median
-process CPU microseconds of one call.
+difference it exits 1.  It prints per shape and layer the median process
+CPU microseconds of one call.
 """
 
 from __future__ import annotations
@@ -34,20 +49,27 @@ import sys
 import time
 
 from querycost import SHAPES, build
-from tracecloak.encoder import encode
+from tracecloak.encoder import corrupt, encode, inflate, sorted_code
 from tracecloak.matcher import scan_match
 from tracecloak.tracing import (
     INFECTED,
     UNINFECTED,
     AlertMsg,
+    ClientState,
+    GridSpec,
     InProcessTransport,
     ReportMsg,
     ServerState,
+    _walk,
+    client_tick,
     format_message,
+    pack,
     parse_message,
 )
 
+CLIENT_LAYERS = ("walk", "inflate", "sorted_code", "corrupt", "client.add", "client_tick")
 LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
+SIM_GRID = GridSpec(rows=100, cols=100, epochs=50)
 CHECKER = "sendcost-checker"  # a reporter that holds no stored entry
 
 
@@ -75,6 +97,50 @@ def expected_alerts(entries: list, msg: ReportMsg, tau: int, alerted: set) -> li
     return alerts
 
 
+def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
+    """Check, then time and print, the client layers of a `sim` report;
+    False on a difference."""
+    params, grid = SHAPES["sim"][0], SIM_GRID
+    count = args.sends * args.rounds
+    points = [
+        (rng.randrange(grid.epochs), rng.randrange(grid.cells)) for _ in range(args.check + count)
+    ]
+    checked, points = points[: args.check], points[args.check :]
+    client, layered = ClientState("checker"), random.Random(args.seed)
+    ticked = random.Random(args.seed)
+    for t, cell in checked:
+        e = corrupt(sorted_code(inflate(pack(t, cell, grid)), params), params.k, params.alphabet, layered)
+        (msg,) = client_tick(client, t, cell, grid, params, ticked, inflate_world=True)
+        if msg.encoding != e or ticked.getstate() != layered.getstate():
+            print("sim: client_tick differs from its layers", file=sys.stderr)
+            return False
+        if client.lookup(e) != (t, cell):
+            print("sim: the client does not find its record", file=sys.stderr)
+            return False
+
+    inflated = [inflate(pack(t, cell, grid)) for t, cell in points]
+    codes = [sorted_code(y, params) for y in inflated]
+    encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
+    records = [(t, cell, e) for (t, cell), e in zip(points, encodings)]
+    times = {layer: [] for layer in CLIENT_LAYERS}
+    for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
+        part = slice(r * args.sends, (r + 1) * args.sends)
+        client = ClientState("timed")
+        times["walk"] += timed(lambda p: _walk(p[1], grid, rng), points[part])
+        times["inflate"] += timed(lambda p: inflate(pack(p[0], p[1], grid)), points[part])
+        times["sorted_code"] += timed(lambda y: sorted_code(y, params), inflated[part])
+        times["corrupt"] += timed(lambda c: corrupt(c, params.k, params.alphabet, rng), codes[part])
+        times["client.add"] += timed(lambda rec: client.add(*rec), records[part])
+        times["client_tick"] += timed(
+            lambda p: client_tick(client, p[0], p[1], grid, params, rng, inflate_world=True),
+            points[part],
+        )
+    for layer in CLIENT_LAYERS:
+        us = statistics.median(times[layer]) / 1e3
+        print(f"sim   client   {layer:17} {us:8.2f} us")
+    return True
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--entries", type=int, help="store size at every shape")
@@ -86,6 +152,8 @@ def main(argv: list[str]) -> int:
     if min(args.entries or 1, args.sends, args.rounds) < 1 or args.check < 0:
         parser.error("--entries, --sends and --rounds must be at least 1, --check at least 0")
     rng = random.Random(args.seed)
+    if not client_half(args, rng):
+        return 1
     count = args.sends * args.rounds
     for shape, (params, size) in SHAPES.items():
         size = args.entries or size
