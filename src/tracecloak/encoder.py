@@ -6,12 +6,14 @@ redundant residue code over n distinct primes.  Both are injective before
 sorting and keep re-encodings of one point within Hamming distance 2k of
 each other, which is what makes threshold matching work.
 
-The deterministic stage (evaluate/reduce) is one function of one point,
-`_basic_code`: the polynomial code is the product of the point's digit
-vector with a cached Vandermonde table, the residue code its residues.
-`sorted_code` sorts it for `encode` and the attacks, and `basic_encode`
-keeps its positions.  `numtheory.eval_poly` (Horner's rule) is the scalar
-reference it is tested against.
+The deterministic stage (evaluate/reduce) is one batch function,
+`_basic_codes`, of a sequence of points: the polynomial code stacks the
+points' digit vectors into one array and multiplies it by a cached
+Vandermonde table mod p, the residue code takes each point's residues.
+`sorted_codes` sorts every row at once; the simulator calls it once an
+epoch.  `sorted_code` (for `encode` and the attacks) and `basic_encode`
+(positions intact) are batches of one.  `numtheory.eval_poly` (Horner's
+rule) is the scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -158,34 +160,47 @@ def _vandermonde(params: PolyCodeParams) -> np.ndarray:
     return table
 
 
-def _basic_code(x: int, params: Params) -> np.ndarray:
-    """The unsorted basic code of x, n int64 coordinates.
+def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
+    """The unsorted basic codes of the points xs, one row of n int64
+    coordinates each (shape (len(xs), n)).
 
-    Polynomial code: the digit polynomial of x evaluated at 0..n-1, the
-    digits times the cached Vandermonde table, mod p.  RRNS: the residue
-    vector (x mod p_1, ..., x mod p_n).  x outside [0, M) raises ValueError.
+    Polynomial code: each point's digit polynomial evaluated at 0..n-1, the
+    stacked digit rows times the cached Vandermonde table, mod p.  RRNS: the
+    residue vectors (x mod p_1, ..., x mod p_n).  Any x outside [0, M)
+    raises ValueError before a row is computed.
     """
-    if not 0 <= x < params.M:
-        raise ValueError(f"x={x} outside world [0, {params.M})")
+    M = params.M
+    for x in xs:
+        if not 0 <= x < M:
+            raise ValueError(f"x={x} outside world [0, {M})")
+    if not xs:
+        return np.empty((0, params.n), dtype=np.int64)
     if isinstance(params, RrnsParams):
-        return np.array([x % q for q in params.primes], dtype=np.int64)
+        ps = params.primes
+        return np.array([[x % q for q in ps] for x in xs], dtype=np.int64)
     table = _vandermonde(params)
-    code = np.array(to_digits(x, params.p, table.shape[0]), dtype=np.int64) @ table
-    code %= params.p
-    return code
+    p, m = params.p, table.shape[0]
+    codes = np.array([to_digits(x, p, m) for x in xs], dtype=np.int64) @ table
+    codes %= p
+    return codes
+
+
+def sorted_codes(xs: Sequence[int], params: Params) -> list[list[int]]:
+    """The sorted basic code of each point of xs, in order: the
+    deterministic part of `encode`, before corruption, for a batch."""
+    codes = _basic_codes(xs, params)
+    codes.sort()
+    return codes.tolist()
 
 
 def sorted_code(x: int, params: Params) -> list[int]:
-    """The sorted basic code of x: the deterministic part of `encode`,
-    before corruption."""
-    code = _basic_code(x, params)
-    code.sort()
-    return code.tolist()
+    """The sorted basic code of one point: `sorted_codes` of a batch of one."""
+    return sorted_codes((x,), params)[0]
 
 
 def basic_encode(x: int, params: Params) -> list[int]:
     """The index-carrying code of one point, positions intact."""
-    return _basic_code(x, params).tolist()
+    return _basic_codes((x,), params)[0].tolist()
 
 
 def sort_code(code: Sequence[int]) -> tuple[int, ...]:

@@ -26,7 +26,10 @@ from dataclasses import dataclass, field
 from operator import index
 from typing import ClassVar, Iterable, Sequence
 
-from .encoder import (
+from . import encoder
+# encode is not called here (the simulator encodes an epoch at a time); it is
+# imported so that protobench's tracer still finds tracing.encode to wrap
+from .encoder import (  # noqa: F401
     Params,
     _below,
     encode,
@@ -34,6 +37,7 @@ from .encoder import (
     inflate,
     pack_encoding,
     parse_encoding,
+    sorted_codes,
     unpack_encoding,
 )
 from .matcher import MatchIndex
@@ -269,8 +273,16 @@ def client_tick(
     rng: random.Random,
     dilation_radius: int = 0,
     inflate_world: bool = False,
+    codes: Sequence[Sequence[int]] | None = None,
 ) -> list[ReportMsg]:
     """Encode the current (and dilated) position; store locally and report.
+
+    `codes` holds the sorted code of each dilated cell's point, in `dilate`
+    order, when the caller has computed them already (the simulator does,
+    for a whole epoch at once); without it they are computed here.  Each
+    code is then corrupted from `rng`, in that order, recorded and reported.
+    A refused cell or point, or a wrong number of codes, raises before
+    anything is recorded.
 
     With `inflate_world` the packed point is passed through the square-free
     inflation map first.  Small dense worlds are vulnerable to algebraic
@@ -279,15 +291,26 @@ def client_tick(
     scatters the world over a ~10^39 range where a twin almost never lands
     on another valid point.  Parameters must then cover the inflated range.
     """
+    cells = dilate(cell, dilation_radius, grid)
+    if codes is None:
+        codes = sorted_codes(_points(t, cells, grid, inflate_world), params)
+    elif len(codes) != len(cells):
+        raise ValueError(f"{len(codes)} codes for {len(cells)} cells")
+    k, alphabet, corrupt = params.k, params.alphabet, encoder.corrupt
     msgs = []
-    for c in dilate(cell, dilation_radius, grid):
-        x = pack(t, c, grid)
-        if inflate_world:
-            x = inflate(x)
-        e = encode(x, params, rng)
+    for c, code in zip(cells, codes):
+        e = corrupt(code, k, alphabet, rng)
         client.add(t, c, e)
         msgs.append(ReportMsg(user_id=client.user_id, tag=UNINFECTED, encoding=e))
     return msgs
+
+
+def _points(t: int, cells: Iterable[int], grid: GridSpec, inflate_world: bool) -> list[int]:
+    """The world point of each of the cells at epoch t, inflated with
+    `inflate_world`: what a client encodes."""
+    if inflate_world:
+        return [inflate(pack(t, c, grid)) for c in cells]
+    return [pack(t, c, grid) for c in cells]
 
 
 def client_report_infection(
@@ -711,18 +734,31 @@ def run_simulation(
             )
         infections_by_epoch[epoch].append(user)
 
-    # the agents as columns, in user order: the draws of every epoch follow it
-    columns = list(enumerate(zip(clients.values(), trajectories.values())))
-    send = transport.send_report
-    for t in range(grid.epochs):
-        for i, (client, trail) in columns:
+    # Every trail comes first, walked epoch by epoch in user order from the
+    # one generator, so the trails and the contacts do not depend on how the
+    # clients encode.  Then each epoch encodes every agent's points in one
+    # batch, and corrupts and sends them in user order.
+    trails = list(trajectories.values())
+    for _ in range(grid.epochs):
+        for i, trail in enumerate(trails):
             cells[i] = cell = _walk(cells[i], grid, rng)
             trail.append(cell)
+    send = transport.send_report
+    for t in range(grid.epochs):
+        points: list[int] = []
+        ends = []  # where each agent's points end in `points`
+        for trail in trails:
+            points += _points(t, dilate(trail[t], dilation_radius, grid), grid, inflate_world)
+            ends.append(len(points))
+        codes = sorted_codes(points, params)
+        start = 0
+        for client, trail, end in zip(clients.values(), trails, ends):
             for msg in client_tick(
-                client, t, cell, grid, params, rng, dilation_radius, inflate_world
+                client, t, trail[t], grid, params, rng, dilation_radius, codes=codes[start:end]
             ):
                 if alerts := send(msg):
                     _deliver(alerts, clients, result)
+            start = end
         for u in infections_by_epoch.get(t, ()):
             t_start = 0 if window is None else max(0, t - window)
             for msg in client_report_infection(clients[u], t_start, t):

@@ -36,6 +36,7 @@ from tracecloak.encoder import (
     save_params,
     sort_code,
     sorted_code,
+    sorted_codes,
     unpack_encoding,
 )
 from tracecloak.matcher import hamming
@@ -155,6 +156,61 @@ def test_rrns_sorted_codes_equal_residues(params, data):
     for x in xs:
         assert sorted_code(x, params) == sorted(x % q for q in params.primes)
         assert basic_encode(x, params) == [x % q for q in params.primes]
+
+
+_RRNS = (
+    RrnsParams(primes=(3, 5, 7), M=100, k=1),
+    RrnsParams(primes=(97, 101, 103, 107, 109, 113, 127, 131), M=10**6, k=2),
+)
+
+
+@st.composite
+def _batches(draw):
+    """(params, points): a batch of 0, 1 or up to 40 points, with the edge
+    points 0 and M-1 drawn as often as any other, at polynomial or RRNS
+    parameters."""
+    if draw(st.booleans()):
+        params = draw(_poly_cases())[0]
+    else:
+        params = draw(st.sampled_from(_RRNS))
+    point = st.sampled_from([0, params.M - 1]) | st.integers(0, params.M - 1)
+    size = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
+    return params, draw(st.lists(point, min_size=size, max_size=size))
+
+
+def _scalar_sorted_code(x, params):
+    if isinstance(params, RrnsParams):
+        return sorted(x % q for q in params.primes)
+    return sorted(_horner(x, params))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches())
+def test_sorted_codes_rows_equal_the_scalar_reference(case):
+    """Each row of a batch is the point's Horner evaluation over its digits,
+    sorted (x mod q for RRNS), whatever else is in the batch."""
+    params, xs = case
+    rows = sorted_codes(xs, params)
+    assert rows == [_scalar_sorted_code(x, params) for x in xs]
+    assert all(type(c) is int for row in rows for c in row)
+    assert rows == [sorted_code(x, params) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_batches(), st.sampled_from(["low", "high"]), st.data())
+def test_sorted_codes_refuse_a_batch_with_a_point_outside_the_world(case, side, data):
+    params, xs = case
+    off = data.draw(st.integers(0, 10))
+    bad = -1 - off if side == "low" else params.M + off
+    at = data.draw(st.integers(0, len(xs)))
+    batch = xs[:at] + [bad] + xs[at:]
+    message = f"x={bad} outside world [0, {params.M})"
+    with pytest.raises(ValueError) as err:
+        sorted_codes(batch, params)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as one:
+        sorted_code(bad, params)
+    assert str(one.value) == message
 
 
 @settings(max_examples=100, deadline=None)

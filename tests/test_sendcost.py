@@ -6,7 +6,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SENDCOST = ROOT / "tools" / "sendcost.py"
-CLIENT_LAYERS = ("walk", "inflate", "sorted_code", "corrupt", "client.add", "client_tick")
+CLIENT_LAYERS = (
+    "walk",
+    "inflate",
+    "sorted_code",
+    "sorted_codes.epoch",
+    "corrupt",
+    "client.add",
+    "client_tick",
+)
 LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
 
 

@@ -18,7 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracecloak import tracing
-from tracecloak.encoder import CODE_LIMIT, PolyCodeParams, inflate_range_bound
+from tracecloak.encoder import (
+    CODE_LIMIT,
+    PolyCodeParams,
+    corrupt,
+    inflate,
+    inflate_range_bound,
+    sorted_code,
+)
 from tracecloak.matcher import DatabaseEntry
 from tracecloak.tracing import (
     INFECTED,
@@ -1309,10 +1316,108 @@ def test_simulation_outputs_are_pinned():
             result.server.store_size,
         )
     )
-    assert len(result.recovered) == 646 and len(result.contacts) == 8
-    assert result.server.store_size == 13439
+    assert len(result.recovered) == 639 and len(result.contacts) == 6
+    assert result.server.store_size == 13421
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    assert digest == "248fb7689628180918a66840f8c36dc4ce38b654e6c0904d7716157f29edd14f"
+    assert digest == "ebf103bd6241435a761b55e210f19fc92747f2e751c33ce09c4fc7e55c193b32"
+
+
+def _reference_simulation(agents, grid, params, seed, infections, radius, window, inflate_world):
+    """The simulator's order spelt out: every agent's whole trail first,
+    epoch by epoch in user order; then each epoch, in user order, corrupts
+    the sorted code of each dilated cell's point from the same generator and
+    sends it, and the epoch's infections re-send."""
+    rng = random.Random(seed)
+    users = [f"u{i}" for i in range(agents)]
+    clients = {u: ClientState(u) for u in users}
+    transport = InProcessTransport(ServerState(n=params.n, tau=params.tau))
+    cells = {u: rng.randrange(grid.cells) for u in users}
+    trails = {u: [] for u in users}
+    alerts = {u: [] for u in users}
+    recovered = []
+
+    def send(msg):
+        for alert in transport.send_report(msg):
+            t, cell = clients[alert.user_id].lookup(alert.encoding)
+            alerts[alert.user_id].append(alert)
+            recovered.append((alert.user_id, t, cell, alert.encoding))
+
+    for _ in range(grid.epochs):
+        for u in users:
+            cells[u] = _walk(cells[u], grid, rng)
+            trails[u].append(cells[u])
+    for t in range(grid.epochs):
+        for u in users:
+            for c in dilate(trails[u][t], radius, grid):
+                x = inflate(pack(t, c, grid)) if inflate_world else pack(t, c, grid)
+                e = corrupt(sorted_code(x, params), params.k, params.alphabet, rng)
+                clients[u].add(t, c, e)
+                send(ReportMsg(u, UNINFECTED, e))
+        for u, epoch in infections:
+            if epoch == t:
+                t_start = 0 if window is None else max(0, t - window)
+                for _, _, e in clients[u].records_between(t_start, t):
+                    send(ReportMsg(u, INFECTED, e))
+    return trails, recovered, alerts, _pairwise_contacts(trails, infections, window)
+
+
+@pytest.mark.parametrize("inflate_world", [False, True])
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("radius", [0, 1])
+def test_simulation_equals_the_reference_order(radius, window, inflate_world):
+    grid = GridSpec(rows=5, cols=5, epochs=8)
+    M = inflate_range_bound() if inflate_world else grid.world_size
+    params = PolyCodeParams(M=M, p=503, n=20, k=2)
+    infections = [("u0", 3), ("u5", 6), ("u2", 6), ("u0", 7)]
+    args = (14, grid, params, 7, infections, radius, window, inflate_world)
+    trails, recovered, alerts, contacts = _reference_simulation(*args)
+    result = run_simulation(
+        agents=14, grid=grid, params=params, seed=7, infections=infections,
+        dilation_radius=radius, window=window, inflate_world=inflate_world,
+    )  # fmt: skip
+    assert {u: list(trail) for u, trail in result.trajectories.items()} == trails
+    assert result.recovered == recovered and recovered
+    assert result.alerts == alerts
+    assert result.contacts == contacts
+
+
+def test_simulation_trails_do_not_depend_on_the_encoding():
+    """The walks are drawn before any corruption, so the parameters, the
+    dilation radius and inflation change the reports but not the trails
+    or the contacts."""
+    grid = GridSpec(rows=6, cols=6, epochs=10)
+    infections = [("u1", 4), ("u3", 9)]
+    runs = [
+        run_simulation(12, grid, params, 5, infections, radius, 2, inflate_world)
+        for params, radius, inflate_world in [
+            (PolyCodeParams(M=grid.world_size, p=101, n=20, k=2), 0, False),
+            (PolyCodeParams(M=grid.world_size, p=211, n=30, k=0), 1, False),
+            (PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=3), 1, True),
+        ]
+    ]
+    first = runs[0]
+    assert first.contacts
+    for other in runs[1:]:
+        assert other.trajectories == first.trajectories
+        assert other.contacts == first.contacts
+    assert runs[1].server.store_size > first.server.store_size == 12 * 10
+
+
+def test_client_tick_with_codes_reports_what_it_computes():
+    """Codes passed in give the reports, records and draws of codes computed
+    in the tick; a wrong number of them is refused before any record."""
+    grid = GridSpec(rows=10, cols=10, epochs=20)
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    own, given_ = ClientState("a"), ClientState("a")
+    rng_own, rng_given = random.Random(3), random.Random(3)
+    codes = [sorted_code(inflate(pack(4, c, grid)), params) for c in dilate(55, 1, grid)]
+    msgs = client_tick(own, 4, 55, grid, params, rng_own, 1, True)
+    assert client_tick(given_, 4, 55, grid, params, rng_given, 1, codes=codes) == msgs
+    assert rng_own.getstate() == rng_given.getstate()
+    assert own.records_between(0, 19) == given_.records_between(0, 19)
+    with pytest.raises(ValueError, match="8 codes for 9 cells"):
+        client_tick(given_, 5, 55, grid, params, rng_given, 1, codes=codes[1:])
+    assert len(given_) == 9
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

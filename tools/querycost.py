@@ -20,9 +20,10 @@ Q of each:
 
 Before it times anything, it checks C queries of each kind against
 `scan_match` over the stored entries, and exits 1 on a difference.  Then
-it times every query R times, the kinds interleaved, and prints per shape
-and kind the median process CPU microseconds of one query and the
-candidates verified per query (`stats()["candidates"]`).
+it times every query R times, the kinds interleaved, one clock pair per
+block of 20 queries, and prints per shape and kind the median over the
+blocks of the process CPU microseconds of one query and the candidates
+verified per query (`stats()["candidates"]`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import sys
 import time
 
 from tracecloak.encoder import PolyCodeParams, encode, inflate_range_bound
-from tracecloak.matcher import DatabaseEntry, MatchIndex, build_index, scan_match
+from tracecloak.matcher import DatabaseEntry, build_index, scan_match
 
 SHAPES = {
     "sim": (PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2), 50_000),
@@ -57,14 +58,21 @@ def build(params: PolyCodeParams, size: int, queries: int, rng: random.Random):
     return entries, kinds
 
 
-def timed(index: MatchIndex, queries: list) -> list[int]:
-    """The process CPU nanoseconds of each query."""
-    clock, query = time.process_time_ns, index.query
+BLOCK = 20  # calls timed between one pair of clock reads
+
+
+def timed(fn, args: list) -> list[float]:
+    """The process CPU nanoseconds per call of fn(a), one figure for each
+    block of up to BLOCK calls.  A pair of `process_time_ns` reads costs
+    about half a microsecond, so the pair brackets a block, not a call."""
+    clock = time.process_time_ns
     times = []
-    for q in queries:
+    for i in range(0, len(args), BLOCK):
+        block = args[i : i + BLOCK]
         t0 = clock()
-        query(q)
-        times.append(clock() - t0)
+        for a in block:
+            fn(a)
+        times.append((clock() - t0) / len(block))
     return times
 
 
@@ -93,11 +101,11 @@ def main(argv: list[str]) -> int:
         for _ in range(args.rounds):  # the kinds interleaved, so drift hits each alike
             for kind in KINDS:
                 before = index.stats()["candidates"]
-                times[kind] += timed(index, kinds[kind])
+                times[kind] += timed(index.query, kinds[kind])
                 candidates[kind] += index.stats()["candidates"] - before
         for kind in KINDS:
             us = statistics.median(times[kind]) / 1e3
-            per_query = candidates[kind] / len(times[kind])
+            per_query = candidates[kind] / (args.rounds * len(kinds[kind]))
             print(f"{shape:5} D={size:<6} {kind:9} {us:8.2f} us  {per_query:8.2f} candidates")
     return 0
 

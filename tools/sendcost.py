@@ -8,15 +8,22 @@ First it times the client half of a `sim` report, on the `sim` workload's
 each:
 
 - `walk`: one `_walk` step from a random cell;
-- `inflate` of the packed point, `sorted_code` of the inflated point and
-  `corrupt` of that code;
+- `inflate` of the packed point;
+- `sorted_code`: the sorted code of one inflated point, a batch of one;
+- `sorted_codes.epoch`: per point, `sorted_codes` of one `sim` epoch, the
+  1,000 points of its 1,000 agents in one batch, once a round;
+- `corrupt` of a sorted code;
 - `client.add`: `ClientState.add` of the record;
-- `client_tick`: `client_tick` whole, which does all but the walk.
+- `client_tick`: `client_tick` whole as the simulator calls it, with the
+  point's sorted code computed before: the corruption, the record and the
+  report.
 
 Before it times them, it checks that C ticks report exactly what
 `inflate`, `sorted_code` and `corrupt` give from a generator of the same
-state, that each leaves the generator in the same state, and that the
-client's `lookup` finds each record.
+state, computing the code in the tick and passing it in, that each leaves
+the generator in the same state, and that the client's `lookup` finds each
+record; and that each row of an epoch's `sorted_codes` is the point's
+`sorted_code`.
 
 Then at each benchmark shape it fills a `ServerState` with the store that
 `tools/querycost.py` builds there, at that workload's store size unless
@@ -37,7 +44,8 @@ equals m for every message it will send, and that C infected sends of
 stored encodings, by a reporter the store does not hold, alert exactly the
 entries `scan_match` finds, each (recipient, encoding) once; on a
 difference it exits 1.  It prints per shape and layer the median process
-CPU microseconds of one call.
+CPU microseconds of one call, each timed in blocks of 20 calls a clock pair
+(`querycost.timed`).
 """
 
 from __future__ import annotations
@@ -46,10 +54,9 @@ import argparse
 import random
 import statistics
 import sys
-import time
 
-from querycost import SHAPES, build
-from tracecloak.encoder import corrupt, encode, inflate, sorted_code
+from querycost import SHAPES, build, timed
+from tracecloak.encoder import corrupt, encode, inflate, sorted_code, sorted_codes
 from tracecloak.matcher import scan_match
 from tracecloak.tracing import (
     INFECTED,
@@ -67,21 +74,19 @@ from tracecloak.tracing import (
     parse_message,
 )
 
-CLIENT_LAYERS = ("walk", "inflate", "sorted_code", "corrupt", "client.add", "client_tick")
+CLIENT_LAYERS = (
+    "walk",
+    "inflate",
+    "sorted_code",
+    "sorted_codes.epoch",
+    "corrupt",
+    "client.add",
+    "client_tick",
+)
 LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
 SIM_GRID = GridSpec(rows=100, cols=100, epochs=50)
+SIM_AGENTS = 1000  # the points of one `sim` epoch
 CHECKER = "sendcost-checker"  # a reporter that holds no stored entry
-
-
-def timed(fn, args: list) -> list[int]:
-    """The process CPU nanoseconds of each call fn(a)."""
-    clock = time.process_time_ns
-    times = []
-    for a in args:
-        t0 = clock()
-        fn(a)
-        times.append(clock() - t0)
-    return times
 
 
 def expected_alerts(entries: list, msg: ReportMsg, tau: int, alerted: set) -> list[AlertMsg]:
@@ -106,22 +111,34 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         (rng.randrange(grid.epochs), rng.randrange(grid.cells)) for _ in range(args.check + count)
     ]
     checked, points = points[: args.check], points[args.check :]
-    client, layered = ClientState("checker"), random.Random(args.seed)
-    ticked = random.Random(args.seed)
+    layered, ticked, given = (random.Random(args.seed) for _ in range(3))
+    clients = ClientState("ticked"), ClientState("given")
     for t, cell in checked:
-        e = corrupt(sorted_code(inflate(pack(t, cell, grid)), params), params.k, params.alphabet, layered)
-        (msg,) = client_tick(client, t, cell, grid, params, ticked, inflate_world=True)
-        if msg.encoding != e or ticked.getstate() != layered.getstate():
+        code = sorted_code(inflate(pack(t, cell, grid)), params)
+        e = corrupt(code, params.k, params.alphabet, layered)
+        (msg,) = client_tick(clients[0], t, cell, grid, params, ticked, inflate_world=True)
+        (fed,) = client_tick(clients[1], t, cell, grid, params, given, codes=[code])
+        if not msg.encoding == fed.encoding == e or not (
+            ticked.getstate() == given.getstate() == layered.getstate()
+        ):
             print("sim: client_tick differs from its layers", file=sys.stderr)
             return False
-        if client.lookup(e) != (t, cell):
+        if not clients[0].lookup(e) == clients[1].lookup(e) == (t, cell):
             print("sim: the client does not find its record", file=sys.stderr)
             return False
+    epochs = [
+        [inflate(pack(t, rng.randrange(grid.cells), grid)) for _ in range(SIM_AGENTS)]
+        for t in (rng.randrange(grid.epochs) for _ in range(args.rounds))
+    ]
+    if sorted_codes(epochs[0], params) != [sorted_code(y, params) for y in epochs[0]]:
+        print("sim: sorted_codes differs from sorted_code", file=sys.stderr)
+        return False
 
     inflated = [inflate(pack(t, cell, grid)) for t, cell in points]
     codes = [sorted_code(y, params) for y in inflated]
     encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
     records = [(t, cell, e) for (t, cell), e in zip(points, encodings)]
+    ticks = [(t, cell, [code]) for (t, cell), code in zip(points, codes)]
     times = {layer: [] for layer in CLIENT_LAYERS}
     for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
         part = slice(r * args.sends, (r + 1) * args.sends)
@@ -129,11 +146,13 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         times["walk"] += timed(lambda p: _walk(p[1], grid, rng), points[part])
         times["inflate"] += timed(lambda p: inflate(pack(p[0], p[1], grid)), points[part])
         times["sorted_code"] += timed(lambda y: sorted_code(y, params), inflated[part])
+        (epoch_ns,) = timed(lambda ys: sorted_codes(ys, params), [epochs[r]])
+        times["sorted_codes.epoch"].append(epoch_ns / SIM_AGENTS)
         times["corrupt"] += timed(lambda c: corrupt(c, params.k, params.alphabet, rng), codes[part])
         times["client.add"] += timed(lambda rec: client.add(*rec), records[part])
         times["client_tick"] += timed(
-            lambda p: client_tick(client, p[0], p[1], grid, params, rng, inflate_world=True),
-            points[part],
+            lambda p: client_tick(client, p[0], p[1], grid, params, rng, codes=p[2]),
+            ticks[part],
         )
     for layer in CLIENT_LAYERS:
         us = statistics.median(times[layer]) / 1e3
