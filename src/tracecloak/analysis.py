@@ -175,10 +175,14 @@ def rrns_reference_primes() -> list[int]:
     return primes(80, 877)
 
 
+# (p, n, k) of the three polynomial reference rows
+REFERENCE_POLY_ROWS = ((503, 100, 10), (101, 100, 1), (211, 200, 20))
+
+
 def table1_report(M: int = 10**19, D: int = 10**14) -> list[ParamRow]:
     """Recompute every derived column of the four reference parameter rows."""
     rows = []
-    for p, n, k in ((503, 100, 10), (101, 100, 1), (211, 200, 20)):
+    for p, n, k in REFERENCE_POLY_ROWS:
         params = PolyCodeParams(M=M, p=p, n=n, k=k)
         rows.append(_make_row("polynomial", n, p, params.m, k, M, D))
 

@@ -7,13 +7,20 @@ sorting and keep re-encodings of one point within Hamming distance 2k of
 each other, which is what makes threshold matching work.
 
 The deterministic stage (evaluate/reduce) is one batch function,
-`_basic_codes`, of a sequence of points: the polynomial code stacks the
-points' digit vectors into one array and multiplies it by a cached
-Vandermonde table mod p, the residue code takes each point's residues.
-`sorted_codes` sorts every row at once; the simulator calls it once an
-epoch.  `sorted_code` (for `encode` and the attacks) and `basic_encode`
-(positions intact) are batches of one.  `numtheory.eval_poly` (Horner's
-rule) is the scalar reference it is tested against.
+`_basic_codes`, of a sequence of points.  The polynomial code splits each
+point into a few limbs of k base-p digits with `divmod`, takes every limb
+apart with one broadcast floor division by p^0..p^(k-1) (each quotient is
+congruent to its digit mod p), and multiplies the quotient rows by a
+cached table of i^l mod p in int64, then reduces mod p; k is chosen so
+that the unreduced product stays below 2^63.  The residue code takes each
+point's residues.  `sorted_codes` sorts every row at once; the simulator
+calls it once an epoch.  `sorted_code` (for `encode` and the attacks) and
+`basic_encode` (positions intact) are batches of one.
+`numtheory.to_digits` and `numtheory.eval_poly` (Horner's rule) are the
+scalar reference it is tested against.
+
+World inflation has the same two forms: `inflate` of one point, the
+reference, and `inflate_points`, the batch the protocol path calls.
 """
 
 from __future__ import annotations
@@ -22,14 +29,15 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# eval_poly is not called here; it is imported so that the scalar reference
-# stays reachable (and wrappable) as encoder.eval_poly
+# eval_poly and to_digits are not called here; they are imported so that the
+# scalar references stay reachable (and wrappable) as encoder.eval_poly and
+# encoder.to_digits
 from .numtheory import crt_reconstruct, eval_poly, is_prime, primes, to_digits  # noqa: F401
 
 
@@ -92,6 +100,13 @@ class PolyCodeParams:
     def alphabet(self) -> int:
         return self.p
 
+    @cached_property
+    def limbs(self) -> _Limbs:
+        """How `_basic_codes` splits a point (`_limbs`), built at first use
+        and kept: an attribute read is cheaper than a cache keyed on the
+        params, whose hash is computed on every call."""
+        return _limbs(self)
+
 
 @dataclass(frozen=True)
 class RrnsParams:
@@ -146,18 +161,61 @@ class RrnsParams:
 Params = PolyCodeParams | RrnsParams
 
 
-@lru_cache(maxsize=64)
-def _vandermonde(params: PolyCodeParams) -> np.ndarray:
-    """V[j, i] = i^j mod p, so that digits @ V evaluates the digit polynomial
-    at 0..n-1.  A dot product sums m products below p^2, and m <= n <= p <=
-    CODE_LIMIT keeps m*(p-1)^2 below 2^48, so int64 is exact.  The table is
-    shared, so it is read-only."""
+class _Limbs(NamedTuple):
+    """How `_basic_codes` splits a point of a polynomial code: `chunks`
+    limbs in base `base` = p^k, the divisors p^0..p^(k-1) that take a limb
+    apart, the table V[l, i] = i^l mod p of the chunks*k digit positions l,
+    and p as an int64 scalar (numpy converts a Python int operand on every
+    call)."""
+
+    base: int
+    chunks: int
+    divisors: np.ndarray
+    table: np.ndarray
+    p: np.int64
+
+
+def _limbs(params: PolyCodeParams) -> _Limbs:
+    """The fewest limbs whose unreduced product stays below 2^63, each k =
+    ceil(m / chunks) digits wide.
+
+    Digit l = c*k + j of x is congruent mod p to the quotient Q = L_c // p^j
+    of its limb L_c < p^k, and Q < p^(k-j).  Against a table entry below p,
+    the k quotients of one limb sum to less than (p-1)(p + ... + p^k) <
+    p^(k+1), so a dot product stays below chunks * p^(k+1), which is chosen
+    below 2^63 and keeps int64 exact.  One digit a limb (k = 1) always
+    qualifies: m <= n <= p <= CODE_LIMIT keeps m * p^2 below 2^48.  The
+    top limb's positions past m hold 0, since x < M <= p^m.  The params
+    keep the arrays (`PolyCodeParams.limbs`) and share them, so they are
+    read-only."""
     p, m = params.p, params.m
-    table = np.array(
-        [[pow(i, j, p) for i in range(params.n)] for j in range(m)], dtype=np.int64
+    chunks = 1
+    while chunks * p ** (-(-m // chunks) + 1) >= 2**63:
+        chunks += 1
+    k = -(-m // chunks)
+    divisors = np.array([p**j for j in range(k)], dtype=np.int64)
+    table = np.array(  # column-major: a column is one coordinate's dot product
+        [[pow(i, l, p) for i in range(params.n)] for l in range(chunks * k)],
+        dtype=np.int64,
+        order="F",
     )
-    table.flags.writeable = False
-    return table
+    divisors.flags.writeable = table.flags.writeable = False
+    return _Limbs(p**k, chunks, divisors, table, np.int64(p))
+
+
+def _digit_quotients(xs: Sequence[int], limbs: _Limbs) -> np.ndarray:
+    """Row per point of its chunks*k limb quotients, each congruent mod p to
+    the point's base-p digit at that position (see `_limbs`).  The points
+    must lie in [0, p^(chunks*k))."""
+    base, splits = limbs.base, range(limbs.chunks - 1)
+    flat: list[int] = []
+    append = flat.append
+    for x in xs:
+        for _ in splits:
+            x, low = divmod(x, base)
+            append(low)
+        append(x)
+    return np.floor_divide.outer(flat, limbs.divisors).reshape(len(xs), -1)
 
 
 def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
@@ -165,9 +223,9 @@ def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
     coordinates each (shape (len(xs), n)).
 
     Polynomial code: each point's digit polynomial evaluated at 0..n-1, the
-    stacked digit rows times the cached Vandermonde table, mod p.  RRNS: the
-    residue vectors (x mod p_1, ..., x mod p_n).  Any x outside [0, M)
-    raises ValueError before a row is computed.
+    rows of limb quotients (`_digit_quotients`) times the cached table of
+    i^l mod p, mod p.  RRNS: the residue vectors (x mod p_1, ..., x mod
+    p_n).  Any x outside [0, M) raises ValueError before a row is computed.
     """
     M = params.M
     for x in xs:
@@ -178,10 +236,9 @@ def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
     if isinstance(params, RrnsParams):
         ps = params.primes
         return np.array([[x % q for q in ps] for x in xs], dtype=np.int64)
-    table = _vandermonde(params)
-    p, m = params.p, table.shape[0]
-    codes = np.array([to_digits(x, p, m) for x in xs], dtype=np.int64) @ table
-    codes %= p
+    limbs = params.limbs
+    codes = _digit_quotients(xs, limbs) @ limbs.table
+    codes %= limbs.p
     return codes
 
 
@@ -338,6 +395,45 @@ def inflate(x: int) -> int:
     for q, band in _inflation_bands():
         y *= band[x % q]  # the (x mod q + 1)-th prime of the band
     return y
+
+
+@lru_cache(maxsize=1)
+def _inflation_arrays() -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, moduli, offsets, pool) for `inflate_points`: A and B multiply
+    the first and the last 8 band primes q, so each stays below 2^63;
+    moduli holds the 16 q as a column, and pool the 16 bands back to back,
+    band i from offsets[i] (a column too).  The arrays are shared, so they
+    are read-only."""
+    bands = _inflation_bands()
+    qs = [q for q, _ in bands]
+    moduli = np.array(qs, dtype=np.int64)[:, None]
+    offsets = np.cumsum([0] + qs[:-1], dtype=np.int64)[:, None]
+    pool = np.array([f for _, band in bands for f in band], dtype=np.int64)
+    for a in (moduli, offsets, pool):
+        a.flags.writeable = False
+    return math.prod(qs[:8]), math.prod(qs[8:]), moduli, offsets, pool
+
+
+def inflate_points(xs: Sequence[int]) -> list[int]:
+    """`[inflate(x) for x in xs]` in one numpy pass.  Any x outside
+    [0, inflation_domain()) raises inflate's ValueError before anything is
+    computed.
+
+    x mod A and x mod B, taken as Python ints since x may pass 2^63, give
+    the 16 residues x mod q in int64, a row per band.  Each picks its
+    band's prime, band[x mod q]; the 16 primes, each below 2^12, multiply
+    in int64 in 4 groups of 4 (below 2^48), and the 4 group products as
+    Python ints.
+    """
+    domain = inflation_domain()
+    for x in xs:
+        if not 0 <= x < domain:
+            raise ValueError("x outside the inflation domain")
+    A, B, moduli, offsets, pool = _inflation_arrays()
+    halves = np.array([[x % A for x in xs], [x % B for x in xs]], dtype=np.int64)
+    picked = pool[halves.repeat(8, axis=0) % moduli + offsets]  # (16, len(xs))
+    groups = picked.reshape(4, 4, -1).prod(axis=1).tolist()
+    return [a * b * c * d for a, b, c, d in zip(*groups)]
 
 
 def _band_factors(y: int) -> list[tuple[int, int, int]]:

@@ -27,14 +27,16 @@ from operator import index
 from typing import ClassVar, Iterable, Sequence
 
 from . import encoder
-# encode is not called here (the simulator encodes an epoch at a time); it is
-# imported so that protobench's tracer still finds tracing.encode to wrap
+# encode and inflate are not called here (the simulator encodes and inflates
+# an epoch at a time); they are imported so that protobench's tracer still
+# finds tracing.encode and tracing.inflate to wrap
 from .encoder import (  # noqa: F401
     Params,
     _below,
     encode,
     format_encoding,
     inflate,
+    inflate_points,
     pack_encoding,
     parse_encoding,
     sorted_codes,
@@ -306,11 +308,12 @@ def client_tick(
 
 
 def _points(t: int, cells: Iterable[int], grid: GridSpec, inflate_world: bool) -> list[int]:
-    """The world point of each of the cells at epoch t, inflated with
-    `inflate_world`: what a client encodes."""
-    if inflate_world:
-        return [inflate(pack(t, c, grid)) for c in cells]
-    return [pack(t, c, grid) for c in cells]
+    """The world point of each of the cells at epoch t, inflated in one
+    batch with `inflate_world`: what a client encodes.  The cells come from
+    `dilate`, which keeps them on the grid, so `pack` checks t once."""
+    first = pack(t, 0, grid)
+    points = [first + c for c in cells]
+    return inflate_points(points) if inflate_world else points
 
 
 def client_report_infection(
@@ -736,8 +739,8 @@ def run_simulation(
 
     # Every trail comes first, walked epoch by epoch in user order from the
     # one generator, so the trails and the contacts do not depend on how the
-    # clients encode.  Then each epoch encodes every agent's points in one
-    # batch, and corrupts and sends them in user order.
+    # clients encode.  Then each epoch packs, inflates and encodes every
+    # agent's points in one batch, and corrupts and sends them in user order.
     trails = list(trajectories.values())
     for _ in range(grid.epochs):
         for i, trail in enumerate(trails):
@@ -745,19 +748,16 @@ def run_simulation(
             trail.append(cell)
     send = transport.send_report
     for t in range(grid.epochs):
-        points: list[int] = []
-        ends = []  # where each agent's points end in `points`
-        for trail in trails:
-            points += _points(t, dilate(trail[t], dilation_radius, grid), grid, inflate_world)
-            ends.append(len(points))
+        dilated = [dilate(trail[t], dilation_radius, grid) for trail in trails]
+        points = _points(t, [c for cs in dilated for c in cs], grid, inflate_world)
         codes = sorted_codes(points, params)
         start = 0
-        for client, trail, end in zip(clients.values(), trails, ends):
+        for client, trail, cs in zip(clients.values(), trails, dilated):
+            end = start + len(cs)
             for msg in client_tick(
                 client, t, trail[t], grid, params, rng, dilation_radius, codes=codes[start:end]
             ):
-                if alerts := send(msg):
-                    _deliver(alerts, clients, result)
+                send(msg)  # the server stores an uninfected report and alerts no one
             start = end
         for u in infections_by_epoch.get(t, ()):
             t_start = 0 if window is None else max(0, t - window)

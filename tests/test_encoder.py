@@ -21,11 +21,11 @@ from tracecloak.encoder import (
     deflate,
     digit_count,
     residue_digit_count,
-    _vandermonde,
     encode,
     encode_unsorted,
     format_encoding,
     inflate,
+    inflate_points,
     inflate_range_bound,
     inflated_digit_count,
     inflation_domain,
@@ -39,6 +39,7 @@ from tracecloak.encoder import (
     sorted_codes,
     unpack_encoding,
 )
+from tracecloak.analysis import REFERENCE_POLY_ROWS, rrns_reference_primes
 from tracecloak.matcher import hamming
 from tracecloak.numtheory import eval_poly, primes, to_digits
 
@@ -122,6 +123,16 @@ def _horner(x, params):
     return [eval_poly(digits, i, params.p) for i in range(params.n)]
 
 
+def _scalar_basic_code(x, params):
+    if isinstance(params, RrnsParams):
+        return [x % q for q in params.primes]
+    return _horner(x, params)
+
+
+def _scalar_sorted_code(x, params):
+    return sorted(_scalar_basic_code(x, params))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_poly_cases())
 def test_sorted_codes_equal_horner_reference(case):
@@ -131,14 +142,70 @@ def test_sorted_codes_equal_horner_reference(case):
         assert basic_encode(x, params) == _horner(x, params)
 
 
+def _check_limb_bound(params):
+    """The split of `_limbs`: the fewest limbs of k = ceil(m / chunks)
+    digits whose unreduced dot product, below chunks * p^(k+1), fits int64."""
+    p, m, limbs = params.p, params.m, params.limbs
+    chunks, k = limbs.chunks, len(limbs.divisors)
+    assert k == -(-m // chunks) and limbs.base == p**k
+    assert limbs.divisors.tolist() == [p**j for j in range(k)]
+    assert limbs.table.dtype == limbs.divisors.dtype == np.int64
+    assert limbs.table.shape == (chunks * k, params.n)
+    assert limbs.table.tolist() == [[pow(i, l, p) for i in range(params.n)] for l in range(chunks * k)]
+    assert chunks * p ** (k + 1) < 2**63
+    fewer = chunks - 1
+    assert fewer == 0 or fewer * p ** (-(-m // fewer) + 1) >= 2**63
+
+
 def test_table_dtype_bound():
     """65521 is the largest prime below CODE_LIMIT; 65537 the smallest above,
-    as a polynomial alphabet or as an RRNS modulus."""
-    assert _vandermonde(PolyCodeParams(M=10**19, p=65521, n=100, k=0)).dtype == np.int64
+    as a polynomial alphabet or as an RRNS modulus.  At 65521 and m = n =
+    200, 100 limbs of 2 digits keep a dot product below 100 * 65521^3."""
+    params = PolyCodeParams(M=65521**200, p=65521, n=200, k=0)
+    _check_limb_bound(params)
+    assert (params.limbs.chunks, len(params.limbs.divisors)) == (100, 2)
     with pytest.raises(ValueError, match="alphabet limit"):
         PolyCodeParams(M=10**30, p=65537, n=10, k=0)
     with pytest.raises(ValueError, match="alphabet limit"):
         RrnsParams(primes=(65521, 65537), M=2**20, k=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_PRIMES), st.data())
+def test_limbs_are_the_fewest_within_int64(p, data):
+    """The split, and exact codes at x = p^m - 1, where every digit and so
+    every limb quotient is as large as it gets."""
+    m = data.draw(st.integers(1, min(p, 60)))
+    params = PolyCodeParams(M=p**m, p=p, n=m, k=0)
+    _check_limb_bound(params)
+    xs = [p**m - 1, data.draw(st.integers(0, p**m - 1))]
+    assert sorted_codes(xs, params) == [sorted(_horner(x, params)) for x in xs]
+
+
+def _edge_points(M):
+    """0, M - 1, and points at and above 2^63 where the world reaches them."""
+    points = [0, M - 1]
+    if M > 2**63:
+        points += [2**63, random.Random(M).randrange(2**63, M)]
+    return points
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        PolyCodeParams(M=65521**200, p=65521, n=200, k=0),  # m = n: the most digits
+        PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2),  # the sim shape
+        *(PolyCodeParams(M=10**19, p=p, n=n, k=k) for p, n, k in REFERENCE_POLY_ROWS),
+        RrnsParams(primes=tuple(rrns_reference_primes()), M=10**19, k=8),
+    ],
+    ids=lambda params: f"p={params.alphabet},n={params.n},m={params.m}",
+)
+def test_sorted_codes_equal_the_reference_at_the_edges(params):
+    """The limb split is exact at the largest digits, the top of the world
+    and past 2^63, at p = 65521 with m = n and at every reference row."""
+    xs = _edge_points(params.M)
+    assert sorted_codes(xs, params) == [_scalar_sorted_code(x, params) for x in xs]
+    assert [basic_encode(x, params) for x in xs] == [_scalar_basic_code(x, params) for x in xs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,12 +243,6 @@ def _batches(draw):
     point = st.sampled_from([0, params.M - 1]) | st.integers(0, params.M - 1)
     size = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
     return params, draw(st.lists(point, min_size=size, max_size=size))
-
-
-def _scalar_sorted_code(x, params):
-    if isinstance(params, RrnsParams):
-        return sorted(x % q for q in params.primes)
-    return sorted(_horner(x, params))
 
 
 @settings(max_examples=200, deadline=None)
@@ -644,6 +705,32 @@ def test_inflate_out_of_range():
         inflate(-1)
     with pytest.raises(ValueError):
         inflate(inflation_domain())
+
+
+_DOMAIN_EDGES = [0, 1, 2**63 - 1, 2**63, inflation_domain() - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, inflation_domain() - 1), max_size=8))
+@example([])
+@example(_DOMAIN_EDGES)
+def test_inflate_points_equal_inflate(xs):
+    assert inflate_points(xs) == [inflate(x) for x in xs]
+    assert all(type(y) is int for y in inflate_points(xs))
+
+
+@pytest.mark.parametrize("bad", [-1, inflation_domain()])
+def test_inflate_points_refuse_a_point_before_computing(monkeypatch, bad):
+    def computed():
+        raise AssertionError("computed before the range check")
+
+    with pytest.raises(ValueError) as scalar:
+        inflate(bad)
+    monkeypatch.setattr(encoder, "_inflation_arrays", computed)
+    for batch in ([bad], _DOMAIN_EDGES + [bad], [bad] + _DOMAIN_EDGES):
+        with pytest.raises(ValueError) as err:
+            inflate_points(batch)
+        assert str(err.value) == str(scalar.value)
 
 
 def test_encoding_serialization():

@@ -9,6 +9,8 @@ SENDCOST = ROOT / "tools" / "sendcost.py"
 CLIENT_LAYERS = (
     "walk",
     "inflate",
+    "inflate_points.epoch",
+    "limb_split.epoch",
     "sorted_code",
     "sorted_codes.epoch",
     "corrupt",

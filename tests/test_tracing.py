@@ -1290,6 +1290,26 @@ def test_simulation_store_size_and_recall():
         assert (t, cell) in infected_cells
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_a_dense_inflated_simulation_alerts_exactly_its_contacts(seed):
+    """Criterion 7's checks on a grid dense enough that every seed has
+    contacts: 200 agents on 36 cells, one of them infected at the last
+    epoch and re-sending its whole trail.  Every contact is alerted, no one
+    else is, and every recovered (t, cell) is on the recipient's trail and
+    the infected agent's."""
+    grid = GridSpec(rows=6, cols=6, epochs=10)
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    result = run_simulation(
+        agents=200, grid=grid, params=params, seed=seed, infections=[("u0", 9)],
+        inflate_world=True,
+    )  # fmt: skip
+    assert result.contacts
+    assert result.alerted_users() == result.contacts
+    infected = result.trajectories["u0"]
+    for user, t, cell, _ in result.recovered:
+        assert result.trajectories[user][t] == cell == infected[t]
+
+
 def test_simulation_outputs_are_pinned():
     """sha256 of what a dilated, windowed run with four infections gives:
     the trails, every recovered (t, cell), each user's alert lines, the

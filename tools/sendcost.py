@@ -8,10 +8,15 @@ First it times the client half of a `sim` report, on the `sim` workload's
 each:
 
 - `walk`: one `_walk` step from a random cell;
-- `inflate` of the packed point;
+- `inflate` of the packed point, the scalar reference;
+- `inflate_points.epoch`: per point, `inflate_points` of one `sim` epoch,
+  the 1,000 packed points of its 1,000 agents in one batch, once a round;
+- `limb_split.epoch`: per point, the limb split of that epoch's inflated
+  points (`encoder._digit_quotients`), the step of `sorted_codes` before
+  the product, once a round;
 - `sorted_code`: the sorted code of one inflated point, a batch of one;
-- `sorted_codes.epoch`: per point, `sorted_codes` of one `sim` epoch, the
-  1,000 points of its 1,000 agents in one batch, once a round;
+- `sorted_codes.epoch`: per point, `sorted_codes` of that epoch, once a
+  round;
 - `corrupt` of a sorted code;
 - `client.add`: `ClientState.add` of the record;
 - `client_tick`: `client_tick` whole as the simulator calls it, with the
@@ -22,7 +27,9 @@ Before it times them, it checks that C ticks report exactly what
 `inflate`, `sorted_code` and `corrupt` give from a generator of the same
 state, computing the code in the tick and passing it in, that each leaves
 the generator in the same state, and that the client's `lookup` finds each
-record; and that each row of an epoch's `sorted_codes` is the point's
+record; that each epoch's `inflate_points` is `inflate` of each point and
+its limb quotients are, mod p, the points' base-p digits (`to_digits`);
+and that each row of an epoch's `sorted_codes` is the point's
 `sorted_code`.
 
 Then at each benchmark shape it fills a `ServerState` with the store that
@@ -56,8 +63,17 @@ import statistics
 import sys
 
 from querycost import SHAPES, build, timed
-from tracecloak.encoder import corrupt, encode, inflate, sorted_code, sorted_codes
+from tracecloak.encoder import (
+    _digit_quotients,
+    corrupt,
+    encode,
+    inflate,
+    inflate_points,
+    sorted_code,
+    sorted_codes,
+)
 from tracecloak.matcher import scan_match
+from tracecloak.numtheory import to_digits
 from tracecloak.tracing import (
     INFECTED,
     UNINFECTED,
@@ -77,6 +93,8 @@ from tracecloak.tracing import (
 CLIENT_LAYERS = (
     "walk",
     "inflate",
+    "inflate_points.epoch",
+    "limb_split.epoch",
     "sorted_code",
     "sorted_codes.epoch",
     "corrupt",
@@ -126,10 +144,22 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         if not clients[0].lookup(e) == clients[1].lookup(e) == (t, cell):
             print("sim: the client does not find its record", file=sys.stderr)
             return False
-    epochs = [
-        [inflate(pack(t, rng.randrange(grid.cells), grid)) for _ in range(SIM_AGENTS)]
+    packed = [
+        [pack(t, rng.randrange(grid.cells), grid) for _ in range(SIM_AGENTS)]
         for t in (rng.randrange(grid.epochs) for _ in range(args.rounds))
     ]
+    epochs = [inflate_points(xs) for xs in packed]
+    if epochs != [[inflate(x) for x in xs] for xs in packed]:
+        print("sim: inflate_points differs from inflate", file=sys.stderr)
+        return False
+    limbs = params.limbs
+    width = len(limbs.table)  # digit positions, the top limb's padding included
+    for ys in epochs:
+        if (_digit_quotients(ys, limbs) % params.p).tolist() != [
+            to_digits(y, params.p, width) for y in ys
+        ]:
+            print("sim: the limb split differs from to_digits", file=sys.stderr)
+            return False
     if sorted_codes(epochs[0], params) != [sorted_code(y, params) for y in epochs[0]]:
         print("sim: sorted_codes differs from sorted_code", file=sys.stderr)
         return False
@@ -145,6 +175,10 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         client = ClientState("timed")
         times["walk"] += timed(lambda p: _walk(p[1], grid, rng), points[part])
         times["inflate"] += timed(lambda p: inflate(pack(p[0], p[1], grid)), points[part])
+        (epoch_ns,) = timed(inflate_points, [packed[r]])
+        times["inflate_points.epoch"].append(epoch_ns / SIM_AGENTS)
+        (epoch_ns,) = timed(lambda ys: _digit_quotients(ys, limbs), [epochs[r]])
+        times["limb_split.epoch"].append(epoch_ns / SIM_AGENTS)
         times["sorted_code"] += timed(lambda y: sorted_code(y, params), inflated[part])
         (epoch_ns,) = timed(lambda ys: sorted_codes(ys, params), [epochs[r]])
         times["sorted_codes.epoch"].append(epoch_ns / SIM_AGENTS)
@@ -156,7 +190,7 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         )
     for layer in CLIENT_LAYERS:
         us = statistics.median(times[layer]) / 1e3
-        print(f"sim   client   {layer:17} {us:8.2f} us")
+        print(f"sim   client   {layer:20} {us:8.2f} us")
     return True
 
 
@@ -211,7 +245,7 @@ def main(argv: list[str]) -> int:
             times["send_report"] += timed(transport.send_report, sent[part])
         for layer in LAYERS:
             us = statistics.median(times[layer]) / 1e3
-            print(f"{shape:5} D={size:<6} {layer:17} {us:8.2f} us")
+            print(f"{shape:5} D={size:<6} {layer:20} {us:8.2f} us")
     return 0
 
 
