@@ -7,8 +7,11 @@ uint64 arrays, and each encoding as its packed uint16 row
 to back in one bytearray.  On infection they re-send their recent
 encodings tagged infected; the server matches those against the uninfected
 store at threshold tau = 2k and pushes each matching entry's own encoding
-back to its reporter, who recovers (t, l) locally.  The simulator keeps
-each agent's trail as a uint64 array too.
+back to its reporter, who recovers (t, l) locally.  A client's tick
+(`client_tick`) corrupts, records and reports the sorted codes it is
+given; the simulator is the one place that dilates each agent's cell,
+packs, inflates and encodes the points, an epoch at a time.  It keeps each
+agent's trail as a uint64 array too.
 """
 
 from __future__ import annotations
@@ -269,34 +272,21 @@ class ClientState:
 def client_tick(
     client: ClientState,
     t: int,
-    cell: int,
-    grid: GridSpec,
+    cells: Sequence[int],
+    codes: Sequence[Sequence[int]],
     params: Params,
     rng: random.Random,
-    dilation_radius: int = 0,
-    inflate_world: bool = False,
-    codes: Sequence[Sequence[int]] | None = None,
 ) -> list[ReportMsg]:
-    """Encode the current (and dilated) position; store locally and report.
+    """Corrupt each sorted code from `rng`, in order, record it as the
+    client's (t, cell) and report it.
 
-    `codes` holds the sorted code of each dilated cell's point, in `dilate`
-    order, when the caller has computed them already (the simulator does,
-    for a whole epoch at once); without it they are computed here.  Each
-    code is then corrupted from `rng`, in that order, recorded and reported.
-    A refused cell or point, or a wrong number of codes, raises before
+    `codes[i]` is the sorted code of the world point of (t, `cells[i]`),
+    computed by the caller: the simulator encodes a whole epoch at once, and
+    a lone client dilates its cell, packs and optionally inflates each
+    point, and calls `sorted_codes`.  A wrong number of codes raises before
     anything is recorded.
-
-    With `inflate_world` the packed point is passed through the square-free
-    inflation map first.  Small dense worlds are vulnerable to algebraic
-    twin collisions (two points whose polynomials are reflections of each
-    other across the evaluation grid sort to the same vector); inflation
-    scatters the world over a ~10^39 range where a twin almost never lands
-    on another valid point.  Parameters must then cover the inflated range.
     """
-    cells = dilate(cell, dilation_radius, grid)
-    if codes is None:
-        codes = sorted_codes(_points(t, cells, grid, inflate_world), params)
-    elif len(codes) != len(cells):
+    if len(codes) != len(cells):
         raise ValueError(f"{len(codes)} codes for {len(cells)} cells")
     k, alphabet, corrupt = params.k, params.alphabet, encoder.corrupt
     msgs = []
@@ -305,15 +295,6 @@ def client_tick(
         client.add(t, c, e)
         msgs.append(ReportMsg(user_id=client.user_id, tag=UNINFECTED, encoding=e))
     return msgs
-
-
-def _points(t: int, cells: Iterable[int], grid: GridSpec, inflate_world: bool) -> list[int]:
-    """The world point of each of the cells at epoch t, inflated in one
-    batch with `inflate_world`: what a client encodes.  The cells come from
-    `dilate`, which keeps them on the grid, so `pack` checks t once."""
-    first = pack(t, 0, grid)
-    points = [first + c for c in cells]
-    return inflate_points(points) if inflate_world else points
 
 
 def client_report_infection(
@@ -711,6 +692,13 @@ def run_simulation(
     `window` (>= 0) limits how far back an infected agent re-reports
     (defaults to the whole horizon).  The result holds the trails, the
     alerts and what each recovered, the true contacts and the server.
+
+    With `inflate_world` each packed point is passed through the square-free
+    inflation map first.  Small dense worlds are vulnerable to algebraic
+    twin collisions (two points whose polynomials are reflections of each
+    other across the evaluation grid sort to the same vector); inflation
+    scatters the world over a ~10^39 range where a twin almost never lands
+    on another valid point.  Parameters must then cover the inflated range.
     """
     if agents < 1:
         raise ValueError(f"need at least one agent, got {agents}")
@@ -739,8 +727,9 @@ def run_simulation(
 
     # Every trail comes first, walked epoch by epoch in user order from the
     # one generator, so the trails and the contacts do not depend on how the
-    # clients encode.  Then each epoch packs, inflates and encodes every
-    # agent's points in one batch, and corrupts and sends them in user order.
+    # clients encode.  Then each epoch dilates each agent's cell once, packs,
+    # inflates and encodes every agent's points in one batch, and hands each
+    # agent its cells and codes to corrupt and send, in user order.
     trails = list(trajectories.values())
     for _ in range(grid.epochs):
         for i, trail in enumerate(trails):
@@ -749,14 +738,13 @@ def run_simulation(
     send = transport.send_report
     for t in range(grid.epochs):
         dilated = [dilate(trail[t], dilation_radius, grid) for trail in trails]
-        points = _points(t, [c for cs in dilated for c in cs], grid, inflate_world)
-        codes = sorted_codes(points, params)
+        first = pack(t, 0, grid)  # dilate keeps every cell on the grid
+        points = [first + c for cs in dilated for c in cs]
+        codes = sorted_codes(inflate_points(points) if inflate_world else points, params)
         start = 0
-        for client, trail, cs in zip(clients.values(), trails, dilated):
+        for client, cs in zip(clients.values(), dilated):
             end = start + len(cs)
-            for msg in client_tick(
-                client, t, trail[t], grid, params, rng, dilation_radius, codes=codes[start:end]
-            ):
+            for msg in client_tick(client, t, cs, codes[start:end], params, rng):
                 send(msg)  # the server stores an uninfected report and alerts no one
             start = end
         for u in infections_by_epoch.get(t, ()):

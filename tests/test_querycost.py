@@ -32,6 +32,7 @@ def test_querycost_prints_each_shape_and_kind():
 
 
 def test_querycost_refuses_a_count_below_one():
-    result = _run("--queries", "0")
-    assert result.returncode == 2
-    assert "at least 1" in result.stderr
+    for args in (("--queries", "0"), ("--entries", "0")):
+        result = _run(*args)
+        assert result.returncode == 2
+        assert "at least 1" in result.stderr

@@ -42,6 +42,7 @@ def test_sendcost_prints_each_shape_and_layer():
 
 
 def test_sendcost_refuses_a_count_below_one():
-    result = _run("--sends", "0")
-    assert result.returncode == 2
-    assert "at least 1" in result.stderr
+    for args in (("--sends", "0"), ("--entries", "0")):
+        result = _run(*args)
+        assert result.returncode == 2
+        assert "at least 1" in result.stderr

@@ -23,8 +23,10 @@ from tracecloak.encoder import (
     PolyCodeParams,
     corrupt,
     inflate,
+    inflate_points,
     inflate_range_bound,
     sorted_code,
+    sorted_codes,
 )
 from tracecloak.matcher import DatabaseEntry
 from tracecloak.tracing import (
@@ -56,6 +58,16 @@ from tracecloak.tracing import _contacts, _walk
 GRID = GridSpec(rows=10, cols=10, epochs=20)
 PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=2)
 DET_PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=0)
+
+
+def _tick(client, t, cell, grid, params, rng, radius=0, inflate_world=False):
+    """A lone client's tick: dilate the cell, pack each cell's point,
+    inflate the points with `inflate_world`, encode them and report."""
+    cells = dilate(cell, radius, grid)
+    points = [pack(t, c, grid) for c in cells]
+    if inflate_world:
+        points = inflate_points(points)
+    return client_tick(client, t, cells, sorted_codes(points, params), params, rng)
 
 
 def test_pack_examples():
@@ -98,11 +110,11 @@ def test_cell_outside_the_grid_is_refused(cell, radius):
     # radius 1 used to clip such a cell onto cells the client never was in,
     # and radius 0 to report nothing without saying so
     client = ClientState("u1")
-    client_tick(client, 0, 0, GRID, PARAMS, random.Random(0))
+    _tick(client, 0, 0, GRID, PARAMS, random.Random(0))
     with pytest.raises(OutOfBoundsError):
         dilate(cell, radius, GRID)
     with pytest.raises(OutOfBoundsError):
-        client_tick(client, 1, cell, GRID, PARAMS, random.Random(0), radius)
+        _tick(client, 1, cell, GRID, PARAMS, random.Random(0), radius)
     assert len(client) == 1
 
 
@@ -236,12 +248,12 @@ def test_parse_message_gives_message_or_protocol_error(line):
 def test_client_tick_and_local_db():
     rng = random.Random(0)
     client = ClientState("u1")
-    msgs = client_tick(client, 3, 42, GRID, PARAMS, rng)
+    msgs = _tick(client, 3, 42, GRID, PARAMS, rng)
     assert len(msgs) == 1
     assert msgs[0].tag == UNINFECTED
     assert client.lookup(msgs[0].encoding) == (3, 42)
 
-    msgs = client_tick(client, 4, 55, GRID, PARAMS, rng, dilation_radius=1)
+    msgs = _tick(client, 4, 55, GRID, PARAMS, rng, radius=1)
     assert len(msgs) == 9
     assert len(client) == 10
 
@@ -262,7 +274,7 @@ def test_records_between_equals_per_epoch_lists(ticks, t_start, t_end):
     client = ClientState("u1")
     by_time = defaultdict(list)
     for t, c in ticks:
-        (msg,) = client_tick(client, t, c, GRID, DET_PARAMS, rng)
+        (msg,) = _tick(client, t, c, GRID, DET_PARAMS, rng)
         by_time[t].append((t, c, msg.encoding))
     expected = [r for t in sorted(by_time) if t_start <= t <= t_end for r in by_time[t]]
     assert client.records_between(t_start, t_end) == expected
@@ -275,9 +287,9 @@ def test_lookup_returns_the_latest_record_of_an_encoding():
     half = GridSpec(rows=5, cols=10, epochs=40)
     rng = random.Random(2)
     client = ClientState("u1")
-    (first,) = client_tick(client, 1, 0, GRID, DET_PARAMS, rng)
+    (first,) = _tick(client, 1, 0, GRID, DET_PARAMS, rng)
     assert client.lookup(first.encoding) == (1, 0)
-    (second,) = client_tick(client, 2, 0, half, DET_PARAMS, rng)
+    (second,) = _tick(client, 2, 0, half, DET_PARAMS, rng)
     assert second.encoding == first.encoding
     assert client.lookup(first.encoding) == (2, 0)
     assert client.records_between(0, 5) == [(1, 0, first.encoding), (2, 0, first.encoding)]
@@ -286,8 +298,8 @@ def test_lookup_returns_the_latest_record_of_an_encoding():
 def test_deterministic_mode_same_cell_same_encoding():
     rng_a, rng_b = random.Random(1), random.Random(2)
     a, b = ClientState("a"), ClientState("b")
-    (msg_a,) = client_tick(a, 5, 10, GRID, DET_PARAMS, rng_a)
-    (msg_b,) = client_tick(b, 5, 10, GRID, DET_PARAMS, rng_b)
+    (msg_a,) = _tick(a, 5, 10, GRID, DET_PARAMS, rng_a)
+    (msg_b,) = _tick(b, 5, 10, GRID, DET_PARAMS, rng_b)
     assert msg_a.encoding == msg_b.encoding
 
 
@@ -295,7 +307,7 @@ def test_client_report_infection_window():
     rng = random.Random(3)
     client = ClientState("u1")
     for t in range(5):
-        client_tick(client, t, t, GRID, PARAMS, rng)
+        _tick(client, t, t, GRID, PARAMS, rng)
     assert client_report_infection(client, 5, 4) == []
     full = client_report_infection(client, 0, 4)
     assert len(full) == 5
@@ -315,7 +327,7 @@ def test_lookup_refuses_what_it_cannot_have_stored():
     """An encoding that cannot be packed is as unknown as one never reported:
     UnknownEncodingError, never ValueError or struct.error."""
     client = ClientState("u1")
-    (msg,) = client_tick(client, 3, 42, GRID, PARAMS, random.Random(0))
+    (msg,) = _tick(client, 3, 42, GRID, PARAMS, random.Random(0))
     e = msg.encoding
     for bad in ((), (CODE_LIMIT,) + e[1:], (-1,) + e[1:], (1.5,) + e[1:], e + (0,)):
         with pytest.raises(UnknownEncodingError):
@@ -333,7 +345,7 @@ def test_client_keeps_a_record_in_few_bytes():
     grid = GridSpec(rows=100, cols=100, epochs=50)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
     rng = random.Random(5)
-    client_tick(ClientState("warm"), 0, 0, grid, params, rng, inflate_world=True)
+    _tick(ClientState("warm"), 0, 0, grid, params, rng, inflate_world=True)
     gc.collect()
     tracemalloc.start()
     try:
@@ -342,7 +354,7 @@ def test_client_keeps_a_record_in_few_bytes():
         for t in range(grid.epochs):
             for client in clients:
                 cell = rng.randrange(grid.cells)
-                client_tick(client, t, cell, grid, params, rng, inflate_world=True)
+                _tick(client, t, cell, grid, params, rng, inflate_world=True)
         gc.collect()
         used = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -443,8 +455,8 @@ def test_server_flow_co_location():
     server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
 
     # both at (t=2, cell=33)
-    (ra,) = client_tick(alice, 2, 33, GRID, PARAMS, rng)
-    (rb,) = client_tick(bob, 2, 33, GRID, PARAMS, rng)
+    (ra,) = _tick(alice, 2, 33, GRID, PARAMS, rng)
+    (rb,) = _tick(bob, 2, 33, GRID, PARAMS, rng)
     assert server.handle(ra) == []
     assert server.handle(rb) == []
     assert server.store_size == 2
@@ -464,7 +476,7 @@ def test_server_isolated_infection_no_alerts():
     loner = ClientState("loner")
     server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
     for t in range(3):
-        for msg in client_tick(loner, t, t * 7, GRID, PARAMS, rng):
+        for msg in _tick(loner, t, t * 7, GRID, PARAMS, rng):
             server.handle(msg)
     alerts = []
     for msg in client_report_infection(loner, 0, 2):
@@ -476,9 +488,9 @@ def test_server_deduplicates_alerts():
     rng = random.Random(6)
     alice, bob = ClientState("alice"), ClientState("bob")
     server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    (ra,) = client_tick(alice, 2, 33, GRID, PARAMS, rng)
+    (ra,) = _tick(alice, 2, 33, GRID, PARAMS, rng)
     server.handle(ra)
-    (rb,) = client_tick(bob, 2, 33, GRID, PARAMS, rng)
+    (rb,) = _tick(bob, 2, 33, GRID, PARAMS, rng)
     server.handle(rb)
     first = []
     second = []
@@ -512,7 +524,7 @@ def test_in_process_transport_round_trips_wire_format():
     server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
     transport = InProcessTransport(server)
     client = ClientState("u1")
-    (msg,) = client_tick(client, 0, 5, GRID, PARAMS, rng)
+    (msg,) = _tick(client, 0, 5, GRID, PARAMS, rng)
     assert transport.send_report(msg) == []
     assert server.store_size == 1
 
@@ -608,9 +620,9 @@ def test_socket_transport():
     with _serving(state) as server:
         addr = server.server_address
         alice, bob = ClientState("alice"), ClientState("bob")
-        (ra,) = client_tick(alice, 2, 33, GRID, PARAMS, rng)
+        (ra,) = _tick(alice, 2, 33, GRID, PARAMS, rng)
         assert send_report_over_socket(addr, ra) == []
-        (rb,) = client_tick(bob, 2, 33, GRID, PARAMS, rng)
+        (rb,) = _tick(bob, 2, 33, GRID, PARAMS, rng)
         assert send_report_over_socket(addr, rb) == []
         alerts = []
         for msg in client_report_infection(bob, 0, 2):
@@ -1423,21 +1435,42 @@ def test_simulation_trails_do_not_depend_on_the_encoding():
     assert runs[1].server.store_size > first.server.store_size == 12 * 10
 
 
-def test_client_tick_with_codes_reports_what_it_computes():
-    """Codes passed in give the reports, records and draws of codes computed
-    in the tick; a wrong number of them is refused before any record."""
+def test_client_tick_reports_the_corruption_of_each_given_code():
+    """Each report and record is `corrupt` of the given code from a
+    generator in the same state, which the tick leaves in the same state;
+    a wrong number of codes is refused before any record."""
     grid = GridSpec(rows=10, cols=10, epochs=20)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
-    own, given_ = ClientState("a"), ClientState("a")
-    rng_own, rng_given = random.Random(3), random.Random(3)
-    codes = [sorted_code(inflate(pack(4, c, grid)), params) for c in dilate(55, 1, grid)]
-    msgs = client_tick(own, 4, 55, grid, params, rng_own, 1, True)
-    assert client_tick(given_, 4, 55, grid, params, rng_given, 1, codes=codes) == msgs
-    assert rng_own.getstate() == rng_given.getstate()
-    assert own.records_between(0, 19) == given_.records_between(0, 19)
+    client, rng, layered = ClientState("a"), random.Random(3), random.Random(3)
+    cells = dilate(55, 1, grid)
+    codes = [sorted_code(inflate(pack(4, c, grid)), params) for c in cells]
+    msgs = client_tick(client, 4, cells, codes, params, rng)
+    encodings = [corrupt(code, params.k, params.alphabet, layered) for code in codes]
+    assert msgs == [ReportMsg("a", UNINFECTED, e) for e in encodings]
+    assert rng.getstate() == layered.getstate()
+    assert client.records_between(0, 19) == [(4, c, e) for c, e in zip(cells, encodings)]
     with pytest.raises(ValueError, match="8 codes for 9 cells"):
-        client_tick(given_, 5, 55, grid, params, rng_given, 1, codes=codes[1:])
-    assert len(given_) == 9
+        client_tick(client, 5, cells, codes[1:], params, rng)
+    assert len(client) == 9
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_the_simulator_dilates_each_agent_once_an_epoch(monkeypatch, radius):
+    """One `dilate` a trail cell, epoch by epoch in user order, both for
+    the epoch's batch and for the ticks."""
+    grid = GridSpec(rows=6, cols=6, epochs=10)
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    dilated = []
+
+    def counted(cell, radius, grid):
+        dilated.append(cell)
+        return dilate(cell, radius, grid)
+
+    monkeypatch.setattr(tracing, "dilate", counted)
+    result = run_simulation(20, grid, params, 8, [("u0", 9)], radius, inflate_world=True)
+    trails = list(result.trajectories.values())
+    assert len(dilated) == 20 * grid.epochs
+    assert dilated == [trail[t] for t in range(grid.epochs) for trail in trails]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -84,7 +84,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--check", type=int, default=5, help="queries per kind checked")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if min(args.entries or 1, args.queries, args.rounds) < 1 or args.check < 0:
+    entries = 1 if args.entries is None else args.entries
+    if min(entries, args.queries, args.rounds) < 1 or args.check < 0:
         parser.error("--entries, --queries and --rounds must be at least 1, --check at least 0")
     rng = random.Random(args.seed)
     for shape, (params, size) in SHAPES.items():

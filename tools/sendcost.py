@@ -19,18 +19,17 @@ each:
   round;
 - `corrupt` of a sorted code;
 - `client.add`: `ClientState.add` of the record;
-- `client_tick`: `client_tick` whole as the simulator calls it, with the
-  point's sorted code computed before: the corruption, the record and the
+- `client_tick`: `client_tick` whole as the simulator calls it, given the
+  cell and its point's sorted code: the corruption, the record and the
   report.
 
-Before it times them, it checks that C ticks report exactly what
-`inflate`, `sorted_code` and `corrupt` give from a generator of the same
-state, computing the code in the tick and passing it in, that each leaves
-the generator in the same state, and that the client's `lookup` finds each
-record; that each epoch's `inflate_points` is `inflate` of each point and
-its limb quotients are, mod p, the points' base-p digits (`to_digits`);
-and that each row of an epoch's `sorted_codes` is the point's
-`sorted_code`.
+Before it times them, it checks that C ticks, each given the code that
+`inflate` and `sorted_code` give, report exactly what `corrupt` gives from
+a generator of the same state, that each leaves the generator in the same
+state, and that the client's `lookup` finds each record; that each
+epoch's `inflate_points` is `inflate` of each point and its limb quotients
+are, mod p, the points' base-p digits (`to_digits`); and that each row of
+an epoch's `sorted_codes` is the point's `sorted_code`.
 
 Then at each benchmark shape it fills a `ServerState` with the store that
 `tools/querycost.py` builds there, at that workload's store size unless
@@ -129,19 +128,16 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         (rng.randrange(grid.epochs), rng.randrange(grid.cells)) for _ in range(args.check + count)
     ]
     checked, points = points[: args.check], points[args.check :]
-    layered, ticked, given = (random.Random(args.seed) for _ in range(3))
-    clients = ClientState("ticked"), ClientState("given")
+    layered, ticked = random.Random(args.seed), random.Random(args.seed)
+    checker = ClientState("ticked")
     for t, cell in checked:
         code = sorted_code(inflate(pack(t, cell, grid)), params)
         e = corrupt(code, params.k, params.alphabet, layered)
-        (msg,) = client_tick(clients[0], t, cell, grid, params, ticked, inflate_world=True)
-        (fed,) = client_tick(clients[1], t, cell, grid, params, given, codes=[code])
-        if not msg.encoding == fed.encoding == e or not (
-            ticked.getstate() == given.getstate() == layered.getstate()
-        ):
+        (msg,) = client_tick(checker, t, [cell], [code], params, ticked)
+        if msg.encoding != e or ticked.getstate() != layered.getstate():
             print("sim: client_tick differs from its layers", file=sys.stderr)
             return False
-        if not clients[0].lookup(e) == clients[1].lookup(e) == (t, cell):
+        if checker.lookup(e) != (t, cell):
             print("sim: the client does not find its record", file=sys.stderr)
             return False
     packed = [
@@ -168,7 +164,7 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
     codes = [sorted_code(y, params) for y in inflated]
     encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
     records = [(t, cell, e) for (t, cell), e in zip(points, encodings)]
-    ticks = [(t, cell, [code]) for (t, cell), code in zip(points, codes)]
+    ticks = [(t, [cell], [code]) for (t, cell), code in zip(points, codes)]
     times = {layer: [] for layer in CLIENT_LAYERS}
     for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
         part = slice(r * args.sends, (r + 1) * args.sends)
@@ -185,7 +181,7 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         times["corrupt"] += timed(lambda c: corrupt(c, params.k, params.alphabet, rng), codes[part])
         times["client.add"] += timed(lambda rec: client.add(*rec), records[part])
         times["client_tick"] += timed(
-            lambda p: client_tick(client, p[0], p[1], grid, params, rng, codes=p[2]),
+            lambda p: client_tick(client, p[0], p[1], p[2], params, rng),
             ticks[part],
         )
     for layer in CLIENT_LAYERS:
@@ -202,7 +198,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--check", type=int, default=5, help="infected sends checked")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if min(args.entries or 1, args.sends, args.rounds) < 1 or args.check < 0:
+    entries = 1 if args.entries is None else args.entries
+    if min(entries, args.sends, args.rounds) < 1 or args.check < 0:
         parser.error("--entries, --sends and --rounds must be at least 1, --check at least 0")
     rng = random.Random(args.seed)
     if not client_half(args, rng):
