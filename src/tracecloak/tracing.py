@@ -10,8 +10,10 @@ store at threshold tau = 2k and pushes each matching entry's own encoding
 back to its reporter, who recovers (t, l) locally.  A client's tick
 (`client_tick`) corrupts, records and reports the sorted codes it is
 given; the simulator is the one place that dilates each agent's cell,
-packs, inflates and encodes the points, an epoch at a time.  It keeps each
-agent's trail as a uint64 array too.
+packs, inflates and encodes the points, an epoch at a time.  Before any
+of that it walks every agent's trail in numpy, drawing from the generator
+exactly the words that two `randint(-1, 1)` calls a step would draw, and
+keeps each trail as a uint64 array too.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from dataclasses import dataclass, field
 from operator import index
 from typing import ClassVar, Iterable, Sequence
 
+import numpy as np
+
 from . import encoder
 # encode and inflate are not called here (the simulator encodes and inflates
 # an epoch at a time); they are imported so that protobench's tracer still
 # finds tracing.encode and tracing.inflate to wrap
 from .encoder import (  # noqa: F401
     Params,
-    _below,
     encode,
     format_encoding,
     inflate,
@@ -370,7 +373,8 @@ class InProcessTransport:
         self.server = server
 
     def send_report(self, msg: ReportMsg) -> list[AlertMsg]:
-        alerts = self.server.handle(parse_message(format_message(msg)))
+        if not (alerts := self.server.handle(parse_message(format_message(msg)))):
+            return alerts  # most reports alert no one
         return [parse_message(format_message(a)) for a in alerts]  # type: ignore[misc]
 
 
@@ -702,17 +706,15 @@ def run_simulation(
     """
     if agents < 1:
         raise ValueError(f"need at least one agent, got {agents}")
+    if grid.cells >= 1 << 63:  # _trails walks in int64
+        raise ValueError(f"a grid of {grid.cells} cells: the walk needs fewer than 2^63")
     rng = random.Random(seed)
     users = [f"u{i}" for i in range(agents)]
     clients = {u: ClientState(u) for u in users}
     server = ServerState(n=params.n, tau=params.tau)
     transport = InProcessTransport(server)
 
-    cells = [rng.randrange(grid.cells) for _ in users]  # each agent's current cell
-    trajectories: dict[str, array[int]] = {u: array("Q") for u in users}
-    result = SimulationResult(
-        trajectories=trajectories, alerts={u: [] for u in users}, server=server
-    )
+    starts = [rng.randrange(grid.cells) for _ in users]
     if window is not None and window < 0:
         raise ValueError(f"negative reporting window {window}")
     infections_by_epoch: dict[int, list[str]] = defaultdict(list)
@@ -730,11 +732,11 @@ def run_simulation(
     # clients encode.  Then each epoch dilates each agent's cell once, packs,
     # inflates and encodes every agent's points in one batch, and hands each
     # agent its cells and codes to corrupt and send, in user order.
-    trails = list(trajectories.values())
-    for _ in range(grid.epochs):
-        for i, trail in enumerate(trails):
-            cells[i] = cell = _walk(cells[i], grid, rng)
-            trail.append(cell)
+    trails = _trails(starts, grid, rng)
+    trajectories = dict(zip(users, trails))
+    result = SimulationResult(
+        trajectories=trajectories, alerts={u: [] for u in users}, server=server
+    )
     send = transport.send_report
     for t in range(grid.epochs):
         dilated = [dilate(trail[t], dilation_radius, grid) for trail in trails]
@@ -757,6 +759,36 @@ def run_simulation(
     return result
 
 
+def _trails(starts: Sequence[int], grid: GridSpec, rng: random.Random) -> list[array[int]]:
+    """Each agent's cell at every epoch, as a uint64 array: a lazy king's
+    walk from its start cell, clamped to the grid, epoch by epoch in agent
+    order, the row step before the column step.
+
+    Each step is what `rng.randint(-1, 1)` draws: the top 2 bits of one
+    32-bit word, drawn again while they read 3.  `getrandbits(32 * m)` holds
+    the next m words in draw order, the first in its low bits, so an epoch
+    draws as many words as it has steps, then again as many as are still
+    missing, until none is.  No word is drawn that one step at a time would
+    not draw, so the trails and the generator's state afterwards are the
+    step-by-step walk's.  The cells are int64 here: the grid must hold
+    fewer than 2^63."""
+    steps = np.empty(2 * len(starts), np.int64)  # row and column, agent by agent
+    rows, cols = np.divmod(np.array(starts, np.int64), grid.cols)
+    trails = np.empty((len(starts), grid.epochs), np.uint64)
+    for t in range(grid.epochs):
+        done = 0
+        while missing := len(steps) - done:
+            raw = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+            words = np.frombuffer(raw, "<u4")
+            drawn = words[words < 3 << 30] >> 30
+            steps[done : done + len(drawn)] = drawn
+            done += len(drawn)
+        np.clip(rows + steps[0::2] - 1, 0, grid.rows - 1, out=rows)
+        np.clip(cols + steps[1::2] - 1, 0, grid.cols - 1, out=cols)
+        trails[:, t] = rows * grid.cols + cols
+    return [array("Q", trail.tobytes()) for trail in trails]
+
+
 def _contacts(
     trajectories: dict[str, Sequence[int]],
     infections: Sequence[tuple[str, int]],
@@ -777,17 +809,6 @@ def _contacts(
         # an agent is not its own contact
         if (there := here.get(cells[t])) and there != {user}
     }
-
-
-def _walk(cell: int, grid: GridSpec, rng: random.Random) -> int:
-    """One step of a lazy king's walk, clamped to the grid.  Each of the row
-    and column steps is `_below(getrandbits, 3) - 1`, which draws what
-    `rng.randint(-1, 1)` draws: 2 bits until they are below 3."""
-    getrandbits = rng.getrandbits
-    row, col = divmod(cell, grid.cols)
-    row = min(max(row + _below(getrandbits, 3) - 1, 0), grid.rows - 1)
-    col = min(max(col + _below(getrandbits, 3) - 1, 0), grid.cols - 1)
-    return row * grid.cols + col
 
 
 def _deliver(

@@ -211,8 +211,13 @@ def test_flags_a_command_does_not_read_are_refused(params_file, tmp_path, capsys
         (None, ["--infect", "u0"], "--infect wants USER@EPOCH, got 'u0'"),
         (None, ["--infect", "u7@1"], "unknown infected user 'u7'"),
         ("M=10000\np=31\nn=10\n", [], "missing parameter 'k'"),
+        (
+            None,
+            ["--grid", "8589934592x8589934592"],
+            "a grid of 73786976294838206464 cells: the walk needs fewer than 2^63",
+        ),
     ],
-    ids=["grid_without_x", "infect_without_at", "unknown_user", "missing_key"],
+    ids=["grid_without_x", "infect_without_at", "unknown_user", "missing_key", "grid_too_large"],
 )
 def test_simulate_input_errors_are_usage_errors(
     params_file, tmp_path, capsys, params_text, args, message

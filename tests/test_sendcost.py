@@ -7,7 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SENDCOST = ROOT / "tools" / "sendcost.py"
 CLIENT_LAYERS = (
-    "walk",
+    "walk.sim",
     "inflate",
     "inflate_points.epoch",
     "limb_split.epoch",

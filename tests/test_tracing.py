@@ -53,7 +53,7 @@ from tracecloak.tracing import (
     run_simulation,
     send_report_over_socket,
 )
-from tracecloak.tracing import _contacts, _walk
+from tracecloak.tracing import _contacts, _trails
 
 GRID = GridSpec(rows=10, cols=10, epochs=20)
 PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=2)
@@ -1248,10 +1248,21 @@ def _walk_reference(cell, grid, rng):
     return row * grid.cols + col
 
 
+def _trails_reference(starts, grid, rng):
+    """Every agent's trail, one `_walk_reference` step per agent in agent
+    order, epoch by epoch."""
+    cells, trails = list(starts), [[] for _ in starts]
+    for _ in range(grid.epochs):
+        for i, trail in enumerate(trails):
+            cells[i] = _walk_reference(cells[i], grid, rng)
+            trail.append(cells[i])
+    return trails
+
+
 @st.composite
 def _walk_starts(draw):
-    """A grid, 1x1, 1xN and Nx1 among them, and a start cell that is a corner
-    or an edge cell as often as not."""
+    """A grid's rows and columns, 1x1, 1xN and Nx1 among them, and 1 to 40
+    start cells, each a corner or an edge cell as often as not."""
     rows, cols = draw(
         st.sampled_from([(1, 1), (1, 7), (7, 1), (1, 2), (2, 1)])
         | st.tuples(st.integers(1, 9), st.integers(1, 9))
@@ -1259,22 +1270,48 @@ def _walk_starts(draw):
     edges = sorted(
         {r * cols + c for r in range(rows) for c in range(cols) if r in (0, rows - 1) or c in (0, cols - 1)}
     )
-    cell = draw(st.sampled_from(edges) | st.integers(0, rows * cols - 1))
-    return GridSpec(rows=rows, cols=cols, epochs=1), cell
+    cell = st.sampled_from(edges) | st.integers(0, rows * cols - 1)
+    return rows, cols, draw(st.lists(cell, min_size=1, max_size=40))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_walk_starts(), st.integers(0, 2**32), st.integers(1, 20))
-def test_walk_draws_what_two_randints_draw(start, seed, steps):
-    """Each step lands where two `randint(-1, 1)` draws put it, and leaves
-    the generator in the same state: the simulator's stream is unchanged."""
-    grid, cell = start
+@given(_walk_starts(), st.integers(1, 20), st.integers(0, 2**32))
+@example((2**63 - 1, 1, [0, 2**63 - 2, 2**62]), 20, 1)
+@example((1, 2**63 - 1, [2**63 - 2, 0, 2**62]), 20, 1)
+def test_trails_draw_what_two_randints_draw(walk, epochs, seed):
+    """Every cell of every trail is where two `randint(-1, 1)` draws a step
+    put it, agent by agent and epoch by epoch, and the generator ends in the
+    same state: the simulator's stream is unchanged.  The examples walk the
+    largest grids the int64 walk takes, from both edges."""
+    rows, cols, starts = walk
+    grid = GridSpec(rows=rows, cols=cols, epochs=epochs)
     rng, ref = random.Random(seed), random.Random(seed)
-    expected = cell
-    for _ in range(steps):
-        cell, expected = _walk(cell, grid, rng), _walk_reference(expected, grid, ref)
-        assert cell == expected and 0 <= cell < grid.cells
-        assert rng.getstate() == ref.getstate()
+    trails = _trails(starts, grid, rng)
+    assert all(trail.typecode == "Q" for trail in trails)
+    assert [list(trail) for trail in trails] == _trails_reference(starts, grid, ref)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_the_simulator_refuses_a_grid_its_walk_cannot_hold(monkeypatch):
+    """A grid of 2^63 cells or more is refused before any draw (2^66 cells
+    used to end in an OverflowError from a trail's append); 2^62 cells
+    still run."""
+    grid = GridSpec(rows=2**31, cols=2**31, epochs=3)
+    params = PolyCodeParams(M=grid.world_size, p=503, n=20, k=2)
+    result = run_simulation(4, grid, params, 3, [("u0", 2)])
+    assert all(len(trail) == 3 for trail in result.trajectories.values())
+    assert result.server.store_size == 4 * 3
+
+    def refuse(*args):
+        raise AssertionError("drew for a grid the walk cannot hold")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    monkeypatch.setattr(random.Random, "getrandbits", refuse)
+    for rows, cols in [(2**33, 2**33), (2**63, 1), (1, 2**63)]:
+        grid = GridSpec(rows=rows, cols=cols, epochs=3)
+        message = f"a grid of {grid.cells} cells: the walk needs fewer than 2\\^63"
+        with pytest.raises(ValueError, match=message):
+            run_simulation(4, grid, params, 3, [("u0", 2)])
 
 
 def test_simulation_store_size_and_recall():
@@ -1376,7 +1413,7 @@ def _reference_simulation(agents, grid, params, seed, infections, radius, window
 
     for _ in range(grid.epochs):
         for u in users:
-            cells[u] = _walk(cells[u], grid, rng)
+            cells[u] = _walk_reference(cells[u], grid, rng)
             trails[u].append(cells[u])
     for t in range(grid.epochs):
         for u in users:

@@ -7,7 +7,9 @@ First it times the client half of a `sim` report, on the `sim` workload's
 100x100 grid and 50 epochs with its inflated world, S calls a round of
 each:
 
-- `walk`: one `_walk` step from a random cell;
+- `walk.sim`: per agent-step, one whole `sim` walk (`tracing._trails`),
+  its 1,000 agents from random start cells over the 50 epochs, once a
+  round;
 - `inflate` of the packed point, the scalar reference;
 - `inflate_points.epoch`: per point, `inflate_points` of one `sim` epoch,
   the 1,000 packed points of its 1,000 agents in one batch, once a round;
@@ -23,7 +25,9 @@ each:
   cell and its point's sorted code: the corruption, the record and the
   report.
 
-Before it times them, it checks that C ticks, each given the code that
+Before it times them, it checks that one whole `sim` walk puts every
+cell where two `randint(-1, 1)` draws a step put it and leaves the
+generator in the same state; that C ticks, each given the code that
 `inflate` and `sorted_code` give, report exactly what `corrupt` gives from
 a generator of the same state, that each leaves the generator in the same
 state, and that the client's `lookup` finds each record; that each
@@ -82,7 +86,7 @@ from tracecloak.tracing import (
     InProcessTransport,
     ReportMsg,
     ServerState,
-    _walk,
+    _trails,
     client_tick,
     format_message,
     pack,
@@ -90,7 +94,7 @@ from tracecloak.tracing import (
 )
 
 CLIENT_LAYERS = (
-    "walk",
+    "walk.sim",
     "inflate",
     "inflate_points.epoch",
     "limb_split.epoch",
@@ -102,7 +106,7 @@ CLIENT_LAYERS = (
 )
 LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
 SIM_GRID = GridSpec(rows=100, cols=100, epochs=50)
-SIM_AGENTS = 1000  # the points of one `sim` epoch
+SIM_AGENTS = 1000  # the agents of `sim`, and so the points of one epoch
 CHECKER = "sendcost-checker"  # a reporter that holds no stored entry
 
 
@@ -119,6 +123,20 @@ def expected_alerts(entries: list, msg: ReportMsg, tau: int, alerted: set) -> li
     return alerts
 
 
+def randint_trails(starts: list[int], grid: GridSpec, rng: random.Random) -> list[list[int]]:
+    """Every agent's trail one step at a time, each step two
+    `rng.randint(-1, 1)` draws, agent by agent and epoch by epoch."""
+    cells, trails = list(starts), [[] for _ in starts]
+    for _ in range(grid.epochs):
+        for i, trail in enumerate(trails):
+            row, col = divmod(cells[i], grid.cols)
+            row = min(max(row + rng.randint(-1, 1), 0), grid.rows - 1)
+            col = min(max(col + rng.randint(-1, 1), 0), grid.cols - 1)
+            cells[i] = row * grid.cols + col
+            trail.append(cells[i])
+    return trails
+
+
 def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
     """Check, then time and print, the client layers of a `sim` report;
     False on a difference."""
@@ -128,6 +146,12 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         (rng.randrange(grid.epochs), rng.randrange(grid.cells)) for _ in range(args.check + count)
     ]
     checked, points = points[: args.check], points[args.check :]
+    starts = [rng.randrange(grid.cells) for _ in range(SIM_AGENTS)]
+    walked, stepped = random.Random(args.seed), random.Random(args.seed)
+    trails = [list(trail) for trail in _trails(starts, grid, walked)]
+    if trails != randint_trails(starts, grid, stepped) or walked.getstate() != stepped.getstate():
+        print("sim: the walk differs from two randint(-1, 1) draws a step", file=sys.stderr)
+        return False
     layered, ticked = random.Random(args.seed), random.Random(args.seed)
     checker = ClientState("ticked")
     for t, cell in checked:
@@ -169,7 +193,8 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
     for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
         part = slice(r * args.sends, (r + 1) * args.sends)
         client = ClientState("timed")
-        times["walk"] += timed(lambda p: _walk(p[1], grid, rng), points[part])
+        (walk_ns,) = timed(lambda cells: _trails(cells, grid, rng), [starts])
+        times["walk.sim"].append(walk_ns / (SIM_AGENTS * grid.epochs))
         times["inflate"] += timed(lambda p: inflate(pack(p[0], p[1], grid)), points[part])
         (epoch_ns,) = timed(inflate_points, [packed[r]])
         times["inflate_points.epoch"].append(epoch_ns / SIM_AGENTS)
