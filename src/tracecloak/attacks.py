@@ -1,9 +1,13 @@
 """Executable adversaries against the encoding, plus the analytic cost model.
 
-All three attacks try to recover a world point whose deterministic sorted
-basic code lies within tau of the target encoding.  They are only runnable
-at desk scale; at production parameters the solve/encoding counters and
-`expected_direct_solves` quantify why they are hopeless.
+Both attacks look for the world points whose deterministic sorted basic code
+lies within tau of a target encoding.  The dictionary attack enumerates the
+points: it encodes every candidate once, indexes the codes and answers every
+target from that index, at a cost linear in the number of points.  Every
+client knows the encoder (and the inflation map), and a world of epochs x
+cells is small, so enumeration is the attack that scales: it recovers every
+stored encoding of a whole simulation in seconds.  The direct attack inverts
+one encoding without the world; `expected_direct_solves` gives its cost.
 """
 
 from __future__ import annotations
@@ -12,11 +16,14 @@ import itertools
 import math
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .encoder import Params, RrnsParams, encode, sorted_code
-from .matcher import MatchIndex, DatabaseEntry, hamming
+from .encoder import Params, RrnsParams, sorted_code, sorted_codes
+from .matcher import ID_LIMIT, MatchIndex, DatabaseEntry, hamming
 from .numtheory import crt_reconstruct, from_digits, vandermonde_solve
+
+BATCH = 10_000  # points the dictionary attack encodes at a time
 
 
 @dataclass
@@ -34,41 +41,49 @@ def matches_target(x: int, params: Params, e, tau: int) -> bool:
     return hamming(sorted_code(x, params), e) <= tau
 
 
-def brute_force_attack(e, params: Params, tau: int) -> AttackReport:
-    """Scan the whole world; return the first point matching within tau."""
+def dictionary_attack(targets, points: Sequence[int], params: Params, tau: int) -> list[AttackReport]:
+    """Encode every point of `points` and report, for each target in order,
+    every point whose sorted basic code lies within tau of it.
+
+    The points are encoded `BATCH` at a time by `sorted_codes`, which draws
+    nothing, and each code is added to one `MatchIndex` with the point's
+    position as its id: the layout `projected_table_bytes` sizes.  An
+    encoding of a point lies within k of its sorted code, so at tau = 2k
+    every target's own point is among its candidates.  `candidates` holds
+    the matching points in ascending order, `recovered` the first of them;
+    every report counts len(points) encodings and the time of the whole
+    pass.  No point is inflated here: for an inflated world, pass
+    `inflate_points(world)` and `deflate` the candidates.  More points than
+    one index holds raise ValueError before any is encoded.
+    """
+    if points[ID_LIMIT:]:  # a slice, not len(): a range of 2^63 or more has none
+        raise ValueError(f"more than {ID_LIMIT} points: a dictionary holds at most that many")
     start = time.perf_counter()
-    x = next((x for x in range(params.M) if matches_target(x, params, e, tau)), None)
-    return AttackReport(
-        recovered=x,
-        encodings_performed=params.M if x is None else x + 1,
-        wall_time=time.perf_counter() - start,
-    )
-
-
-def table_attack_build(params: Params, rng: random.Random) -> MatchIndex:
-    """Precompute one encoding per world point, indexed for range queries."""
-    index = MatchIndex(params.n, params.tau)
-    for x in range(params.M):
-        index.add(DatabaseEntry(user_id=str(x), encoding=encode(x, params, rng)))
-    return index
-
-
-def table_attack_query(table: MatchIndex, e, tau: int) -> AttackReport:
-    start = time.perf_counter()
-    hits = tuple(int(entry.user_id) for entry in table.query(e, tau))
-    return AttackReport(
-        recovered=hits[0] if hits else None,
-        candidates=hits,
-        wall_time=time.perf_counter() - start,
-    )
+    index = MatchIndex(params.n, tau)
+    for lo in range(0, len(points), BATCH):
+        codes = sorted_codes(points[lo : lo + BATCH], params)
+        for i, code in enumerate(codes, lo):
+            index.add(DatabaseEntry(user_id=str(i), encoding=code))
+    hits = [sorted(points[int(entry.user_id)] for entry in index.query(e, tau)) for e in targets]
+    wall_time = time.perf_counter() - start
+    return [
+        AttackReport(
+            recovered=found[0] if found else None,
+            encodings_performed=len(points),
+            wall_time=wall_time,
+            candidates=tuple(found),
+        )
+        for found in hits
+    ]
 
 
 def projected_table_bytes(params: Params) -> float:
-    """Storage for the full-scale table in the cost model: M entries of n
-    coordinates at ceil(log2 alphabet) bits, one copy per block table.
-    `MatchIndex` holds less: each coordinate once, as 2 bytes of its row,
-    plus per block a 4-byte chain word and at most 4 table slots of 8 bytes
-    (a table keeps 2 to 4 slots per entry)."""
+    """Storage for the dictionary attack's index over the whole world, in
+    the cost model: M entries of n coordinates at ceil(log2 alphabet) bits,
+    one copy per block table.  The `MatchIndex` it builds holds less: each
+    coordinate once, as 2 bytes of its row, plus per block a 4-byte chain
+    word and at most 4 table slots of 8 bytes (a table keeps 2 to 4 slots
+    per entry)."""
     bits_per_coord = math.ceil(math.log2(params.alphabet))
     return params.M * params.n * bits_per_coord / 8 * (params.tau + 1)
 

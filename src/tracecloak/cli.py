@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_atk = sub.add_parser("attack", help="run an adversary against one encoding")
     _add_flags(p_atk, "--params", "--seed", "--csv")
-    p_atk.add_argument("--kind", choices=("brute", "table", "direct"), required=True)
+    p_atk.add_argument("--kind", choices=("dictionary", "direct"), required=True)
     p_atk.add_argument(
         "--target",
         required=True,
@@ -226,11 +226,8 @@ def cmd_attack(args) -> int:
     rng = random.Random(args.seed)
     tau = args.tau if args.tau is not None else params.tau
     target = _load_target(args.target, params, rng)
-    if args.kind == "brute":
-        report = attacks.brute_force_attack(target, params, tau)
-    elif args.kind == "table":
-        table = attacks.table_attack_build(params, rng)
-        report = attacks.table_attack_query(table, target, tau)
+    if args.kind == "dictionary":
+        (report,) = attacks.dictionary_attack([target], range(params.M), params, tau)
     else:
         report = attacks.direct_attack(
             target, params, tau, rng=rng, mode=args.mode, budget=args.budget

@@ -708,15 +708,12 @@ def run_simulation(
         raise ValueError(f"need at least one agent, got {agents}")
     if grid.cells >= 1 << 63:  # _trails walks in int64
         raise ValueError(f"a grid of {grid.cells} cells: the walk needs fewer than 2^63")
-    rng = random.Random(seed)
-    users = [f"u{i}" for i in range(agents)]
-    clients = {u: ClientState(u) for u in users}
-    server = ServerState(n=params.n, tau=params.tau)
-    transport = InProcessTransport(server)
-
-    starts = [rng.randrange(grid.cells) for _ in users]
+    if dilation_radius < 0:
+        raise ValueError(f"negative dilation radius {dilation_radius}")
     if window is not None and window < 0:
         raise ValueError(f"negative reporting window {window}")
+    users = [f"u{i}" for i in range(agents)]
+    clients = {u: ClientState(u) for u in users}
     infections_by_epoch: dict[int, list[str]] = defaultdict(list)
     for user, epoch in infections:
         if user not in clients:
@@ -726,6 +723,11 @@ def run_simulation(
                 f"infection epoch {epoch} of {user!r} outside [0, {grid.epochs})"
             )
         infections_by_epoch[epoch].append(user)
+
+    server = ServerState(n=params.n, tau=params.tau)
+    transport = InProcessTransport(server)
+    rng = random.Random(seed)
+    starts = [rng.randrange(grid.cells) for _ in users]
 
     # Every trail comes first, walked epoch by epoch in user order from the
     # one generator, so the trails and the contacts do not depend on how the

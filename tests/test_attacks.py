@@ -2,32 +2,45 @@ import math
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from tracecloak import attacks
 from tracecloak.attacks import (
     AttackReport,
-    brute_force_attack,
+    dictionary_attack,
     direct_attack,
     expected_direct_solves,
     expected_direct_solves_log10,
     matches_target,
     projected_table_bytes,
-    table_attack_build,
-    table_attack_query,
 )
 from tracecloak.attacks import _solve_candidate
-from tracecloak.encoder import PolyCodeParams, RrnsParams, encode
+from tracecloak.encoder import (
+    PolyCodeParams,
+    RrnsParams,
+    deflate,
+    digit_count,
+    encode,
+    inflate_points,
+    inflate_range_bound,
+)
+from tracecloak.tracing import GridSpec, pack, run_simulation
 
 DESK = PolyCodeParams(M=10**4, p=31, n=10, k=2)
 
 
 def test_brute_force_recovers():
+    """A dictionary pass over the whole world finds the point of an
+    encoding among its candidates, each of which matches."""
     rng = random.Random(0)
     x = rng.randrange(DESK.M)
     e = encode(x, DESK, rng)
-    report = brute_force_attack(e, DESK, DESK.tau)
-    assert report.recovered is not None
-    assert matches_target(report.recovered, DESK, e, DESK.tau)
-    assert report.encodings_performed == report.recovered + 1
+    (report,) = dictionary_attack([e], range(DESK.M), DESK, DESK.tau)
+    assert x in report.candidates
+    assert report.recovered == report.candidates[0]
+    assert all(matches_target(c, DESK, e, DESK.tau) for c in report.candidates)
+    assert report.encodings_performed == DESK.M
 
 
 def test_brute_force_exact_at_k0():
@@ -35,9 +48,9 @@ def test_brute_force_exact_at_k0():
     rng = random.Random(1)
     x = rng.randrange(params.M)
     e = encode(x, params, rng)
-    report = brute_force_attack(e, params, 0)
+    (report,) = dictionary_attack([e], range(params.M), params, 0)
     assert report.recovered == x
-    assert report.encodings_performed == x + 1
+    assert report.encodings_performed == params.M
 
 
 def test_brute_force_none_for_random_vector():
@@ -45,25 +58,88 @@ def test_brute_force_none_for_random_vector():
     # at stringent tau=0 the scan comes back empty
     params = PolyCodeParams(M=10**3, p=101, n=12, k=0)
     rng = random.Random(2)
-    misses = 0
-    for _ in range(20):
-        e = tuple(sorted(rng.randrange(params.p) for _ in range(params.n)))
-        report = brute_force_attack(e, params, 0)
-        if report.recovered is None:
-            assert report.encodings_performed == params.M
-            misses += 1
-    assert misses == 20
+    targets = [tuple(sorted(rng.randrange(params.p) for _ in range(params.n))) for _ in range(20)]
+    reports = dictionary_attack(targets, range(params.M), params, 0)
+    assert len(reports) == 20
+    for report in reports:
+        assert report.recovered is None and report.candidates == ()
+        assert report.encodings_performed == params.M
 
 
 def test_table_attack():
+    """The dictionary is indexed by position, so any sequence of points
+    will do, and one pass answers every target."""
     params = PolyCodeParams(M=2000, p=31, n=10, k=2)
     rng = random.Random(3)
-    table = table_attack_build(params, rng)
-    assert len(table) == params.M  # one entry per world point
-    x = rng.randrange(params.M)
-    e = encode(x, params, rng)
-    report = table_attack_query(table, e, params.tau)
-    assert x in report.candidates
+    points = rng.sample(range(params.M), 500)
+    xs = points[:20]
+    reports = dictionary_attack([encode(x, params, rng) for x in xs], points, params, params.tau)
+    for x, report in zip(xs, reports, strict=True):
+        assert x in report.candidates
+        assert list(report.candidates) == sorted(report.candidates)
+        assert set(report.candidates) <= set(points)
+        assert report.encodings_performed == len(points)
+
+
+@st.composite
+def _tiny_params(draw):
+    """Small polynomial or residue parameters."""
+    k = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([5, 7, 11, 13]))
+        M = draw(st.integers(1, p**3))
+        n = draw(st.integers(max(digit_count(M, p), k), p))
+        return PolyCodeParams(M=M, p=p, n=n, k=k)
+    primes = draw(st.lists(st.sampled_from([7, 11, 13, 17, 19, 23]), min_size=2, max_size=5, unique=True))
+    M = draw(st.integers(1, 7 * 11 * 13))
+    try:
+        return RrnsParams(primes=sorted(primes), M=M, k=min(k, len(primes)))
+    except ValueError:  # the largest m-1 moduli reach M
+        reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dictionary_attack_equals_the_scan(data):
+    """Every target's candidates are exactly the points of a `matches_target`
+    scan, for encodings of points inside and outside the range and for
+    random sorted vectors."""
+    params = data.draw(_tiny_params())
+    lo = data.draw(st.integers(0, params.M - 1))
+    points = range(lo, data.draw(st.integers(lo, min(params.M, lo + 200))))
+    tau = data.draw(st.integers(0, params.n))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    inside = [encode(x, params, rng) for x in rng.choices(points, k=3)] if points else []
+    outside = [encode(x, params, rng) for x in rng.choices(range(params.M), k=3) if x not in points]
+    noise = [tuple(sorted(rng.randrange(params.alphabet) for _ in range(params.n))) for _ in range(3)]
+    targets = inside + outside + noise
+    reports = dictionary_attack(targets, points, params, tau)
+    assert len(reports) == len(targets)
+    for t, report in zip(targets, reports):
+        expected = [x for x in points if matches_target(x, params, t, tau)]
+        assert list(report.candidates) == expected
+        assert report.recovered == (expected[0] if expected else None)
+        assert report.encodings_performed == len(points)
+
+
+def test_dictionary_attack_recovers_every_stored_point(monkeypatch):
+    """With no infection, the server's store of an inflated simulation
+    gives away every report: over the inflated world, each stored encoding
+    matches exactly one point, its reporter's true (epoch, cell)."""
+    monkeypatch.setattr(attacks, "BATCH", 97)  # many batches, the last one short
+    grid = GridSpec(rows=10, cols=10, epochs=20)
+    agents = 20
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    result = run_simulation(agents, grid, params, seed=31, infections=[], inflate_world=True)
+    stored = result.server.index.entries
+    assert len(stored) == agents * grid.epochs
+    world = inflate_points(range(grid.world_size))
+    reports = dictionary_attack([e.encoding for e in stored], world, params, params.tau)
+    for j, (entry, report) in enumerate(zip(stored, reports, strict=True)):
+        t, user = divmod(j, agents)
+        assert entry.user_id == f"u{user}"
+        cell = result.trajectories[entry.user_id][t]
+        assert [deflate(y) for y in report.candidates] == [pack(t, cell, grid)]
 
 
 def test_projected_table_size_full_scale():

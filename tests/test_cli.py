@@ -1,5 +1,7 @@
 import csv
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -268,7 +270,7 @@ def test_match_refuses_a_negative_tau(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, attack", [("brute", "brute_force_attack"), ("direct", "direct_attack")]
+    "kind, attack", [("dictionary", "dictionary_attack"), ("direct", "direct_attack")]
 )
 def test_attack_refuses_a_negative_tau(params_file, monkeypatch, capsys, kind, attack):
     def refuse(*args, **kwargs):
@@ -288,7 +290,7 @@ def test_attack_refuses_a_negative_tau(params_file, monkeypatch, capsys, kind, a
     [
         ["simulate", "--params", "{missing}"],
         ["match", "--db", "{missing}", "--tau", "1", "1,2,3"],
-        ["attack", "--params", "{params}", "--kind", "brute", "--target", "{missing}"],
+        ["attack", "--params", "{params}", "--kind", "dictionary", "--target", "{missing}"],
     ],
     ids=["params", "db", "target"],
 )
@@ -385,12 +387,12 @@ def test_attack_command(params_file, tmp_path, capsys):
     assert csv_out.read_text().startswith("kind,recovered,solves")
 
 
-def test_attack_brute_on_hex_point(params_file, capsys):
+def test_attack_dictionary_on_hex_point(params_file, capsys):
     rc = main(
         [
             "attack",
             "--kind",
-            "brute",
+            "dictionary",
             "--params",
             params_file,
             "--target",
@@ -402,17 +404,33 @@ def test_attack_brute_on_hex_point(params_file, capsys):
     assert rc == 0
 
 
-def test_attack_table(params_file, capsys):
-    """The table attack encodes the whole world once, after the target, and
-    finds the target's point among its candidates."""
-    argv = ["attack", "--kind", "table", "--params", params_file, "--target", "0x64", "--seed", "5"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out.splitlines()[0]
-    rng = random.Random(5)
-    target = encode(0x64, DESK, rng)
-    hits = attacks.table_attack_query(attacks.table_attack_build(DESK, rng), target, DESK.tau)
-    assert first == f"recovered: {hits.recovered}"
-    assert 0x64 in hits.candidates
+def test_attack_dictionary(params_file, tmp_path, capsys):
+    """The dictionary attack encodes the whole world once and prints the
+    first point within tau of the target, whose own point is a candidate."""
+    csv_out = tmp_path / "attack.csv"
+    argv = ["attack", "--kind", "dictionary", "--params", params_file, "--target", "0x64", "--seed", "5"]
+    assert main(argv + ["--csv", str(csv_out)]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    target = encode(0x64, DESK, random.Random(5))
+    (report,) = attacks.dictionary_attack([target], range(DESK.M), DESK, DESK.tau)
+    assert 0x64 in report.candidates
+    assert first == f"recovered: {report.recovered}"
+    assert second.startswith(f"solves=0 encodings={DESK.M} iterations=0 wall_time=")
+    header, row = csv.reader(csv_out.read_text().splitlines())
+    assert header == ["kind", "recovered", "solves", "encodings", "iterations", "wall_time"]
+    assert row[:5] == ["dictionary", str(report.recovered), "0", str(DESK.M), "0"]
+
+
+def test_attack_dictionary_over_a_world_no_index_holds(tmp_path, capsys):
+    """No index holds a world of 10^19 points: it is a usage error before
+    any point is encoded, not an OverflowError from len(range(M))."""
+    path = tmp_path / "params.txt"
+    save_params(PolyCodeParams(M=10**19, p=503, n=100, k=10), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--kind", "dictionary", "--params", str(path), "--target", "0x64"])
+    assert exc.value.code == 2
+    message = "more than 4294967295 points: a dictionary holds at most that many"
+    assert f"tracecloak: error: {message}" in capsys.readouterr().err
 
 
 def test_attack_target_file_holding_a_point(params_file, tmp_path, capsys):
@@ -420,7 +438,7 @@ def test_attack_target_file_holding_a_point(params_file, tmp_path, capsys):
     command line."""
     target = tmp_path / "target.txt"
     target.write_text("0x64\n")
-    argv = ["attack", "--kind", "brute", "--params", params_file, "--seed", "5", "--target"]
+    argv = ["attack", "--kind", "dictionary", "--params", params_file, "--seed", "5", "--target"]
     assert main(argv + [str(target)]) == 0
     from_file = capsys.readouterr().out.splitlines()[0]
     assert main(argv + ["0x64"]) == 0
@@ -513,3 +531,19 @@ def test_table1_world_beyond_a_float_is_a_usage_error(capsys):
         main(["analyze", "table1", "--world", "1e400"])
     assert exc.value.code == 2
     assert "tracecloak: error: code length n=100 below digit count m=149" in capsys.readouterr().err
+
+
+def test_every_readme_cli_line_parses(capsys):
+    """Each `tracecloak ...` line of the README's CLI block, its `\\`
+    continuations joined, is one the parser accepts: a subcommand, kind or
+    flag the code drops fails here while the README keeps it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("tracecloak ")]
+    assert len(commands) == len(lines)
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}\n{capsys.readouterr().err}")

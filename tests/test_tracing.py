@@ -1560,6 +1560,29 @@ def test_contacts_equal_the_pairwise_scan(data):
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(dilation_radius=-1), "negative dilation radius -1"),
+        (dict(window=-1), "negative reporting window -1"),
+        (dict(infections=[("u9", 2)]), "unknown infected user 'u9'"),
+    ],
+    ids=["radius", "window", "unknown_user"],
+)
+def test_the_simulator_checks_its_arguments_before_any_draw(monkeypatch, kwargs, message):
+    """A negative radius used to be refused only inside `dilate`, after every
+    start cell was drawn and every trail walked; a negative window and an
+    unknown infected user after the start cells were drawn."""
+    def refuse(*args, **kw):
+        raise AssertionError("made a generator before checking the arguments")
+
+    monkeypatch.setattr(tracing.random, "Random", refuse)
+    grid = GridSpec(rows=4, cols=4, epochs=4)
+    params = PolyCodeParams(M=grid.world_size, p=101, n=20, k=2)
+    with pytest.raises(ValueError, match=message):
+        run_simulation(**{"agents": 3, "grid": grid, "params": params, "seed": 1, "infections": [], **kwargs})
+
+
+@pytest.mark.parametrize(
     "infections, window, message",
     [
         ([("u0", 4)], None, "outside"),  # grid.epochs: the agent never re-reports
