@@ -525,9 +525,12 @@ def parse_encoding(text: str) -> tuple[int, ...]:
     case digits are read too.  Anything else, whitespace included, raises
     ValueError."""
     try:
-        raw = bytes.fromhex(text)  # skips whitespace: the length check sees it
+        raw = bytes.fromhex(text)  # skips whitespace: the length tests see it
     except ValueError:  # a character that is not a hex digit or whitespace
         raw = b""
+    codec = _row_struct[0]  # one read: another thread may replace it
+    if len(text) == 2 * len(raw) == 2 * codec.size:  # the last row length seen
+        return codec.unpack(raw)
     if 2 * len(raw) != len(text):
         raise ValueError(f"not 4 hex digits per coordinate: {text!r}")
     return unpack_encoding(raw)  # refuses no digits, or 2 mod 4 of them

@@ -175,8 +175,15 @@ class MatchIndex:
 
     def add(self, entry: DatabaseEntry) -> None:
         """Store entry's user id, encoding and tag; any object with those three
-        attributes will do, and the index keeps no reference to it."""
-        row = self._pack(entry.encoding)
+        attributes will do, and the index keeps no reference to it.  A wrong
+        length or coordinate raises the ValueError that `_refusal` names."""
+        e = entry.encoding
+        if len(e) != self.n:  # an itemgetter would take the first n of more
+            raise self._refusal(e)
+        try:
+            row = self._row.pack(*self._order(e))
+        except struct.error:
+            raise self._refusal(e) from None
         keys = self._keys.unpack(row)
         with self._lock:
             eid = len(self._user_ids)
@@ -231,16 +238,13 @@ class MatchIndex:
         self._mask = mask
         self._capacity = slots // 2
 
-    def _pack(self, e: Sequence[int]) -> bytes:
-        """e as a block-ordered row; a ValueError names its wrong length, or
-        the first coordinate that is not an integer in [0, CODE_LIMIT)."""
+    def _refusal(self, e: Sequence[int]) -> ValueError:
+        """Why e cannot be a row: its wrong length, or the first coordinate
+        that is not an integer in [0, CODE_LIMIT)."""
         if len(e) != self.n:
-            raise ValueError(f"encoding length {len(e)} != index length {self.n}")
-        try:
-            return self._row.pack(*self._order(e))
-        except struct.error:
-            pos = next(i for i, c in enumerate(e) if not _storable(c))
-            raise ValueError(f"coordinate {e[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})") from None
+            return ValueError(f"encoding length {len(e)} != index length {self.n}")
+        pos = next(i for i, c in enumerate(e) if not _storable(c))
+        return ValueError(f"coordinate {e[pos]} at position {pos} is not an integer in [0, {CODE_LIMIT})")
 
     def key_count(self) -> int:
         """Total stored block keys, counted from the tables and chains: a
@@ -259,7 +263,12 @@ class MatchIndex:
             tau = self.tau
         if tau > self.tau:
             raise ValueError(f"query tau={tau} exceeds build-time tau={self.tau}")
-        row = self._pack(e)
+        if len(e) != self.n:
+            raise self._refusal(e)
+        try:
+            row = self._row.pack(*self._order(e))
+        except struct.error:
+            raise self._refusal(e) from None
         keys = self._keys.unpack(row)
         q, low, top, n = int.from_bytes(row, "little"), self._low, self._top, self.n
         found = []  # id + 1 of each entry sharing a block fingerprint, repeats included

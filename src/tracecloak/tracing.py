@@ -40,7 +40,6 @@ from . import encoder
 from .encoder import (  # noqa: F401
     Params,
     encode,
-    format_encoding,
     inflate,
     inflate_points,
     pack_encoding,
@@ -53,8 +52,7 @@ from .matcher import MatchIndex
 UNINFECTED = "uninfected"
 INFECTED = "infected"
 POSSIBLE_INFECTION = "possible-infection"
-# the tags a line of each kind may carry
-_TAGS = {"REPORT": (UNINFECTED, INFECTED), "ALERT": (POSSIBLE_INFECTION,)}
+_REPORT_TAGS = (UNINFECTED, INFECTED)  # an ALERT line carries POSSIBLE_INFECTION
 
 
 class ProtocolError(ValueError):
@@ -144,16 +142,18 @@ def format_message(msg: ReportMsg | AlertMsg) -> str:
     """The message's wire line, without its newline.  Raises ProtocolError
     for a user id or tag that holds a tab or a newline, which would end its
     field or its line early."""
-    coords = format_encoding(msg.encoding)
-    _check_field("user id", msg.user_id)
-    _check_field("tag", msg.tag)
+    coords = pack_encoding(msg.encoding).hex()
+    user_id, tag = msg.user_id, msg.tag
+    if "\t" in user_id or "\n" in user_id:
+        raise _field_error("user id", user_id)
+    if "\t" in tag or "\n" in tag:
+        raise _field_error("tag", tag)
     kind = "REPORT" if isinstance(msg, ReportMsg) else "ALERT"
-    return f"{kind}\t{msg.user_id}\t{msg.tag}\t{coords}"
+    return f"{kind}\t{user_id}\t{tag}\t{coords}"
 
 
-def _check_field(name: str, value: str) -> None:
-    if "\t" in value or "\n" in value:
-        raise ProtocolError(f"tab or newline in the {name}: {_excerpt(value)}")
+def _field_error(name: str, value: str) -> ProtocolError:
+    return ProtocolError(f"tab or newline in the {name}: {_excerpt(value)}")
 
 
 _EXCERPT = 16  # characters of a refused field that a reason shows
@@ -179,14 +179,13 @@ def parse_message(line: str) -> ReportMsg | AlertMsg:
         encoding = parse_encoding(coords)
     except ValueError:
         raise ProtocolError(f"bad coordinate list: {_excerpt(coords)}") from None
-    try:
-        if tag not in _TAGS[kind]:
-            raise ProtocolError(f"bad {kind.lower()} tag: {_excerpt(tag)}")
-    except KeyError:
-        raise ProtocolError(f"unknown message kind: {_excerpt(kind)}") from None
-    if kind == "REPORT":
-        return ReportMsg(user_id=user_id, tag=tag, encoding=encoding)
-    return AlertMsg(user_id=user_id, encoding=encoding)
+    if kind == "REPORT" and tag in _REPORT_TAGS:
+        return ReportMsg(user_id, tag, encoding)
+    if kind == "ALERT" and tag == POSSIBLE_INFECTION:
+        return AlertMsg(user_id, encoding)
+    if kind in ("REPORT", "ALERT"):
+        raise ProtocolError(f"bad {kind.lower()} tag: {_excerpt(tag)}")
+    raise ProtocolError(f"unknown message kind: {_excerpt(kind)}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +317,13 @@ def client_handle_alert(client: ClientState, alert: AlertMsg) -> tuple[int, int]
 class ServerState:
     """Uninfected store + match index; infected reports are logged, not indexed.
 
-    `handle` runs under one lock, so concurrent callers see the store, the
-    infected log and the alert dedupe set change one report at a time.
-    A report it refuses raises ProtocolError before anything changes.
+    An uninfected report changes only the store, so `handle` adds it under
+    the index's own lock alone.  An infected one queries, logs and updates
+    the alert dedupe set under the server's lock, so concurrent infected
+    reports see those change one report at a time, and each query sees each
+    add whole.  A report it refuses raises ProtocolError before anything
+    changes: `handle` checks the tag and the user id, and the index the
+    encoding's length and coordinates, each layer with its own checks.
     """
 
     def __init__(self, n: int, tau: int):
@@ -336,17 +339,22 @@ class ServerState:
     def handle(self, msg: ReportMsg) -> list[AlertMsg]:
         if not isinstance(msg, ReportMsg):  # not its repr: that is the whole line
             raise ProtocolError(f"not a report: {type(msg).__name__}")
-        if msg.tag not in _TAGS["REPORT"]:
-            raise ProtocolError(f"bad report tag: {_excerpt(str(msg.tag))}")
-        _check_field("user id", msg.user_id)  # an alert to it could not be sent
-        with self._lock:
-            # the store refuses a report before it keeps or logs anything
+        tag, user_id = msg.tag, msg.user_id
+        if tag not in _REPORT_TAGS:
+            raise ProtocolError(f"bad report tag: {_excerpt(str(tag))}")
+        if "\t" in user_id or "\n" in user_id:  # an alert to it could not be sent
+            raise _field_error("user id", user_id)
+        # the store refuses a report before it keeps or logs anything
+        if tag == UNINFECTED:
             try:
-                if msg.tag == UNINFECTED:
-                    self.index.add(msg)  # keeps its fields, not the message
-                    return []
-                hits = self.index.query(msg.encoding)
+                self.index.add(msg)  # keeps its fields, not the message
             except ValueError as exc:  # its length, range and capacity checks
+                raise ProtocolError(str(exc)) from exc
+            return []
+        with self._lock:
+            try:
+                hits = self.index.query(msg.encoding)
+            except ValueError as exc:
                 raise ProtocolError(str(exc)) from exc
             self.infected_log.append(msg)
             alerts = []
@@ -563,6 +571,8 @@ class SocketServer:
         if not line:
             return b""
         alerts = self.state.handle(parse_message(line))  # refuses an ALERT line
+        if not alerts:  # most reports alert no one
+            return b"OK\n"
         return ("".join(format_message(a) + "\n" for a in alerts) + "OK\n").encode("utf-8")
 
     def _reject(self, conn: _Connection, reason: str) -> None:

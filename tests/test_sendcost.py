@@ -17,7 +17,7 @@ CLIENT_LAYERS = (
     "client.add",
     "client_tick",
 )
-LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
+LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "add", "send_report")
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:

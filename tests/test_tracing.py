@@ -6,13 +6,16 @@ import hashlib
 import itertools
 import logging
 import random
+import re
 import socket
 import socketserver
+import sys
 import threading
 import time
 import tracemalloc
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,7 @@ from tracecloak.encoder import (
     sorted_code,
     sorted_codes,
 )
-from tracecloak.matcher import DatabaseEntry
+from tracecloak.matcher import DatabaseEntry, scan_match
 from tracecloak.tracing import (
     INFECTED,
     POSSIBLE_INFECTION,
@@ -1238,6 +1241,178 @@ def test_concurrent_infected_reports_alert_once():
     assert not any(t.is_alive() for t in threads)
     assert [len(a) for a in alerts] == [1] * rounds
     assert len(state.infected_log) == workers * rounds
+
+
+def test_a_too_long_encoding_is_refused_by_every_layer():
+    """A block-order itemgetter takes the first n coordinates of a longer
+    tuple, so each layer must refuse an encoding of n + 1 coordinates whose
+    first n are a stored entry's, and keep nothing of it."""
+    state = ServerState(n=4, tau=1)
+    stored = (1, 2, 3, 4)
+    state.handle(ReportMsg("a", UNINFECTED, stored))
+    index, longer = state.index, stored + (5,)
+    keys = index.key_count()
+    for call in (lambda: index.add(DatabaseEntry("b", longer)), lambda: index.query(longer)):
+        with pytest.raises(ValueError, match="^encoding length 5 != index length 4$"):
+            call()
+    for send in (state.handle, InProcessTransport(state).send_report):
+        for tag in (UNINFECTED, INFECTED):
+            with pytest.raises(ProtocolError, match="^encoding length 5 != index length 4$"):
+                send(ReportMsg("b", tag, longer))
+    assert len(index) == 1
+    assert index.key_count() == keys
+    assert state.infected_log == []
+    assert state._alerted == set()
+    assert [a.user_id for a in state.handle(ReportMsg("b", INFECTED, stored))] == ["a"]
+
+
+# the reasons a report is refused with, by exception type, each a pattern
+# that the reason must match from its start
+_REFUSALS = {
+    ProtocolError: (
+        r"encoding length \d+ != index length \d+$",
+        r"coordinate .+ at position \d+ is not an integer",
+        r"bad report tag: ",
+        r"tab or newline in the user id: ",
+    ),
+}
+# `send_report` writes the line first, and `format_message` refuses what it
+# cannot write before anything reaches the server
+_WRITE_REFUSALS = {
+    ValueError: (r"cannot write .* as uint16", r"an encoding has at least one coordinate$"),
+    ProtocolError: (r"tab or newline in the tag: ", *_REFUSALS[ProtocolError]),
+}
+_SERVER_N = 4
+_coordinates = st.one_of(
+    st.integers(0, 40),
+    st.integers(-3, -1),
+    st.integers(CODE_LIMIT, CODE_LIMIT + 2),
+    st.floats(allow_nan=False, width=32),
+    st.booleans(),
+    st.integers(0, 40).map(np.int64),
+    st.integers(CODE_LIMIT, CODE_LIMIT + 2).map(np.uint32),
+)
+# each field is often good, so that reports are accepted and every reason shows
+_any_reports = st.builds(
+    ReportMsg,
+    user_id=st.sampled_from(["a", "b", "z"]) | st.text("ab\t\n", max_size=3),
+    tag=st.sampled_from([UNINFECTED, INFECTED])
+    | st.sampled_from([POSSIBLE_INFECTION, "bogus", "", "in\tfected"]),
+    encoding=st.one_of(
+        st.lists(st.integers(0, 40), min_size=_SERVER_N, max_size=_SERVER_N),
+        st.lists(_coordinates, min_size=_SERVER_N, max_size=_SERVER_N),
+        st.lists(st.integers(0, 40), max_size=_SERVER_N + 2),
+        st.lists(_coordinates, max_size=_SERVER_N + 2),
+    ).map(tuple),
+)
+
+
+def _server_snapshot(state):
+    return state.store_size, len(state.infected_log), set(state._alerted), state.index.key_count()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_reports)
+@example(ReportMsg("a", UNINFECTED, (1, 2, 3, 4, 5)))
+@example(ReportMsg("a", INFECTED, (1, 2, -1, 4)))
+@example(ReportMsg("a\n", "bogus", (1.0,)))
+def test_a_refused_report_changes_nothing(msg):
+    """A report sent to `handle` or through `send_report` is either
+    accepted, which adds one entry or logs one infected report, or refused
+    for one of a fixed set of reasons, with the store, the infected log and
+    the dedupe set as they were."""
+    for send, refusals in (
+        (lambda state: state.handle(msg), _REFUSALS),
+        (lambda state: InProcessTransport(state).send_report(msg), _WRITE_REFUSALS),
+    ):
+        state = ServerState(n=_SERVER_N, tau=2)
+        for user in ("a", "b"):
+            state.handle(ReportMsg(user, UNINFECTED, (1, 2, 3, 4)))
+        state.handle(ReportMsg("c", INFECTED, (1, 2, 3, 5)))
+        before = _server_snapshot(state)
+        try:
+            send(state)
+        except ValueError as exc:  # ProtocolError is one too
+            patterns = refusals.get(type(exc), ())
+            assert any(re.match(p, str(exc)) for p in patterns), repr(exc)
+            assert _server_snapshot(state) == before
+        else:
+            size, logged = before[:2]
+            grew = (1, 0) if msg.tag == UNINFECTED else (0, 1)
+            assert (state.store_size - size, len(state.infected_log) - logged) == grew
+
+
+def test_uninfected_adds_racing_infected_reports_are_each_seen_whole():
+    """One writer adds uninfected reports, which take the index's lock
+    alone, while readers re-send stored encodings as infected reports,
+    which take the server's lock too.  Every encoding is stored by two
+    owners and lies more than tau from every other, so the re-sends of one
+    encoding alert exactly its two owners, each once, between them.  Half
+    the re-sends are of the newest encoding, so that readers race each
+    other on it as well as the writer's next add."""
+    encodings = [(i % 3, 0, i, i + 1) for i in range(1500)]
+    state = ServerState(n=4, tau=1)
+
+    class YieldingMembership(set):
+        # lets another reader in between the dedupe check and its update
+        def __contains__(self, key):
+            found = super().__contains__(key)
+            time.sleep(0)
+            return found
+
+    state._alerted = YieldingMembership()
+    failures: list = []
+    added = [0]  # encodings whose two adds have returned
+    done = threading.Event()
+    resends: list[list] = [[] for _ in range(3)]  # per reader: (i, alerts)
+
+    def writer():
+        try:
+            for i, enc in enumerate(encodings):
+                state.handle(ReportMsg(f"u{i}", UNINFECTED, enc))
+                state.handle(ReportMsg(f"v{i}", UNINFECTED, enc))
+                added[0] = i + 1
+        except Exception as exc:
+            failures.append(exc)
+        finally:
+            done.set()
+
+    def reader(r):
+        rng = random.Random(r)
+        try:
+            while not done.is_set():
+                if added[0]:  # the newest encoding as often as not, so readers collide
+                    i = added[0] - 1 if rng.random() < 0.5 else rng.randrange(added[0])
+                    resends[r].append((i, state.handle(ReportMsg(f"r{r}", INFECTED, encodings[i]))))
+        except Exception as exc:  # recorded, so the main thread sees it
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(r,), daemon=True) for r in range(3)]
+        threads.append(threading.Thread(target=writer, daemon=True))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    entries = state.index.entries
+    assert entries == [
+        DatabaseEntry(f"{owner}{i}", enc) for i, enc in enumerate(encodings) for owner in "uv"
+    ]
+    alerted: dict = defaultdict(list)
+    for i, alerts in itertools.chain.from_iterable(resends):
+        owed = [AlertMsg(e.user_id, e.encoding) for e in scan_match(entries, encodings[i], 1)]
+        assert all(a in owed for a in alerts)
+        alerted[i] += alerts
+    assert sum(map(len, resends)) == len(state.infected_log) > 0
+    for i, alerts in alerted.items():
+        assert sorted(a.user_id for a in alerts) == [f"u{i}", f"v{i}"]
+    assert len(state._alerted) == 2 * len(alerted)
 
 
 def _walk_reference(cell, grid, rng):

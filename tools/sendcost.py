@@ -46,6 +46,8 @@ through each layer:
 - `handle.infected`: `ServerState.handle` of an infected report that
   re-sends a stored encoding by its own reporter, as every infected report
   of the `sim` workload does;
+- `add`: `MatchIndex.add` alone, of another uninfected report of a new
+  random point;
 - `send_report`: `InProcessTransport.send_report` of an uninfected report,
   whole.
 
@@ -104,7 +106,7 @@ CLIENT_LAYERS = (
     "client.add",
     "client_tick",
 )
-LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "send_report")
+LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "add", "send_report")
 SIM_GRID = GridSpec(rows=100, cols=100, epochs=50)
 SIM_AGENTS = 1000  # the agents of `sim`, and so the points of one epoch
 CHECKER = "sendcost-checker"  # a reporter that holds no stored entry
@@ -245,8 +247,8 @@ def main(argv: list[str]) -> int:
         stored = [entries[rng.randrange(size)] for _ in range(count + args.check)]
         checked = [ReportMsg(CHECKER, INFECTED, entry.encoding) for entry in stored[: args.check]]
         infected = [ReportMsg(e.user_id, INFECTED, e.encoding) for e in stored[args.check :]]
-        kept, sent = [fresh() for _ in range(count)], [fresh() for _ in range(count)]
-        for msg in checked + infected + kept + sent:
+        kept, added, sent = ([fresh() for _ in range(count)] for _ in range(3))
+        for msg in checked + infected + kept + added + sent:
             if parse_message(format_message(msg)) != msg:
                 print(f"{shape}: {msg!r} does not survive the wire", file=sys.stderr)
                 return 1
@@ -264,6 +266,7 @@ def main(argv: list[str]) -> int:
             times["parse_message"] += timed(parse_message, lines)
             times["handle.uninfected"] += timed(state.handle, kept[part])
             times["handle.infected"] += timed(state.handle, infected[part])
+            times["add"] += timed(state.index.add, added[part])
             times["send_report"] += timed(transport.send_report, sent[part])
         for layer in LAYERS:
             us = statistics.median(times[layer]) / 1e3
