@@ -145,12 +145,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _load_target(path_or_hex: str, params, rng) -> tuple[int, ...]:
-    if path_or_hex.lower().startswith("0x"):
-        return encode(_parse_point(path_or_hex), params, rng)
-    content = Path(path_or_hex).read_text().strip()
-    if content.lower().startswith("0x"):
-        return encode(_parse_point(content), params, rng)
-    return parse_encoding(content)
+    is_point = path_or_hex.lower().startswith("0x")
+    text = path_or_hex if is_point else Path(path_or_hex).read_text().strip()
+    if text.lower().startswith("0x"):
+        return encode(_parse_point(text), params, rng)
+    return parse_encoding(text)
 
 
 def cmd_encode(args) -> int:

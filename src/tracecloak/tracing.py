@@ -140,19 +140,21 @@ def dilate(cell: int, radius: int, grid: GridSpec) -> list[int]:
 
 def format_message(msg: ReportMsg | AlertMsg) -> str:
     """The message's wire line, without its newline.  Raises ProtocolError
-    for a user id or tag that holds a tab or a newline, which would end its
-    field or its line early."""
+    for a user id or tag that is not a string, or that holds a tab or a
+    newline, which would end its field or its line early."""
     coords = pack_encoding(msg.encoding).hex()
     user_id, tag = msg.user_id, msg.tag
-    if "\t" in user_id or "\n" in user_id:
+    if not isinstance(user_id, str) or "\t" in user_id or "\n" in user_id:
         raise _field_error("user id", user_id)
-    if "\t" in tag or "\n" in tag:
+    if not isinstance(tag, str) or "\t" in tag or "\n" in tag:
         raise _field_error("tag", tag)
     kind = "REPORT" if isinstance(msg, ReportMsg) else "ALERT"
     return f"{kind}\t{user_id}\t{tag}\t{coords}"
 
 
-def _field_error(name: str, value: str) -> ProtocolError:
+def _field_error(name: str, value: object) -> ProtocolError:
+    if not isinstance(value, str):  # not its repr, which could be of any size
+        return ProtocolError(f"{name} is not a string: {type(value).__name__}")
     return ProtocolError(f"tab or newline in the {name}: {_excerpt(value)}")
 
 
@@ -342,8 +344,9 @@ class ServerState:
         tag, user_id = msg.tag, msg.user_id
         if tag not in _REPORT_TAGS:
             raise ProtocolError(f"bad report tag: {_excerpt(str(tag))}")
-        if "\t" in user_id or "\n" in user_id:  # an alert to it could not be sent
-            raise _field_error("user id", user_id)
+        # `in` alone passes a list id, and the index's add stores its row, then fails
+        if not isinstance(user_id, str) or "\t" in user_id or "\n" in user_id:
+            raise _field_error("user id", user_id)  # an alert to it could not be sent
         # the store refuses a report before it keeps or logs anything
         if tag == UNINFECTED:
             try:

@@ -13,7 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -1161,6 +1161,56 @@ def test_a_client_that_never_reads_its_replies_is_dropped(caplog):
         assert send_report_over_socket(server.server_address, ok) == []
 
 
+class _WouldBlock:
+    """A socket whose every call fails as a non-blocking one does when the
+    kernel has nothing for it: no connection to accept, no byte to read,
+    no room to send."""
+
+    def accept(self):
+        raise ConnectionAbortedError("the client gave up before the accept")
+
+    def recv_into(self, buffer):
+        raise BlockingIOError
+
+    def send(self, data):
+        raise BlockingIOError
+
+    def shutdown(self, how):
+        raise AssertionError("a connection whose reply is unsent is half-closed")
+
+
+def _loop_snapshot(server, conn):
+    selected = {key.fd: (key.events, key.data) for key in server._selector.get_map().values()}
+    fields = (bytes(conn.inbuf), bytes(conn.outbuf), conn.eof, conn.discard, conn.deadline)
+    return selected, server._next_expiry, fields
+
+
+@pytest.mark.parametrize("step", ["_accept", "_read", "_flush"])
+@pytest.mark.parametrize("discard", [None, 5])
+def test_a_loop_step_that_would_block_changes_nothing(step, discard):
+    """The accept, the read and the send each return at once when the
+    socket would block, leaving the connection's buffers, end of input,
+    discard count and deadline, the next expiry and the selector map as
+    they were."""
+    server = SocketServer(("127.0.0.1", 0), ServerState(n=3, tau=0))
+    listener = server.socket
+    try:
+        conn = tracing._Connection(_WouldBlock(), ("127.0.0.1", 1))
+        conn.inbuf += b"REPORT\tpart"
+        conn.outbuf += b"OK\n"
+        conn.discard, conn.deadline = discard, 12.5
+        before = _loop_snapshot(server, conn)
+        if step == "_accept":
+            server.socket = _WouldBlock()
+            server._accept()
+        else:
+            getattr(server, step)(conn)
+        assert _loop_snapshot(server, conn) == before
+    finally:
+        server.socket = listener
+        server.server_close()
+
+
 def test_a_blank_line_gets_no_reply():
     state = ServerState(n=3, tau=0)
     with _serving(state) as server:
@@ -1274,13 +1324,14 @@ _REFUSALS = {
         r"coordinate .+ at position \d+ is not an integer",
         r"bad report tag: ",
         r"tab or newline in the user id: ",
+        r"user id is not a string: \w+$",  # its type, never its value
     ),
 }
 # `send_report` writes the line first, and `format_message` refuses what it
 # cannot write before anything reaches the server
 _WRITE_REFUSALS = {
     ValueError: (r"cannot write .* as uint16", r"an encoding has at least one coordinate$"),
-    ProtocolError: (r"tab or newline in the tag: ", *_REFUSALS[ProtocolError]),
+    ProtocolError: (r"tab or newline in the tag: ", r"tag is not a string: \w+$", *_REFUSALS[ProtocolError]),
 }
 _SERVER_N = 4
 _coordinates = st.one_of(
@@ -1295,9 +1346,12 @@ _coordinates = st.one_of(
 # each field is often good, so that reports are accepted and every reason shows
 _any_reports = st.builds(
     ReportMsg,
-    user_id=st.sampled_from(["a", "b", "z"]) | st.text("ab\t\n", max_size=3),
+    user_id=st.sampled_from(["a", "b", "z"])
+    | st.text("ab\t\n", max_size=3)
+    | st.one_of(st.none(), st.integers(-1, 3), st.binary(max_size=2))
+    | st.lists(st.just("a"), max_size=1).flatmap(lambda ids: st.sampled_from([ids, tuple(ids)])),
     tag=st.sampled_from([UNINFECTED, INFECTED])
-    | st.sampled_from([POSSIBLE_INFECTION, "bogus", "", "in\tfected"]),
+    | st.sampled_from([POSSIBLE_INFECTION, "bogus", "", "in\tfected", None, 1, b"infected"]),
     encoding=st.one_of(
         st.lists(st.integers(0, 40), min_size=_SERVER_N, max_size=_SERVER_N),
         st.lists(_coordinates, min_size=_SERVER_N, max_size=_SERVER_N),
@@ -1308,7 +1362,8 @@ _any_reports = st.builds(
 
 
 def _server_snapshot(state):
-    return state.store_size, len(state.infected_log), set(state._alerted), state.index.key_count()
+    index = state.index  # its rows too: a failed add must not leave one behind
+    return state.store_size, len(state.infected_log), set(state._alerted), index.key_count(), bytes(index._codes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1316,6 +1371,9 @@ def _server_snapshot(state):
 @example(ReportMsg("a", UNINFECTED, (1, 2, 3, 4, 5)))
 @example(ReportMsg("a", INFECTED, (1, 2, -1, 4)))
 @example(ReportMsg("a\n", "bogus", (1.0,)))
+@example(ReportMsg(None, INFECTED, (1, 2, 3, 4)))
+@example(ReportMsg(["a"], UNINFECTED, (1, 2, 3, 4)))
+@example(ReportMsg("a", None, (1, 2, 3, 4)))
 def test_a_refused_report_changes_nothing(msg):
     """A report sent to `handle` or through `send_report` is either
     accepted, which adds one entry or logs one infected report, or refused
@@ -1413,6 +1471,68 @@ def test_uninfected_adds_racing_infected_reports_are_each_seen_whole():
     for i, alerts in alerted.items():
         assert sorted(a.user_id for a in alerts) == [f"u{i}", f"v{i}"]
     assert len(state._alerted) == 2 * len(alerted)
+
+
+def test_uninfected_adds_from_several_threads_are_each_stored_whole():
+    """Two writers send distinct uninfected reports through `handle`, which
+    takes the index's lock alone, across ten doublings of the tables, while
+    readers query encodings whose add has returned.  Every encoding lies
+    more than tau from every other, so each query finds its own entry, and
+    at the end the store holds each report once, with all its block keys."""
+    per_writer, tau = 1500, 1
+    sent = [
+        [ReportMsg(f"w{w}u{i}", UNINFECTED, (w, w, i, i + 1)) for i in range(per_writer)]
+        for w in range(2)
+    ]
+    state = ServerState(n=4, tau=tau)
+    failures: list = []
+    added = [0, 0]  # per writer: reports whose add has returned
+    done = threading.Event()
+    found = [0]  # queries that found their entry
+
+    def writer(w):
+        try:
+            for i, msg in enumerate(sent[w]):
+                state.handle(msg)
+                added[w] = i + 1
+        except Exception as exc:  # recorded, so the main thread sees it
+            failures.append(exc)
+
+    def reader(r):
+        rng = random.Random(r)
+        try:
+            while not done.is_set():
+                w = rng.randrange(2)
+                if added[w]:  # the newest report as often as not
+                    i = added[w] - 1 if rng.random() < 0.5 else rng.randrange(added[w])
+                    msg = sent[w][i]
+                    hits = state.index.query(msg.encoding)
+                    assert hits == [DatabaseEntry(msg.user_id, msg.encoding)], (msg, hits)
+                    found[0] += 1
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [threading.Thread(target=writer, args=(w,), daemon=True) for w in range(2)]
+        readers = [threading.Thread(target=reader, args=(r,), daemon=True) for r in range(2)]
+        for t in writers + readers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + readers)
+    assert failures == []
+    assert found[0] > 0
+    assert state.store_size == 2 * per_writer
+    assert state.index.key_count() == (tau + 1) * state.store_size
+    stored = Counter(state.index.entries)
+    assert stored == Counter(DatabaseEntry(m.user_id, m.encoding) for m in sent[0] + sent[1])
 
 
 def _walk_reference(cell, grid, rng):

@@ -1,4 +1,5 @@
-"""Time one in-process send, and the client tick that makes it, layer by layer.
+"""Time the server's query, the write path and the client tick that feeds
+it, layer by layer.
 
     PYTHONPATH=src python3 tools/sendcost.py [--entries D] [--sends S]
         [--rounds R] [--check C] [--seed S]
@@ -35,10 +36,24 @@ epoch's `inflate_points` is `inflate` of each point and its limb quotients
 are, mod p, the points' base-p digits (`to_digits`); and that each row of
 an epoch's `sorted_codes` is the point's `sorted_code`.
 
-Then at each benchmark shape it fills a `ServerState` with the store that
-`tools/querycost.py` builds there, at that workload's store size unless
-`--entries` sets one for all three.  Each round then times S messages
-through each layer:
+Then it builds one store at each benchmark shape, at that workload's store
+size unless `--entries` sets one for all three, and fills a `ServerState`
+with it:
+
+- `sim`: the inflated world, p = 503, n = 20, tau = 4, D = 50,000;
+- `row1`: reference row 1, p = 503, n = 100, tau = 20, D = 5,000;
+- `row3`: reference row 3, p = 211, n = 200, tau = 40, D = 10,000.
+
+Each stored entry encodes a random point.  Each round first times S
+infected queries of each kind on the store as built, the kinds
+interleaved, with `MatchIndex.query` alone:
+
+- `query.resend`: a stored encoding sent again, as an infected client
+  re-sends the records it reported;
+- `query.reencode`: a fresh encoding of a stored point;
+- `query.fresh`: the encoding of a new random point.
+
+Then each round times S messages through each write-path layer:
 
 - `format_message` and `parse_message` of an uninfected report;
 - `handle.uninfected`: `ServerState.handle` of an uninfected report of a
@@ -51,13 +66,15 @@ through each layer:
 - `send_report`: `InProcessTransport.send_report` of an uninfected report,
   whole.
 
-Before it times a shape, it checks that `parse_message(format_message(m))`
+Before it times a shape, it checks that C queries of each kind find
+exactly the entries `scan_match` finds, that `parse_message(format_message(m))`
 equals m for every message it will send, and that C infected sends of
 stored encodings, by a reporter the store does not hold, alert exactly the
 entries `scan_match` finds, each (recipient, encoding) once; on a
 difference it exits 1.  It prints per shape and layer the median process
-CPU microseconds of one call, each timed in blocks of 20 calls a clock pair
-(`querycost.timed`).
+CPU microseconds of one call, each timed in blocks of `BLOCK` calls a clock
+pair, and for each query kind the candidates verified per query
+(`stats()["candidates"]`).
 """
 
 from __future__ import annotations
@@ -66,18 +83,20 @@ import argparse
 import random
 import statistics
 import sys
+import time
 
-from querycost import SHAPES, build, timed
 from tracecloak.encoder import (
+    PolyCodeParams,
     _digit_quotients,
     corrupt,
     encode,
     inflate,
     inflate_points,
+    inflate_range_bound,
     sorted_code,
     sorted_codes,
 )
-from tracecloak.matcher import scan_match
+from tracecloak.matcher import DatabaseEntry, scan_match
 from tracecloak.numtheory import to_digits
 from tracecloak.tracing import (
     INFECTED,
@@ -106,10 +125,45 @@ CLIENT_LAYERS = (
     "client.add",
     "client_tick",
 )
+SHAPES = {
+    "sim": (PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2), 50_000),
+    "row1": (PolyCodeParams(M=10**19, p=503, n=100, k=10), 5_000),
+    "row3": (PolyCodeParams(M=10**19, p=211, n=200, k=20), 10_000),
+}
+KINDS = ("resend", "reencode", "fresh")
 LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "add", "send_report")
 SIM_GRID = GridSpec(rows=100, cols=100, epochs=50)
 SIM_AGENTS = 1000  # the agents of `sim`, and so the points of one epoch
 CHECKER = "sendcost-checker"  # a reporter that holds no stored entry
+BLOCK = 20  # calls timed between one pair of clock reads
+
+
+def build(params: PolyCodeParams, size: int, queries: int, rng: random.Random):
+    """A store of `size` random points and `queries` queries of each kind."""
+    xs = [rng.randrange(params.M) for _ in range(size)]
+    entries = [DatabaseEntry(f"u{rng.randrange(2000)}", encode(x, params, rng)) for x in xs]
+    picked = [rng.randrange(size) for _ in range(queries)]
+    kinds = {
+        "resend": [entries[j].encoding for j in picked],
+        "reencode": [encode(xs[j], params, rng) for j in picked],
+        "fresh": [encode(rng.randrange(params.M), params, rng) for _ in range(queries)],
+    }
+    return entries, kinds
+
+
+def timed(fn, args: list) -> list[float]:
+    """The process CPU nanoseconds per call of fn(a), one figure for each
+    block of up to BLOCK calls.  A pair of `process_time_ns` reads costs
+    about half a microsecond, so the pair brackets a block, not a call."""
+    clock = time.process_time_ns
+    times = []
+    for i in range(0, len(args), BLOCK):
+        block = args[i : i + BLOCK]
+        t0 = clock()
+        for a in block:
+            fn(a)
+        times.append((clock() - t0) / len(block))
+    return times
 
 
 def expected_alerts(entries: list, msg: ReportMsg, tau: int, alerted: set) -> list[AlertMsg]:
@@ -220,9 +274,9 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--entries", type=int, help="store size at every shape")
-    parser.add_argument("--sends", type=int, default=1000, help="per layer and round")
+    parser.add_argument("--sends", type=int, default=1000, help="calls per layer and round")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--check", type=int, default=5, help="infected sends checked")
+    parser.add_argument("--check", type=int, default=5, help="checked queries per kind and sends")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     entries = 1 if args.entries is None else args.entries
@@ -234,11 +288,16 @@ def main(argv: list[str]) -> int:
     count = args.sends * args.rounds
     for shape, (params, size) in SHAPES.items():
         size = args.entries or size
-        entries, _ = build(params, size, 0, rng)
+        entries, kinds = build(params, size, count, rng)
         state = ServerState(params.n, params.tau)
-        transport = InProcessTransport(state)
+        index, transport = state.index, InProcessTransport(state)
         for entry in entries:
             state.handle(ReportMsg(entry.user_id, UNINFECTED, entry.encoding))
+        for kind, queries in kinds.items():
+            for q in queries[: args.check]:
+                if index.query(q) != scan_match(entries, q, params.tau):
+                    print(f"{shape} {kind}: the index differs from scan_match", file=sys.stderr)
+                    return 1
 
         def fresh() -> ReportMsg:
             e = encode(rng.randrange(params.M), params, rng)
@@ -258,7 +317,18 @@ def main(argv: list[str]) -> int:
                 print(f"{shape}: the alerts differ from scan_match", file=sys.stderr)
                 return 1
 
-        times = {layer: [] for layer in LAYERS}
+        times = {layer: [] for layer in KINDS + LAYERS}
+        candidates = dict.fromkeys(KINDS, 0)
+        for r in range(args.rounds):  # the kinds interleaved, so drift hits each alike
+            part = slice(r * args.sends, (r + 1) * args.sends)
+            for kind in KINDS:
+                before = index.stats()["candidates"]
+                times[kind] += timed(index.query, kinds[kind][part])
+                candidates[kind] += index.stats()["candidates"] - before
+        for kind in KINDS:
+            us, per_query = statistics.median(times[kind]) / 1e3, candidates[kind] / count
+            print(f"{shape:5} D={size:<6} query.{kind:14} {us:8.2f} us  {per_query:8.2f} candidates")
+
         for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
             part = slice(r * args.sends, (r + 1) * args.sends)
             lines = [format_message(m) for m in kept[part]]
@@ -266,7 +336,7 @@ def main(argv: list[str]) -> int:
             times["parse_message"] += timed(parse_message, lines)
             times["handle.uninfected"] += timed(state.handle, kept[part])
             times["handle.infected"] += timed(state.handle, infected[part])
-            times["add"] += timed(state.index.add, added[part])
+            times["add"] += timed(index.add, added[part])
             times["send_report"] += timed(transport.send_report, sent[part])
         for layer in LAYERS:
             us = statistics.median(times[layer]) / 1e3
