@@ -19,6 +19,14 @@ calls it once an epoch.  `sorted_code` (for `encode` and the attacks) and
 `numtheory.to_digits` and `numtheory.eval_poly` (Horner's rule) are the
 scalar reference it is tested against.
 
+Corruption has two forms too.  `corrupt` of one sorted code (and so
+`encode`) replays CPython's `sample` and `randrange` draw for draw, and is
+the reference.  `corrupt_rows`, the epoch kernel the simulator calls once
+an epoch on `_sorted_rows` (the array `sorted_codes` turns into lists),
+corrupts every row of a batch in k vectorised steps with `corrupt`'s
+distribution but its own documented stream of exact-uniform 32-bit draws
+(`_below_rows`).
+
 World inflation has the same two forms: `inflate` of one point, the
 reference, and `inflate_points`, the batch the protocol path calls.
 """
@@ -242,12 +250,18 @@ def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
     return codes
 
 
+def _sorted_rows(xs: Sequence[int], params: Params) -> np.ndarray:
+    """`_basic_codes` of xs with every row sorted: what `sorted_codes`
+    returns, as the int64 array that `corrupt_rows` takes."""
+    codes = _basic_codes(xs, params)
+    codes.sort()
+    return codes
+
+
 def sorted_codes(xs: Sequence[int], params: Params) -> list[list[int]]:
     """The sorted basic code of each point of xs, in order: the
     deterministic part of `encode`, before corruption, for a batch."""
-    codes = _basic_codes(xs, params)
-    codes.sort()
-    return codes.tolist()
+    return _sorted_rows(xs, params).tolist()
 
 
 def sorted_code(x: int, params: Params) -> list[int]:
@@ -330,6 +344,67 @@ def corrupt(
                 v += 1
             out[i] = v
     return tuple(out)
+
+
+def _below_rows(getrandbits: Callable[[int], int], s: np.ndarray) -> np.ndarray:
+    """A uniform int in [0, s_i) for each s_i of s, 1 <= s_i < 2^32, drawn
+    in rounds.  A round draws one 32-bit word for each row still pending,
+    in row order, as one `getrandbits(32 * m)` whose first word is its low
+    bits; a row keeps the top s_i.bit_length() bits of its word when they
+    are below s_i, as `_below` does, and is pending again otherwise.  A
+    row with s_i = 1 takes 0 and no word."""
+    r = np.zeros(len(s), np.int64)
+    todo = np.flatnonzero(s > 1)
+    s = s[todo]
+    shift = (32 - np.frexp(s)[1]).astype(np.uint32)  # 32 - s.bit_length()
+    while m := len(todo):
+        words = np.frombuffer(getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        drawn = words >> shift
+        r[todo] = drawn  # a rejected row's word is drawn again and replaced
+        again = np.flatnonzero(drawn >= s)
+        todo, s, shift = todo[again], s[again], shift[again]
+    return r
+
+
+def corrupt_rows(
+    codes: np.ndarray, k: int, alphabet: int, rng: random.Random
+) -> np.ndarray:
+    """`corrupt` of every row of an int64 (B, n) array of sorted rows in
+    [0, alphabet), in k vectorised steps of each kind: a new (B, n) array.
+
+    Each row's output has `corrupt`'s distribution, but the draws are the
+    kernel's own, every one a 32-bit word of `rng.getrandbits` taken by
+    `_below_rows`.  Positions: for j = 0..k-1 every row draws r in
+    [0, n-j), takes pool[r] of its pool 0..n-1, and moves pool[n-1-j] into
+    its place (a partial Fisher-Yates shuffle).  Values: for each row's
+    chosen positions in increasing order, every row whose window [lo, hi]
+    (`corrupt`'s, with its sentinels 0 and alphabet-1) holds more than one
+    value draws r in [0, hi-lo) and takes lo + r, plus one when that
+    reaches its current value.  k outside [0, n], or an alphabet above
+    2^32, raises ValueError before any draw."""
+    B, n = codes.shape
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot choose k={k} of {n} coordinates")
+    if alphabet > 1 << 32:
+        raise ValueError(f"alphabet {alphabet}: a draw takes one 32-bit word")
+    getrandbits, rows = rng.getrandbits, np.arange(B)
+    pool = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (B, 1))
+    chosen = np.empty((B, k), np.int64)
+    for j in range(k):
+        r = _below_rows(getrandbits, np.full(B, n - j, np.int64))
+        chosen[:, j] = pool[rows, r]
+        pool[rows, r] = pool[:, n - 1 - j]
+    chosen.sort(axis=1)
+    # column i + 1 holds coordinate i, between the sentinels 0 and alphabet-1
+    out = np.empty((B, n + 2), np.int64)
+    out[:, 0], out[:, 1:-1], out[:, -1] = 0, codes, alphabet - 1
+    for i in chosen.T:
+        lo, here, hi = out[rows, i], out[rows, i + 1], out[rows, i + 2]
+        wide = np.flatnonzero(hi > lo)
+        v = lo[wide] + _below_rows(getrandbits, (hi - lo)[wide])
+        v += v >= here[wide]
+        out[wide, i[wide] + 1] = v
+    return out[:, 1:-1]
 
 
 def encode(x: int, params: Params, rng: random.Random) -> tuple[int, ...]:

@@ -176,7 +176,9 @@ class MatchIndex:
     def add(self, entry: DatabaseEntry) -> None:
         """Store entry's user id, encoding and tag; any object with those three
         attributes will do, and the index keeps no reference to it.  A wrong
-        length or coordinate raises the ValueError that `_refusal` names."""
+        length or coordinate raises the ValueError that `_refusal` names,
+        and a user id or tag that cannot be a dict key raises TypeError;
+        either way nothing is stored."""
         e = entry.encoding
         if len(e) != self.n:  # an itemgetter would take the first n of more
             raise self._refusal(e)
@@ -191,10 +193,13 @@ class MatchIndex:
                 raise ValueError(f"index full: ids are stored as uint32 id + 1, at most {ID_LIMIT} entries")
             if eid >= self._capacity:
                 self._grow()
+            # an id or tag that is no dict key raises TypeError before the row is kept
+            user_id = self._strings.setdefault(entry.user_id, entry.user_id)
+            tag = self._strings.setdefault(entry.tag, entry.tag)
             # the row and columns before the id is published in the tables
             self._codes.frombytes(row)
-            self._user_ids.append(self._strings.setdefault(entry.user_id, entry.user_id))
-            self._tags.append(self._strings.setdefault(entry.tag, entry.tag))
+            self._user_ids.append(user_id)
+            self._tags.append(tag)
             self._next.frombytes(self._no_next)
             eid += 1  # as the tables store it
             mask = self._mask

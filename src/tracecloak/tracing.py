@@ -8,12 +8,14 @@ to back in one bytearray.  On infection they re-send their recent
 encodings tagged infected; the server matches those against the uninfected
 store at threshold tau = 2k and pushes each matching entry's own encoding
 back to its reporter, who recovers (t, l) locally.  A client's tick
-(`client_tick`) corrupts, records and reports the sorted codes it is
-given; the simulator is the one place that dilates each agent's cell,
-packs, inflates and encodes the points, an epoch at a time.  Before any
-of that it walks every agent's trail in numpy, drawing from the generator
-exactly the words that two `randint(-1, 1)` calls a step would draw, and
-keeps each trail as a uint64 array too.
+(`client_tick`) records and reports the encodings it is given; the
+simulator is the one place that dilates each agent's cell, packs,
+inflates, encodes and corrupts the points, an epoch at a time, the
+corruption in one `encoder.corrupt_rows` pass with that kernel's own
+exact-uniform draws.  Before any of that it walks every agent's trail in
+numpy, drawing from the generator exactly the words that two
+`randint(-1, 1)` calls a step would draw, and keeps each trail as a
+uint64 array too.
 """
 
 from __future__ import annotations
@@ -33,18 +35,18 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from . import encoder
 # encode and inflate are not called here (the simulator encodes and inflates
 # an epoch at a time); they are imported so that protobench's tracer still
 # finds tracing.encode and tracing.inflate to wrap
 from .encoder import (  # noqa: F401
     Params,
+    _sorted_rows,
+    corrupt_rows,
     encode,
     inflate,
     inflate_points,
     pack_encoding,
     parse_encoding,
-    sorted_codes,
     unpack_encoding,
 )
 from .matcher import MatchIndex
@@ -277,25 +279,22 @@ def client_tick(
     client: ClientState,
     t: int,
     cells: Sequence[int],
-    codes: Sequence[Sequence[int]],
-    params: Params,
-    rng: random.Random,
+    encodings: Sequence[Sequence[int]],
 ) -> list[ReportMsg]:
-    """Corrupt each sorted code from `rng`, in order, record it as the
-    client's (t, cell) and report it.
+    """Record each encoding as the client's (t, cell), in order, and report
+    it: `encodings[i]` is the released encoding of the world point of
+    (t, `cells[i]`), and its report carries that very object.
 
-    `codes[i]` is the sorted code of the world point of (t, `cells[i]`),
-    computed by the caller: the simulator encodes a whole epoch at once, and
-    a lone client dilates its cell, packs and optionally inflates each
-    point, and calls `sorted_codes`.  A wrong number of codes raises before
+    The caller encodes and corrupts: the simulator a whole epoch at once
+    (`encoder.corrupt_rows`), and a lone client dilates its cell, packs and
+    optionally inflates each point, and corrupts each `sorted_codes` row
+    with `encoder.corrupt`.  A wrong number of encodings raises before
     anything is recorded.
     """
-    if len(codes) != len(cells):
-        raise ValueError(f"{len(codes)} codes for {len(cells)} cells")
-    k, alphabet, corrupt = params.k, params.alphabet, encoder.corrupt
+    if len(encodings) != len(cells):
+        raise ValueError(f"{len(encodings)} encodings for {len(cells)} cells")
     msgs = []
-    for c, code in zip(cells, codes):
-        e = corrupt(code, k, alphabet, rng)
+    for c, e in zip(cells, encodings):
         client.add(t, c, e)
         msgs.append(ReportMsg(user_id=client.user_id, tag=UNINFECTED, encoding=e))
     return msgs
@@ -745,8 +744,9 @@ def run_simulation(
     # Every trail comes first, walked epoch by epoch in user order from the
     # one generator, so the trails and the contacts do not depend on how the
     # clients encode.  Then each epoch dilates each agent's cell once, packs,
-    # inflates and encodes every agent's points in one batch, and hands each
-    # agent its cells and codes to corrupt and send, in user order.
+    # inflates, encodes and corrupts every agent's points in one batch, and
+    # hands each agent its cells and encodings to record and send, in user
+    # order.
     trails = _trails(starts, grid, rng)
     trajectories = dict(zip(users, trails))
     result = SimulationResult(
@@ -757,11 +757,12 @@ def run_simulation(
         dilated = [dilate(trail[t], dilation_radius, grid) for trail in trails]
         first = pack(t, 0, grid)  # dilate keeps every cell on the grid
         points = [first + c for cs in dilated for c in cs]
-        codes = sorted_codes(inflate_points(points) if inflate_world else points, params)
+        codes = _sorted_rows(inflate_points(points) if inflate_world else points, params)
+        encodings = corrupt_rows(codes, params.k, params.alphabet, rng).tolist()
         start = 0
         for client, cs in zip(clients.values(), dilated):
             end = start + len(cs)
-            for msg in client_tick(client, t, cs, codes[start:end], params, rng):
+            for msg in client_tick(client, t, cs, encodings[start:end]):
                 send(msg)  # the server stores an uninfected report and alerts no one
             start = end
         for u in infections_by_epoch.get(t, ()):

@@ -5,6 +5,9 @@ import random
 import struct
 import sys
 import threading
+import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -434,6 +437,166 @@ def test_corrupt_refuses_k_outside_the_vector_before_any_draw(k):
     with pytest.raises(ValueError):
         corrupt((0, 2, 3, 4, 5), k, 7, rng)
     assert rng.getstate() == state
+
+
+def _corrupt_rows_reference(rows, k, alphabet, rng):
+    """`corrupt_rows`'s stream spelt out one row and one word at a time."""
+    out = [list(row) for row in rows]
+    n = len(out[0]) if out else 0
+
+    def below(sizes):
+        """r uniform in [0, s) for each (row, s), in rounds: one
+        getrandbits(32 * m) for the m rows still pending, word j of it
+        (the low word first) for the j-th of them, whose top s.bit_length()
+        bits it keeps when they are below s; s = 1 takes 0 and no word."""
+        got = {b: 0 for b, _ in sizes}
+        pending = [(b, s) for b, s in sizes if s > 1]
+        while pending:
+            words = rng.getrandbits(32 * len(pending))
+            again = []
+            for j, (b, s) in enumerate(pending):
+                r = (words >> 32 * j & 0xFFFFFFFF) >> 32 - s.bit_length()
+                if r < s:
+                    got[b] = r
+                else:
+                    again.append((b, s))
+            pending = again
+        return got
+
+    pools, chosen = [list(range(n)) for _ in out], [[] for _ in out]
+    for j in range(k):  # a partial Fisher-Yates shuffle of each row's positions
+        r = below([(b, n - j) for b in range(len(out))])
+        for b, pool in enumerate(pools):
+            chosen[b].append(pool[r[b]])
+            pool[r[b]] = pool[n - 1 - j]
+    for j in range(k):  # each row's j-th smallest chosen position
+        windows = {}
+        for b, row in enumerate(out):
+            i = sorted(chosen[b])[j]
+            lo = row[i - 1] if i > 0 else 0
+            hi = row[i + 1] if i + 1 < n else alphabet - 1
+            if hi > lo:
+                windows[b] = (i, lo, hi)
+        r = below([(b, hi - lo) for b, (_, lo, hi) in windows.items()])
+        for b, (i, lo, _) in windows.items():
+            v = lo + r[b]
+            out[b][i] = v + (v >= out[b][i])
+    return out
+
+
+@st.composite
+def _row_cases(draw):
+    """Batches of sorted rows, each row of one of `_vectors`' kinds, so that
+    saturated windows and repeated values occur, with k from 0 to n."""
+    alphabet = draw(st.sampled_from([1, 2, 3, 7, 31, 503, CODE_LIMIT, 2**32]))
+    n = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(20, 40)))
+    fill = random.Random(draw(st.integers()))
+    kinds = draw(st.lists(st.integers(0, 4), max_size=8))
+    rows = [next(itertools.islice(_vectors(n, alphabet, fill), kind, None)) for kind in kinds]
+    k = draw(st.one_of(st.integers(0, n), st.sampled_from([0, n])))
+    return np.array(rows, np.int64).reshape(len(rows), n), k, alphabet
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_cases(), st.integers(0, 2**64))
+@example(case=(np.zeros((0, 3), np.int64), 2, 7), seed=0)
+@example(case=(np.array([[3]]), 1, 7), seed=1)
+@example(case=(np.array([[0, 0, 0], [6, 6, 6], [0, 3, 6]]), 3, 7), seed=2)
+def test_corrupt_rows_draws_its_stream_and_corrupts_in_order(case, seed):
+    """The kernel equals its scalar replay and leaves the generator in the
+    same state.  Every row stays sorted, at most k coordinates change, and a
+    changed coordinate differs from its old value and lies in its window,
+    between its new left neighbour and its old right one (the sentinels 0
+    and alphabet - 1 at the ends), so a saturated window is left alone."""
+    codes, k, alphabet = case
+    given_codes = codes.copy()
+    rng, ref = random.Random(seed), random.Random(seed)
+    out = encoder.corrupt_rows(codes, k, alphabet, rng).tolist()
+    assert out == _corrupt_rows_reference(codes.tolist(), k, alphabet, ref)
+    assert rng.getstate() == ref.getstate()
+    assert np.array_equal(codes, given_codes)
+    for e, row in zip(codes.tolist(), out):
+        assert row == sorted(row)
+        assert hamming(e, row) <= k
+        for i, (old, new) in enumerate(zip(e, row)):
+            lo = row[i - 1] if i > 0 else 0
+            hi = e[i + 1] if i + 1 < len(e) else alphabet - 1
+            assert new == old or lo <= new <= hi
+            if lo == hi:
+                assert new == old
+
+
+def _corrupt_distribution(e, k, alphabet):
+    """Every outcome of `corrupt(e, k, alphabet, rng)` with its exact
+    probability: each k-subset of positions alike, then each chosen
+    position, left to right, uniform over its window but its value."""
+    dist = Counter()
+
+    def walk(out, positions, prob):
+        if not positions:
+            dist[tuple(out)] += prob
+            return
+        i, rest = positions[0], positions[1:]
+        lo = out[i - 1] if i > 0 else 0
+        hi = out[i + 1] if i + 1 < len(out) else alphabet - 1
+        if hi <= lo:
+            walk(out, rest, prob)
+            return
+        for v in range(lo, hi + 1):
+            if v != out[i]:
+                walk(out[:i] + [v] + out[i + 1 :], rest, prob / (hi - lo))
+
+    subsets = list(itertools.combinations(range(len(e)), k))
+    for positions in subsets:
+        walk(list(e), positions, Fraction(1, len(subsets)))
+    return dist
+
+
+def test_corrupt_rows_has_the_distribution_of_corrupt():
+    """200,000 corruptions of (1, 2, 4, 6) at k = 2 and alphabet 7 from one
+    fixed seed, against the exact enumeration of `corrupt`'s 43 outcomes
+    (which 20,000 scalar `corrupt` draws stay inside): no other outcome
+    occurs, and chi-square is below 76.08, the 0.999 quantile of
+    chi-square on 42 degrees of freedom."""
+    e, k, alphabet, count = (1, 2, 4, 6), 2, 7, 200_000
+    dist = _corrupt_distribution(e, k, alphabet)
+    assert len(dist) == 43 and sum(dist.values()) == 1
+    scalar = random.Random(34)
+    assert {corrupt(e, k, alphabet, scalar) for _ in range(20_000)} <= dist.keys()
+    out = encoder.corrupt_rows(np.tile(np.array(e), (count, 1)), k, alphabet, random.Random(34))
+    seen, counts = np.unique(out, axis=0, return_counts=True)
+    observed = dict(zip(map(tuple, seen.tolist()), counts.tolist()))
+    assert observed.keys() <= dist.keys()
+    chi2 = sum((observed.get(o, 0) - count * p) ** 2 / (count * p) for o, p in dist.items())
+    assert chi2 < 76.08
+
+
+@pytest.mark.parametrize("k, alphabet", [(-1, 7), (5, 7), (9, 7), (2, 2**32 + 1)])
+def test_corrupt_rows_refuses_before_any_draw(k, alphabet):
+    """k outside [0, n], or an alphabet whose windows a 32-bit word cannot
+    cover."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        encoder.corrupt_rows(np.array([[0, 2, 3, 4]] * 3), k, alphabet, rng)
+    assert rng.getstate() == state
+
+
+def test_corrupt_rows_raises_no_numpy_warning():
+    """Every warning and every numpy floating-point error is raised here, at
+    the shapes and alphabets at the edges: no row, one coordinate, k = n,
+    a one-value alphabet and the widest one, 2^32."""
+    cases = [
+        (np.zeros((0, 4), np.int64), 4, 7),
+        (np.array([[0], [5]]), 1, 7),
+        (np.zeros((3, 5), np.int64), 5, 1),
+        (np.array([[0, 2**31, 2**32 - 1]] * 4), 3, 2**32),
+    ]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for codes, k, alphabet in cases:
+            out = encoder.corrupt_rows(codes, k, alphabet, random.Random(k))
+            assert out.shape == codes.shape
 
 
 @settings(max_examples=100, deadline=None)

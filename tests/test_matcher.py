@@ -183,6 +183,26 @@ def test_add_refuses_ids_past_uint32():
     assert index._tags == []
 
 
+@pytest.mark.parametrize(
+    "refused",
+    [DatabaseEntry(["x"], (4, 5, 6)), DatabaseEntry("x", (4, 5, 6), tag=["infected"])],
+    ids=["user_id", "tag"],
+)
+def test_a_refused_add_leaves_no_row_behind(refused):
+    """A user id or tag that cannot be a dict key is a TypeError before the
+    row is kept, so the entries after it keep their own rows."""
+    index = MatchIndex(3, 1)
+    a, b = DatabaseEntry("a", (1, 2, 3)), DatabaseEntry("b", (7, 8, 9))
+    index.add(a)
+    before = (len(index), bytes(index._codes), index.key_count(), index.stats())
+    with pytest.raises(TypeError, match="unhashable"):
+        index.add(refused)
+    assert (len(index), bytes(index._codes), index.key_count(), index.stats()) == before
+    index.add(b)
+    assert index.entries == [a, b]
+    assert index.query((7, 8, 9)) == [b]
+
+
 def test_tables_are_not_tracked_by_the_cyclic_collector():
     """A row-3 store gives the collector no more objects to walk however
     large it grows: entries made for the adds die with them, no key is an

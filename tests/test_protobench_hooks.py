@@ -51,11 +51,11 @@ def test_simulation_calls_every_wrapped_layer():
     assert uninfected == 12 * 8 and infected > 0 and result.recovered
     calls = tracer.calls
     assert calls["tracing.run_simulation"] == 1
-    for name in ("tracing.client_tick", "encoder.corrupt"):
-        assert calls[name] == uninfected, name  # one tick a report at radius 0
-    # the simulator inflates and encodes an epoch at a time, through
-    # inflate_points and the limb split, so the scalar references never run
-    for name in ("encoder.encode", "encoder.inflate", "numtheory.to_digits"):
+    assert calls["tracing.client_tick"] == uninfected  # one tick a report at radius 0
+    # the simulator inflates, encodes and corrupts an epoch at a time, through
+    # inflate_points, the limb split and corrupt_rows, so the scalar
+    # references never run
+    for name in ("encoder.encode", "encoder.inflate", "numtheory.to_digits", "encoder.corrupt"):
         assert calls[name] == 0, name
     assert calls["tracing.transport.send"] == uninfected + infected
     assert calls["tracing.handle.uninfected"] == uninfected

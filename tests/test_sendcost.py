@@ -14,6 +14,7 @@ CLIENT_LAYERS = (
     "sorted_code",
     "sorted_codes.epoch",
     "corrupt",
+    "corrupt_rows.epoch",
     "client.add",
     "client_tick",
 )

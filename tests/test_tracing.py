@@ -58,6 +58,8 @@ from tracecloak.tracing import (
 )
 from tracecloak.tracing import _contacts, _trails
 
+from test_encoder import _corrupt_rows_reference
+
 GRID = GridSpec(rows=10, cols=10, epochs=20)
 PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=2)
 DET_PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=0)
@@ -65,12 +67,14 @@ DET_PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=0)
 
 def _tick(client, t, cell, grid, params, rng, radius=0, inflate_world=False):
     """A lone client's tick: dilate the cell, pack each cell's point,
-    inflate the points with `inflate_world`, encode them and report."""
+    inflate the points with `inflate_world`, encode and corrupt them, and
+    report."""
     cells = dilate(cell, radius, grid)
     points = [pack(t, c, grid) for c in cells]
     if inflate_world:
         points = inflate_points(points)
-    return client_tick(client, t, cells, sorted_codes(points, params), params, rng)
+    encodings = [corrupt(code, params.k, params.alphabet, rng) for code in sorted_codes(points, params)]
+    return client_tick(client, t, cells, encodings)
 
 
 def test_pack_examples():
@@ -1683,14 +1687,15 @@ def test_simulation_outputs_are_pinned():
     assert len(result.recovered) == 639 and len(result.contacts) == 6
     assert result.server.store_size == 13421
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    assert digest == "ebf103bd6241435a761b55e210f19fc92747f2e751c33ce09c4fc7e55c193b32"
+    assert digest == "354528284972d6c73c9aa45500ae97c8ed13110d36f9af9e3a8844cb8ac42777"
 
 
 def _reference_simulation(agents, grid, params, seed, infections, radius, window, inflate_world):
     """The simulator's order spelt out: every agent's whole trail first,
-    epoch by epoch in user order; then each epoch, in user order, corrupts
-    the sorted code of each dilated cell's point from the same generator and
-    sends it, and the epoch's infections re-send."""
+    epoch by epoch in user order; then each epoch corrupts the sorted codes
+    of every dilated cell's point, in user order, from the same generator
+    with the scalar replay of `corrupt_rows`'s stream, sends them in that
+    order, and the epoch's infections re-send."""
     rng = random.Random(seed)
     users = [f"u{i}" for i in range(agents)]
     clients = {u: ClientState(u) for u in users}
@@ -1711,12 +1716,13 @@ def _reference_simulation(agents, grid, params, seed, infections, radius, window
             cells[u] = _walk_reference(cells[u], grid, rng)
             trails[u].append(cells[u])
     for t in range(grid.epochs):
-        for u in users:
-            for c in dilate(trails[u][t], radius, grid):
-                x = inflate(pack(t, c, grid)) if inflate_world else pack(t, c, grid)
-                e = corrupt(sorted_code(x, params), params.k, params.alphabet, rng)
-                clients[u].add(t, c, e)
-                send(ReportMsg(u, UNINFECTED, e))
+        points = [(u, c) for u in users for c in dilate(trails[u][t], radius, grid)]
+        xs = [inflate(pack(t, c, grid)) if inflate_world else pack(t, c, grid) for _, c in points]
+        codes = [sorted_code(x, params) for x in xs]
+        encodings = _corrupt_rows_reference(codes, params.k, params.alphabet, rng)
+        for (u, c), e in zip(points, encodings):
+            clients[u].add(t, c, e)
+            send(ReportMsg(u, UNINFECTED, e))
         for u, epoch in infections:
             if epoch == t:
                 t_start = 0 if window is None else max(0, t - window)
@@ -1767,22 +1773,22 @@ def test_simulation_trails_do_not_depend_on_the_encoding():
     assert runs[1].server.store_size > first.server.store_size == 12 * 10
 
 
-def test_client_tick_reports_the_corruption_of_each_given_code():
-    """Each report and record is `corrupt` of the given code from a
-    generator in the same state, which the tick leaves in the same state;
-    a wrong number of codes is refused before any record."""
+def test_client_tick_records_and_reports_each_given_encoding():
+    """Each report carries the very encoding it is given, and each record
+    is that encoding at its (t, cell); a wrong number of encodings is
+    refused before any record."""
     grid = GridSpec(rows=10, cols=10, epochs=20)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
-    client, rng, layered = ClientState("a"), random.Random(3), random.Random(3)
+    client, rng = ClientState("a"), random.Random(3)
     cells = dilate(55, 1, grid)
     codes = [sorted_code(inflate(pack(4, c, grid)), params) for c in cells]
-    msgs = client_tick(client, 4, cells, codes, params, rng)
-    encodings = [corrupt(code, params.k, params.alphabet, layered) for code in codes]
+    encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
+    msgs = client_tick(client, 4, cells, encodings)
     assert msgs == [ReportMsg("a", UNINFECTED, e) for e in encodings]
-    assert rng.getstate() == layered.getstate()
+    assert all(msg.encoding is e for msg, e in zip(msgs, encodings))
     assert client.records_between(0, 19) == [(4, c, e) for c, e in zip(cells, encodings)]
-    with pytest.raises(ValueError, match="8 codes for 9 cells"):
-        client_tick(client, 5, cells, codes[1:], params, rng)
+    with pytest.raises(ValueError, match="8 encodings for 9 cells"):
+        client_tick(client, 5, cells, encodings[1:])
     assert len(client) == 9
 
 

@@ -20,21 +20,25 @@ each:
 - `sorted_code`: the sorted code of one inflated point, a batch of one;
 - `sorted_codes.epoch`: per point, `sorted_codes` of that epoch, once a
   round;
-- `corrupt` of a sorted code;
+- `corrupt` of a sorted code, the scalar reference;
+- `corrupt_rows.epoch`: per code, `corrupt_rows` of that epoch's sorted
+  rows (`encoder._sorted_rows`), the 1,000 codes in one batch, once a
+  round;
 - `client.add`: `ClientState.add` of the record;
 - `client_tick`: `client_tick` whole as the simulator calls it, given the
-  cell and its point's sorted code: the corruption, the record and the
-  report.
+  cell and its encoding: the record and the report.
 
 Before it times them, it checks that one whole `sim` walk puts every
 cell where two `randint(-1, 1)` draws a step put it and leaves the
-generator in the same state; that C ticks, each given the code that
-`inflate` and `sorted_code` give, report exactly what `corrupt` gives from
-a generator of the same state, that each leaves the generator in the same
-state, and that the client's `lookup` finds each record; that each
+generator in the same state; that C ticks, each given the `corrupt` of
+the code that `inflate` and `sorted_code` give, report exactly that
+encoding, and that the client's `lookup` finds each record; that each
 epoch's `inflate_points` is `inflate` of each point and its limb quotients
-are, mod p, the points' base-p digits (`to_digits`); and that each row of
-an epoch's `sorted_codes` is the point's `sorted_code`.
+are, mod p, the points' base-p digits (`to_digits`); that each row of an
+epoch's `sorted_codes` is the point's `sorted_code`; and that
+`corrupt_rows` of each epoch's rows equals its stream replayed one row
+and one word at a time (`replay_rows`) and leaves the generator in the
+same state.
 
 Then it builds one store at each benchmark shape, at that workload's store
 size unless `--entries` sets one for all three, and fills a `ServerState`
@@ -88,7 +92,9 @@ import time
 from tracecloak.encoder import (
     PolyCodeParams,
     _digit_quotients,
+    _sorted_rows,
     corrupt,
+    corrupt_rows,
     encode,
     inflate,
     inflate_points,
@@ -122,6 +128,7 @@ CLIENT_LAYERS = (
     "sorted_code",
     "sorted_codes.epoch",
     "corrupt",
+    "corrupt_rows.epoch",
     "client.add",
     "client_tick",
 )
@@ -193,6 +200,46 @@ def randint_trails(starts: list[int], grid: GridSpec, rng: random.Random) -> lis
     return trails
 
 
+def replay_rows(rows: list[list[int]], k: int, alphabet: int, rng: random.Random) -> list[list[int]]:
+    """`corrupt_rows`'s stream one row and one word at a time: k partial
+    Fisher-Yates draws of every row's positions, then a value for each
+    row's chosen positions in increasing order, every draw in rounds of
+    one `getrandbits(32 * m)` for the m rows still pending."""
+    out, n = [list(row) for row in rows], len(rows[0])
+
+    def below(sizes: list[tuple[int, int]]) -> dict[int, int]:
+        got = {b: 0 for b, _ in sizes}  # a draw below 1 takes no word
+        pending = [(b, s) for b, s in sizes if s > 1]
+        while pending:
+            words, again = rng.getrandbits(32 * len(pending)), []
+            for j, (b, s) in enumerate(pending):
+                r = (words >> 32 * j & 0xFFFFFFFF) >> 32 - s.bit_length()
+                if r < s:
+                    got[b] = r
+                else:
+                    again.append((b, s))
+            pending = again
+        return got
+
+    pools, chosen = [list(range(n)) for _ in out], [[] for _ in out]
+    for j in range(k):
+        r = below([(b, n - j) for b in range(len(out))])
+        for b, pool in enumerate(pools):
+            chosen[b].append(pool[r[b]])
+            pool[r[b]] = pool[n - 1 - j]
+    for j in range(k):
+        windows = {}
+        for b, row in enumerate(out):
+            i = sorted(chosen[b])[j]
+            lo, hi = row[i - 1] if i else 0, row[i + 1] if i + 1 < n else alphabet - 1
+            if hi > lo:
+                windows[b] = (i, lo, hi)
+        r = below([(b, hi - lo) for b, (_, lo, hi) in windows.items()])
+        for b, (i, lo, _) in windows.items():
+            out[b][i] = lo + r[b] + (lo + r[b] >= out[b][i])
+    return out
+
+
 def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
     """Check, then time and print, the client layers of a `sim` report;
     False on a difference."""
@@ -208,14 +255,13 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
     if trails != randint_trails(starts, grid, stepped) or walked.getstate() != stepped.getstate():
         print("sim: the walk differs from two randint(-1, 1) draws a step", file=sys.stderr)
         return False
-    layered, ticked = random.Random(args.seed), random.Random(args.seed)
     checker = ClientState("ticked")
     for t, cell in checked:
         code = sorted_code(inflate(pack(t, cell, grid)), params)
-        e = corrupt(code, params.k, params.alphabet, layered)
-        (msg,) = client_tick(checker, t, [cell], [code], params, ticked)
-        if msg.encoding != e or ticked.getstate() != layered.getstate():
-            print("sim: client_tick differs from its layers", file=sys.stderr)
+        e = corrupt(code, params.k, params.alphabet, rng)
+        (msg,) = client_tick(checker, t, [cell], [e])
+        if msg.encoding is not e:
+            print("sim: client_tick reports another encoding than it is given", file=sys.stderr)
             return False
         if checker.lookup(e) != (t, cell):
             print("sim: the client does not find its record", file=sys.stderr)
@@ -239,12 +285,21 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
     if sorted_codes(epochs[0], params) != [sorted_code(y, params) for y in epochs[0]]:
         print("sim: sorted_codes differs from sorted_code", file=sys.stderr)
         return False
+    rows = [_sorted_rows(ys, params) for ys in epochs]
+    for batch in rows:
+        kernel, replayed = random.Random(args.seed), random.Random(args.seed)
+        out = corrupt_rows(batch, params.k, params.alphabet, kernel).tolist()
+        if out != replay_rows(batch.tolist(), params.k, params.alphabet, replayed) or (
+            kernel.getstate() != replayed.getstate()
+        ):
+            print("sim: corrupt_rows differs from its stream replayed", file=sys.stderr)
+            return False
 
     inflated = [inflate(pack(t, cell, grid)) for t, cell in points]
     codes = [sorted_code(y, params) for y in inflated]
     encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
     records = [(t, cell, e) for (t, cell), e in zip(points, encodings)]
-    ticks = [(t, [cell], [code]) for (t, cell), code in zip(points, codes)]
+    ticks = [(t, [cell], [e]) for (t, cell), e in zip(points, encodings)]
     times = {layer: [] for layer in CLIENT_LAYERS}
     for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
         part = slice(r * args.sends, (r + 1) * args.sends)
@@ -260,9 +315,11 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
         (epoch_ns,) = timed(lambda ys: sorted_codes(ys, params), [epochs[r]])
         times["sorted_codes.epoch"].append(epoch_ns / SIM_AGENTS)
         times["corrupt"] += timed(lambda c: corrupt(c, params.k, params.alphabet, rng), codes[part])
+        (epoch_ns,) = timed(lambda c: corrupt_rows(c, params.k, params.alphabet, rng), [rows[r]])
+        times["corrupt_rows.epoch"].append(epoch_ns / SIM_AGENTS)
         times["client.add"] += timed(lambda rec: client.add(*rec), records[part])
         times["client_tick"] += timed(
-            lambda p: client_tick(client, p[0], p[1], p[2], params, rng),
+            lambda p: client_tick(client, p[0], p[1], p[2]),
             ticks[part],
         )
     for layer in CLIENT_LAYERS:
