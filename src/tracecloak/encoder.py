@@ -15,7 +15,9 @@ cached table of i^l mod p in int64, then reduces mod p; k is chosen so
 that the unreduced product stays below 2^63.  The residue code takes each
 point's residues.  `sorted_codes` sorts every row at once; the simulator
 calls it once an epoch.  `sorted_code` (for `encode` and the attacks) and
-`basic_encode` (positions intact) are batches of one.
+`basic_encode` (positions intact) are batches of one.  Every point must
+be an int (`operator.index`): a float is a TypeError, as in `inflate`, not
+floored.
 `numtheory.to_digits` and `numtheory.eval_poly` (Horner's rule) are the
 scalar reference it is tested against.
 
@@ -38,6 +40,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -233,9 +236,10 @@ def _basic_codes(xs: Sequence[int], params: Params) -> np.ndarray:
     Polynomial code: each point's digit polynomial evaluated at 0..n-1, the
     rows of limb quotients (`_digit_quotients`) times the cached table of
     i^l mod p, mod p.  RRNS: the residue vectors (x mod p_1, ..., x mod
-    p_n).  Any x outside [0, M) raises ValueError before a row is computed.
+    p_n).  Any x that is not an int raises TypeError, and any x outside
+    [0, M) ValueError, before a row is computed.
     """
-    M = params.M
+    M, xs = params.M, list(map(index, xs))
     for x in xs:
         if not 0 <= x < M:
             raise ValueError(f"x={x} outside world [0, {M})")
@@ -260,7 +264,9 @@ def _sorted_rows(xs: Sequence[int], params: Params) -> np.ndarray:
 
 def sorted_codes(xs: Sequence[int], params: Params) -> list[list[int]]:
     """The sorted basic code of each point of xs, in order: the
-    deterministic part of `encode`, before corruption, for a batch."""
+    deterministic part of `encode`, before corruption, for a batch.  A
+    point that is not an int raises TypeError, and one outside [0, M)
+    ValueError."""
     return _sorted_rows(xs, params).tolist()
 
 
@@ -490,9 +496,9 @@ def _inflation_arrays() -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def inflate_points(xs: Sequence[int]) -> list[int]:
-    """`[inflate(x) for x in xs]` in one numpy pass.  Any x outside
-    [0, inflation_domain()) raises inflate's ValueError before anything is
-    computed.
+    """`[inflate(x) for x in xs]` in one numpy pass.  Any x that is not an
+    int raises TypeError, and any x outside [0, inflation_domain())
+    inflate's ValueError, before anything is computed.
 
     x mod A and x mod B, taken as Python ints since x may pass 2^63, give
     the 16 residues x mod q in int64, a row per band.  Each picks its
@@ -500,7 +506,7 @@ def inflate_points(xs: Sequence[int]) -> list[int]:
     in int64 in 4 groups of 4 (below 2^48), and the 4 group products as
     Python ints.
     """
-    domain = inflation_domain()
+    domain, xs = inflation_domain(), list(map(index, xs))
     for x in xs:
         if not 0 <= x < domain:
             raise ValueError("x outside the inflation domain")

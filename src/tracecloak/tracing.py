@@ -91,7 +91,9 @@ class GridSpec:
 
     The world packs (epoch, cell) pairs: x = epoch * cells + cell.  At
     production scale there would be about 10^14 cells at 1 m resolution and
-    10^5 thirty-second epochs.
+    10^5 thirty-second epochs.  Rows, cols and epochs are kept as Python
+    ints (`operator.index`): a numpy int is converted, so `cells` cannot
+    overflow, and a float is a TypeError, not floored.
     """
 
     rows: int
@@ -99,6 +101,8 @@ class GridSpec:
     epochs: int
 
     def __post_init__(self):
+        for name in ("rows", "cols", "epochs"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if min(self.rows, self.cols, self.epochs) < 1:
             raise ValueError("rows, cols and epochs must be at least 1")
 

@@ -277,6 +277,34 @@ def test_sorted_codes_refuse_a_batch_with_a_point_outside_the_world(case, side, 
     assert str(one.value) == message
 
 
+_RRNS_SMALL = RrnsParams(primes=(7, 11, 13), M=500, k=0)
+_POLY_SMALL = PolyCodeParams(M=100, p=31, n=10, k=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: sorted_codes([x], _RRNS_SMALL),
+        lambda x: sorted_codes([0, 1, x], _POLY_SMALL),
+        lambda x: sorted_code(x, _POLY_SMALL),
+        lambda x: basic_encode(x, _RRNS_SMALL),
+        lambda x: encode(x, _POLY_SMALL, random.Random(0)),
+        lambda x: inflate_points([0, x]),
+        inflate,
+    ],
+    ids=[
+        "sorted_codes.rrns", "sorted_codes.poly", "sorted_code", "basic_encode",
+        "encode", "inflate_points", "inflate",
+    ],  # fmt: skip
+)
+def test_a_point_that_is_not_an_int_is_refused(call):
+    """A float point is a TypeError, as in `inflate`, not floored: 12.5 used
+    to encode as 12.  A numpy int is the int it holds."""
+    with pytest.raises(TypeError):
+        call(12.5)
+    assert call(np.int64(12)) == call(12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.one_of(
@@ -502,12 +530,14 @@ def _row_cases(draw):
 @example(case=(np.zeros((0, 3), np.int64), 2, 7), seed=0)
 @example(case=(np.array([[3]]), 1, 7), seed=1)
 @example(case=(np.array([[0, 0, 0], [6, 6, 6], [0, 3, 6]]), 3, 7), seed=2)
+@example(case=(np.sort(np.random.default_rng(35).integers(0, 503, (1000, 20))), 2, 503), seed=35)
 def test_corrupt_rows_draws_its_stream_and_corrupts_in_order(case, seed):
     """The kernel equals its scalar replay and leaves the generator in the
-    same state.  Every row stays sorted, at most k coordinates change, and a
-    changed coordinate differs from its old value and lies in its window,
-    between its new left neighbour and its old right one (the sentinels 0
-    and alphabet - 1 at the ends), so a saturated window is left alone."""
+    same state, on a batch the size of a `sim` epoch too.  Every row stays
+    sorted, at most k coordinates change, and a changed coordinate differs
+    from its old value and lies in its window, between its new left
+    neighbour and its old right one (the sentinels 0 and alphabet - 1 at the
+    ends), so a saturated window is left alone."""
     codes, k, alphabet = case
     given_codes = codes.copy()
     rng, ref = random.Random(seed), random.Random(seed)

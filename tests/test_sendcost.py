@@ -30,11 +30,11 @@ def _run(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_sendcost_prints_each_shape_and_layer():
-    """A tiny store at each shape, so that the smoke test takes under 2 s,
-    with its client, query, wire and alert checks run first.  A re-send
+    """A tiny store at each shape, so that the smoke test takes under 2 s.
+    The tool checks no output, as tier-1 proves what it times.  A re-send
     finds at least its own entry, and so does a re-encoding, within tau of
     the stored encoding of its point."""
-    result = _run("--entries", "40", "--sends", "10", "--rounds", "2", "--check", "3")
+    result = _run("--entries", "40", "--sends", "10", "--rounds", "2")
     assert result.returncode == 0, result.stderr
     pattern = r"(sim|row1|row3) +(client|D=40) +([a-z_.]+) +(\d+\.\d\d) us(?: +(\d+\.\d\d) candidates)?"
     lines = [re.fullmatch(pattern, line) for line in result.stdout.splitlines()]

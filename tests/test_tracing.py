@@ -97,6 +97,21 @@ def test_grid_spec_validation():
     assert GridSpec(rows=1, cols=1, epochs=1).world_size == 1
 
 
+def test_grid_spec_keeps_python_ints():
+    """A float size is refused, not floored into a fractional `pack`, and a
+    numpy int is kept as a Python int, so `cells` cannot overflow."""
+    for bad in (
+        dict(rows=3, cols=3.5, epochs=4),
+        dict(rows=3.0, cols=3, epochs=4),
+        dict(rows=3, cols=3, epochs=4.0),
+    ):
+        with pytest.raises(TypeError):
+            GridSpec(**bad)
+    grid = GridSpec(np.int64(2**32), np.int64(2**32), np.int64(1))
+    assert [type(v) for v in (grid.rows, grid.cols, grid.epochs)] == [int] * 3
+    assert grid.cells == 2**64
+
+
 def test_dilate():
     assert dilate(55, 0, GRID) == [55]
     assert dilate(55, 1, GRID) == [44, 45, 46, 54, 55, 56, 64, 65, 66]  # interior
@@ -1577,11 +1592,13 @@ def _walk_starts(draw):
 @given(_walk_starts(), st.integers(1, 20), st.integers(0, 2**32))
 @example((2**63 - 1, 1, [0, 2**63 - 2, 2**62]), 20, 1)
 @example((1, 2**63 - 1, [2**63 - 2, 0, 2**62]), 20, 1)
+@example((100, 100, np.random.default_rng(35).integers(0, 10_000, 1000).tolist()), 5, 35)
 def test_trails_draw_what_two_randints_draw(walk, epochs, seed):
     """Every cell of every trail is where two `randint(-1, 1)` draws a step
     put it, agent by agent and epoch by epoch, and the generator ends in the
-    same state: the simulator's stream is unchanged.  The examples walk the
-    largest grids the int64 walk takes, from both edges."""
+    same state: the simulator's stream is unchanged.  Two examples walk the
+    largest grids the int64 walk takes, from both edges, and one the `sim`
+    walk, 1,000 agents on 100x100, so that a batch of its size is drawn."""
     rows, cols, starts = walk
     grid = GridSpec(rows=rows, cols=cols, epochs=epochs)
     rng, ref = random.Random(seed), random.Random(seed)

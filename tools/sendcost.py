@@ -2,7 +2,7 @@
 it, layer by layer.
 
     PYTHONPATH=src python3 tools/sendcost.py [--entries D] [--sends S]
-        [--rounds R] [--check C] [--seed S]
+        [--rounds R] [--seed S]
 
 First it times the client half of a `sim` report, on the `sim` workload's
 100x100 grid and 50 epochs with its inflated world, S calls a round of
@@ -27,18 +27,6 @@ each:
 - `client.add`: `ClientState.add` of the record;
 - `client_tick`: `client_tick` whole as the simulator calls it, given the
   cell and its encoding: the record and the report.
-
-Before it times them, it checks that one whole `sim` walk puts every
-cell where two `randint(-1, 1)` draws a step put it and leaves the
-generator in the same state; that C ticks, each given the `corrupt` of
-the code that `inflate` and `sorted_code` give, report exactly that
-encoding, and that the client's `lookup` finds each record; that each
-epoch's `inflate_points` is `inflate` of each point and its limb quotients
-are, mod p, the points' base-p digits (`to_digits`); that each row of an
-epoch's `sorted_codes` is the point's `sorted_code`; and that
-`corrupt_rows` of each epoch's rows equals its stream replayed one row
-and one word at a time (`replay_rows`) and leaves the generator in the
-same state.
 
 Then it builds one store at each benchmark shape, at that workload's store
 size unless `--entries` sets one for all three, and fills a `ServerState`
@@ -70,15 +58,37 @@ Then each round times S messages through each write-path layer:
 - `send_report`: `InProcessTransport.send_report` of an uninfected report,
   whole.
 
-Before it times a shape, it checks that C queries of each kind find
-exactly the entries `scan_match` finds, that `parse_message(format_message(m))`
-equals m for every message it will send, and that C infected sends of
-stored encodings, by a reporter the store does not hold, alert exactly the
-entries `scan_match` finds, each (recipient, encoding) once; on a
-difference it exits 1.  It prints per shape and layer the median process
-CPU microseconds of one call, each timed in blocks of `BLOCK` calls a clock
-pair, and for each query kind the candidates verified per query
-(`stats()["candidates"]`).
+It prints per shape and layer the median process CPU microseconds of one
+call, each timed in blocks of `BLOCK` calls a clock pair, and for each
+query kind the candidates verified per query (`stats()["candidates"]`).
+
+The tool only times: it checks no output.  Its numbers count only on a
+commit whose tier-1 tests pass, for those prove what it times:
+
+- the walk draws what two `randint(-1, 1)` draws a step draw
+  (`tests/test_tracing.py::test_trails_draw_what_two_randints_draw`);
+- `client_tick` records and reports each encoding it is given, and
+  `lookup` finds the record
+  (`tests/test_tracing.py::test_client_tick_records_and_reports_each_given_encoding`,
+  `test_lookup_returns_the_latest_record_of_an_encoding`);
+- `inflate_points` equals `inflate`, the limb quotients are the digits
+  mod p, and the rows of `sorted_codes` equal `sorted_code`
+  (`tests/test_encoder.py::test_inflate_points_equal_inflate`,
+  `test_sorted_codes_equal_horner_reference`,
+  `test_sorted_codes_equal_the_reference_at_the_edges`,
+  `test_sorted_codes_rows_equal_the_scalar_reference`);
+- `corrupt_rows` draws its documented stream
+  (`tests/test_encoder.py::test_corrupt_rows_draws_its_stream_and_corrupts_in_order`);
+- each query kind finds what `scan_match` finds
+  (`tests/test_acceptance.py::test_criterion_5_index_oracle_equivalence`,
+  `tests/test_matcher.py::test_index_equals_scan_match_property`,
+  `test_index_recall_for_reencodings`);
+- every message survives the wire
+  (`tests/test_tracing.py::test_wire_format_round_trip_property`);
+- the alerts are the `scan_match` hits minus the reporter's own, each
+  (recipient, encoding) once (`test_server_flow_co_location`,
+  `test_server_deduplicates_alerts`,
+  `test_uninfected_adds_racing_infected_reports_are_each_seen_whole`).
 """
 
 from __future__ import annotations
@@ -102,12 +112,10 @@ from tracecloak.encoder import (
     sorted_code,
     sorted_codes,
 )
-from tracecloak.matcher import DatabaseEntry, scan_match
-from tracecloak.numtheory import to_digits
+from tracecloak.matcher import DatabaseEntry
 from tracecloak.tracing import (
     INFECTED,
     UNINFECTED,
-    AlertMsg,
     ClientState,
     GridSpec,
     InProcessTransport,
@@ -141,7 +149,6 @@ KINDS = ("resend", "reencode", "fresh")
 LAYERS = ("format_message", "parse_message", "handle.uninfected", "handle.infected", "add", "send_report")
 SIM_GRID = GridSpec(rows=100, cols=100, epochs=50)
 SIM_AGENTS = 1000  # the agents of `sim`, and so the points of one epoch
-CHECKER = "sendcost-checker"  # a reporter that holds no stored entry
 BLOCK = 20  # calls timed between one pair of clock reads
 
 
@@ -173,128 +180,19 @@ def timed(fn, args: list) -> list[float]:
     return times
 
 
-def expected_alerts(entries: list, msg: ReportMsg, tau: int, alerted: set) -> list[AlertMsg]:
-    """The alerts `ServerState.handle` owes an infected report, from
-    `scan_match`: every other reporter's matching entry, each (recipient,
-    encoding) once over all the reports `alerted` has seen."""
-    alerts = []
-    for entry in scan_match(entries, msg.encoding, tau):
-        key = (entry.user_id, entry.encoding)
-        if entry.user_id != msg.user_id and key not in alerted:
-            alerted.add(key)
-            alerts.append(AlertMsg(entry.user_id, entry.encoding))
-    return alerts
-
-
-def randint_trails(starts: list[int], grid: GridSpec, rng: random.Random) -> list[list[int]]:
-    """Every agent's trail one step at a time, each step two
-    `rng.randint(-1, 1)` draws, agent by agent and epoch by epoch."""
-    cells, trails = list(starts), [[] for _ in starts]
-    for _ in range(grid.epochs):
-        for i, trail in enumerate(trails):
-            row, col = divmod(cells[i], grid.cols)
-            row = min(max(row + rng.randint(-1, 1), 0), grid.rows - 1)
-            col = min(max(col + rng.randint(-1, 1), 0), grid.cols - 1)
-            cells[i] = row * grid.cols + col
-            trail.append(cells[i])
-    return trails
-
-
-def replay_rows(rows: list[list[int]], k: int, alphabet: int, rng: random.Random) -> list[list[int]]:
-    """`corrupt_rows`'s stream one row and one word at a time: k partial
-    Fisher-Yates draws of every row's positions, then a value for each
-    row's chosen positions in increasing order, every draw in rounds of
-    one `getrandbits(32 * m)` for the m rows still pending."""
-    out, n = [list(row) for row in rows], len(rows[0])
-
-    def below(sizes: list[tuple[int, int]]) -> dict[int, int]:
-        got = {b: 0 for b, _ in sizes}  # a draw below 1 takes no word
-        pending = [(b, s) for b, s in sizes if s > 1]
-        while pending:
-            words, again = rng.getrandbits(32 * len(pending)), []
-            for j, (b, s) in enumerate(pending):
-                r = (words >> 32 * j & 0xFFFFFFFF) >> 32 - s.bit_length()
-                if r < s:
-                    got[b] = r
-                else:
-                    again.append((b, s))
-            pending = again
-        return got
-
-    pools, chosen = [list(range(n)) for _ in out], [[] for _ in out]
-    for j in range(k):
-        r = below([(b, n - j) for b in range(len(out))])
-        for b, pool in enumerate(pools):
-            chosen[b].append(pool[r[b]])
-            pool[r[b]] = pool[n - 1 - j]
-    for j in range(k):
-        windows = {}
-        for b, row in enumerate(out):
-            i = sorted(chosen[b])[j]
-            lo, hi = row[i - 1] if i else 0, row[i + 1] if i + 1 < n else alphabet - 1
-            if hi > lo:
-                windows[b] = (i, lo, hi)
-        r = below([(b, hi - lo) for b, (_, lo, hi) in windows.items()])
-        for b, (i, lo, _) in windows.items():
-            out[b][i] = lo + r[b] + (lo + r[b] >= out[b][i])
-    return out
-
-
-def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
-    """Check, then time and print, the client layers of a `sim` report;
-    False on a difference."""
+def client_half(args: argparse.Namespace, rng: random.Random) -> None:
+    """Time and print the client layers of a `sim` report."""
     params, grid = SHAPES["sim"][0], SIM_GRID
     count = args.sends * args.rounds
-    points = [
-        (rng.randrange(grid.epochs), rng.randrange(grid.cells)) for _ in range(args.check + count)
-    ]
-    checked, points = points[: args.check], points[args.check :]
+    points = [(rng.randrange(grid.epochs), rng.randrange(grid.cells)) for _ in range(count)]
     starts = [rng.randrange(grid.cells) for _ in range(SIM_AGENTS)]
-    walked, stepped = random.Random(args.seed), random.Random(args.seed)
-    trails = [list(trail) for trail in _trails(starts, grid, walked)]
-    if trails != randint_trails(starts, grid, stepped) or walked.getstate() != stepped.getstate():
-        print("sim: the walk differs from two randint(-1, 1) draws a step", file=sys.stderr)
-        return False
-    checker = ClientState("ticked")
-    for t, cell in checked:
-        code = sorted_code(inflate(pack(t, cell, grid)), params)
-        e = corrupt(code, params.k, params.alphabet, rng)
-        (msg,) = client_tick(checker, t, [cell], [e])
-        if msg.encoding is not e:
-            print("sim: client_tick reports another encoding than it is given", file=sys.stderr)
-            return False
-        if checker.lookup(e) != (t, cell):
-            print("sim: the client does not find its record", file=sys.stderr)
-            return False
     packed = [
         [pack(t, rng.randrange(grid.cells), grid) for _ in range(SIM_AGENTS)]
         for t in (rng.randrange(grid.epochs) for _ in range(args.rounds))
     ]
     epochs = [inflate_points(xs) for xs in packed]
-    if epochs != [[inflate(x) for x in xs] for xs in packed]:
-        print("sim: inflate_points differs from inflate", file=sys.stderr)
-        return False
     limbs = params.limbs
-    width = len(limbs.table)  # digit positions, the top limb's padding included
-    for ys in epochs:
-        if (_digit_quotients(ys, limbs) % params.p).tolist() != [
-            to_digits(y, params.p, width) for y in ys
-        ]:
-            print("sim: the limb split differs from to_digits", file=sys.stderr)
-            return False
-    if sorted_codes(epochs[0], params) != [sorted_code(y, params) for y in epochs[0]]:
-        print("sim: sorted_codes differs from sorted_code", file=sys.stderr)
-        return False
     rows = [_sorted_rows(ys, params) for ys in epochs]
-    for batch in rows:
-        kernel, replayed = random.Random(args.seed), random.Random(args.seed)
-        out = corrupt_rows(batch, params.k, params.alphabet, kernel).tolist()
-        if out != replay_rows(batch.tolist(), params.k, params.alphabet, replayed) or (
-            kernel.getstate() != replayed.getstate()
-        ):
-            print("sim: corrupt_rows differs from its stream replayed", file=sys.stderr)
-            return False
-
     inflated = [inflate(pack(t, cell, grid)) for t, cell in points]
     codes = [sorted_code(y, params) for y in inflated]
     encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
@@ -325,7 +223,6 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> bool:
     for layer in CLIENT_LAYERS:
         us = statistics.median(times[layer]) / 1e3
         print(f"sim   client   {layer:20} {us:8.2f} us")
-    return True
 
 
 def main(argv: list[str]) -> int:
@@ -333,15 +230,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--entries", type=int, help="store size at every shape")
     parser.add_argument("--sends", type=int, default=1000, help="calls per layer and round")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--check", type=int, default=5, help="checked queries per kind and sends")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     entries = 1 if args.entries is None else args.entries
-    if min(entries, args.sends, args.rounds) < 1 or args.check < 0:
-        parser.error("--entries, --sends and --rounds must be at least 1, --check at least 0")
+    if min(entries, args.sends, args.rounds) < 1:
+        parser.error("--entries, --sends and --rounds must be at least 1")
     rng = random.Random(args.seed)
-    if not client_half(args, rng):
-        return 1
+    client_half(args, rng)
     count = args.sends * args.rounds
     for shape, (params, size) in SHAPES.items():
         size = args.entries or size
@@ -350,29 +245,14 @@ def main(argv: list[str]) -> int:
         index, transport = state.index, InProcessTransport(state)
         for entry in entries:
             state.handle(ReportMsg(entry.user_id, UNINFECTED, entry.encoding))
-        for kind, queries in kinds.items():
-            for q in queries[: args.check]:
-                if index.query(q) != scan_match(entries, q, params.tau):
-                    print(f"{shape} {kind}: the index differs from scan_match", file=sys.stderr)
-                    return 1
 
         def fresh() -> ReportMsg:
             e = encode(rng.randrange(params.M), params, rng)
             return ReportMsg(f"u{rng.randrange(2000)}", UNINFECTED, e)
 
-        stored = [entries[rng.randrange(size)] for _ in range(count + args.check)]
-        checked = [ReportMsg(CHECKER, INFECTED, entry.encoding) for entry in stored[: args.check]]
-        infected = [ReportMsg(e.user_id, INFECTED, e.encoding) for e in stored[args.check :]]
+        stored = [entries[rng.randrange(size)] for _ in range(count)]
+        infected = [ReportMsg(e.user_id, INFECTED, e.encoding) for e in stored]
         kept, added, sent = ([fresh() for _ in range(count)] for _ in range(3))
-        for msg in checked + infected + kept + added + sent:
-            if parse_message(format_message(msg)) != msg:
-                print(f"{shape}: {msg!r} does not survive the wire", file=sys.stderr)
-                return 1
-        alerted: set = set()
-        for msg in checked:
-            if transport.send_report(msg) != expected_alerts(entries, msg, params.tau, alerted):
-                print(f"{shape}: the alerts differ from scan_match", file=sys.stderr)
-                return 1
 
         times = {layer: [] for layer in KINDS + LAYERS}
         candidates = dict.fromkeys(KINDS, 0)
