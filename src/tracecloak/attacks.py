@@ -47,14 +47,14 @@ def dictionary_attack(targets, points: Sequence[int], params: Params, tau: int) 
 
     The points are encoded `BATCH` at a time by `sorted_codes`, which draws
     nothing, and each code is added to one `MatchIndex` with the point's
-    position as its id: the layout `projected_table_bytes` sizes.  An
-    encoding of a point lies within k of its sorted code, so at tau = 2k
-    every target's own point is among its candidates.  `candidates` holds
-    the matching points in ascending order, `recovered` the first of them;
-    every report counts len(points) encodings and the time of the whole
-    pass.  No point is inflated here: for an inflated world, pass
-    `inflate_points(world)` and `deflate` the candidates.  More points than
-    one index holds raise ValueError before any is encoded.
+    position as its id.  An encoding of a point lies within k of its
+    sorted code, so at tau = 2k every target's own point is among its
+    candidates.  `candidates` holds the matching points in ascending order,
+    `recovered` the first of them; every report counts len(points)
+    encodings and the time of the whole pass.  No point is inflated here:
+    for an inflated world, pass `inflate_points(world)` and `deflate` the
+    candidates.  More points than one index holds raise ValueError before
+    any is encoded.
     """
     if points[ID_LIMIT:]:  # a slice, not len(): a range of 2^63 or more has none
         raise ValueError(f"more than {ID_LIMIT} points: a dictionary holds at most that many")
@@ -75,17 +75,6 @@ def dictionary_attack(targets, points: Sequence[int], params: Params, tau: int) 
         )
         for found in hits
     ]
-
-
-def projected_table_bytes(params: Params) -> float:
-    """Storage for the dictionary attack's index over the whole world, in
-    the cost model: M entries of n coordinates at ceil(log2 alphabet) bits,
-    one copy per block table.  The `MatchIndex` it builds holds less: each
-    coordinate once, as 2 bytes of its row, plus per block a 4-byte chain
-    word and at most 4 table slots of 8 bytes (a table keeps 2 to 4 slots
-    per entry)."""
-    bits_per_coord = math.ceil(math.log2(params.alphabet))
-    return params.M * params.n * bits_per_coord / 8 * (params.tau + 1)
 
 
 def _solve_candidate(values, indices, params: Params) -> int | None:

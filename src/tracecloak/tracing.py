@@ -11,18 +11,15 @@ back to its reporter, who recovers (t, l) locally.  A client's tick
 (`client_tick`) records and reports the encodings it is given; the
 simulator is the one place that dilates each agent's cell, packs,
 inflates, encodes and corrupts the points, an epoch at a time, the
-corruption in one `encoder.corrupt_rows` pass with that kernel's own
-exact-uniform draws.  Before any of that it walks every agent's trail in
-numpy, drawing from the generator exactly the words that two
-`randint(-1, 1)` calls a step would draw, and keeps each trail as a
-uint64 array too.
+corruption in one `encoder.corrupt_rows` pass.  Before any of that it walks
+every agent's trail in numpy, and keeps each trail as a uint64 array too.
+Every draw of a simulation comes from one numpy `Generator`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import random
 import selectors
 import socket
 import threading
@@ -116,6 +113,10 @@ class GridSpec:
 
 
 def pack(epoch: int, cell: int, grid: GridSpec) -> int:
+    """The world point of (epoch, cell).  Each must be an int
+    (`operator.index`): a numpy int is converted, and a float is a
+    TypeError."""
+    epoch, cell = index(epoch), index(cell)
     if not 0 <= epoch < grid.epochs:
         raise OutOfBoundsError(f"epoch {epoch} outside [0, {grid.epochs})")
     if not 0 <= cell < grid.cells:
@@ -125,7 +126,9 @@ def pack(epoch: int, cell: int, grid: GridSpec) -> int:
 
 def dilate(cell: int, radius: int, grid: GridSpec) -> list[int]:
     """All cells within Chebyshev distance `radius`, clipped at the boundary,
-    in ascending order.  At radius 0 the list holds `cell` itself."""
+    in ascending order.  At radius 0 the list holds `cell` itself.  The cell
+    and the radius must be ints (`operator.index`), as in `pack`."""
+    cell, radius = index(cell), index(radius)
     if radius < 0:
         raise ValueError("radius must be non-negative")
     row, col = divmod(cell, grid.cols)
@@ -712,6 +715,8 @@ def run_simulation(
     `window` (>= 0) limits how far back an infected agent re-reports
     (defaults to the whole horizon).  The result holds the trails, the
     alerts and what each recovered, the true contacts and the server.
+    Every draw comes from `np.random.default_rng(seed)`, which refuses a
+    negative seed.
 
     With `inflate_world` each packed point is passed through the square-free
     inflation map first.  Small dense worlds are vulnerable to algebraic
@@ -742,16 +747,15 @@ def run_simulation(
 
     server = ServerState(n=params.n, tau=params.tau)
     transport = InProcessTransport(server)
-    rng = random.Random(seed)
-    starts = [rng.randrange(grid.cells) for _ in users]
+    rng = np.random.default_rng(seed)
 
-    # Every trail comes first, walked epoch by epoch in user order from the
-    # one generator, so the trails and the contacts do not depend on how the
+    # Every trail comes first, walked from start cells drawn from the one
+    # generator, so the trails and the contacts do not depend on how the
     # clients encode.  Then each epoch dilates each agent's cell once, packs,
     # inflates, encodes and corrupts every agent's points in one batch, and
     # hands each agent its cells and encodings to record and send, in user
     # order.
-    trails = _trails(starts, grid, rng)
+    trails = _trails(rng.integers(grid.cells, size=agents), grid, rng)
     trajectories = dict(zip(users, trails))
     result = SimulationResult(
         trajectories=trajectories, alerts={u: [] for u in users}, server=server
@@ -779,32 +783,20 @@ def run_simulation(
     return result
 
 
-def _trails(starts: Sequence[int], grid: GridSpec, rng: random.Random) -> list[array[int]]:
+def _trails(
+    starts: Sequence[int], grid: GridSpec, rng: np.random.Generator
+) -> list[array[int]]:
     """Each agent's cell at every epoch, as a uint64 array: a lazy king's
-    walk from its start cell, clamped to the grid, epoch by epoch in agent
-    order, the row step before the column step.
-
-    Each step is what `rng.randint(-1, 1)` draws: the top 2 bits of one
-    32-bit word, drawn again while they read 3.  `getrandbits(32 * m)` holds
-    the next m words in draw order, the first in its low bits, so an epoch
-    draws as many words as it has steps, then again as many as are still
-    missing, until none is.  No word is drawn that one step at a time would
-    not draw, so the trails and the generator's state afterwards are the
-    step-by-step walk's.  The cells are int64 here: the grid must hold
+    walk from its start cell, clamped to the grid.  Each epoch draws every
+    agent's row step and column step, each uniform over -1, 0 and +1, in
+    one `rng.integers` call.  The cells are int64 here: the grid must hold
     fewer than 2^63."""
-    steps = np.empty(2 * len(starts), np.int64)  # row and column, agent by agent
-    rows, cols = np.divmod(np.array(starts, np.int64), grid.cols)
-    trails = np.empty((len(starts), grid.epochs), np.uint64)
+    rows, cols = np.divmod(np.asarray(starts, np.int64), grid.cols)
+    trails = np.empty((len(rows), grid.epochs), np.uint64)
     for t in range(grid.epochs):
-        done = 0
-        while missing := len(steps) - done:
-            raw = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-            words = np.frombuffer(raw, "<u4")
-            drawn = words[words < 3 << 30] >> 30
-            steps[done : done + len(drawn)] = drawn
-            done += len(drawn)
-        np.clip(rows + steps[0::2] - 1, 0, grid.rows - 1, out=rows)
-        np.clip(cols + steps[1::2] - 1, 0, grid.cols - 1, out=cols)
+        steps = rng.integers(-1, 2, (2, len(rows)))
+        np.clip(rows + steps[0], 0, grid.rows - 1, out=rows)
+        np.clip(cols + steps[1], 0, grid.cols - 1, out=cols)
         trails[:, t] = rows * grid.cols + cols
     return [array("Q", trail.tobytes()) for trail in trails]
 

@@ -467,56 +467,11 @@ def test_corrupt_refuses_k_outside_the_vector_before_any_draw(k):
     assert rng.getstate() == state
 
 
-def _corrupt_rows_reference(rows, k, alphabet, rng):
-    """`corrupt_rows`'s stream spelt out one row and one word at a time."""
-    out = [list(row) for row in rows]
-    n = len(out[0]) if out else 0
-
-    def below(sizes):
-        """r uniform in [0, s) for each (row, s), in rounds: one
-        getrandbits(32 * m) for the m rows still pending, word j of it
-        (the low word first) for the j-th of them, whose top s.bit_length()
-        bits it keeps when they are below s; s = 1 takes 0 and no word."""
-        got = {b: 0 for b, _ in sizes}
-        pending = [(b, s) for b, s in sizes if s > 1]
-        while pending:
-            words = rng.getrandbits(32 * len(pending))
-            again = []
-            for j, (b, s) in enumerate(pending):
-                r = (words >> 32 * j & 0xFFFFFFFF) >> 32 - s.bit_length()
-                if r < s:
-                    got[b] = r
-                else:
-                    again.append((b, s))
-            pending = again
-        return got
-
-    pools, chosen = [list(range(n)) for _ in out], [[] for _ in out]
-    for j in range(k):  # a partial Fisher-Yates shuffle of each row's positions
-        r = below([(b, n - j) for b in range(len(out))])
-        for b, pool in enumerate(pools):
-            chosen[b].append(pool[r[b]])
-            pool[r[b]] = pool[n - 1 - j]
-    for j in range(k):  # each row's j-th smallest chosen position
-        windows = {}
-        for b, row in enumerate(out):
-            i = sorted(chosen[b])[j]
-            lo = row[i - 1] if i > 0 else 0
-            hi = row[i + 1] if i + 1 < n else alphabet - 1
-            if hi > lo:
-                windows[b] = (i, lo, hi)
-        r = below([(b, hi - lo) for b, (_, lo, hi) in windows.items()])
-        for b, (i, lo, _) in windows.items():
-            v = lo + r[b]
-            out[b][i] = v + (v >= out[b][i])
-    return out
-
-
 @st.composite
 def _row_cases(draw):
     """Batches of sorted rows, each row of one of `_vectors`' kinds, so that
     saturated windows and repeated values occur, with k from 0 to n."""
-    alphabet = draw(st.sampled_from([1, 2, 3, 7, 31, 503, CODE_LIMIT, 2**32]))
+    alphabet = draw(st.sampled_from([1, 2, 3, 7, 31, 503, CODE_LIMIT, 2**32, 2**63 - 1]))
     n = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(20, 40)))
     fill = random.Random(draw(st.integers()))
     kinds = draw(st.lists(st.integers(0, 4), max_size=8))
@@ -532,18 +487,18 @@ def _row_cases(draw):
 @example(case=(np.array([[0, 0, 0], [6, 6, 6], [0, 3, 6]]), 3, 7), seed=2)
 @example(case=(np.sort(np.random.default_rng(35).integers(0, 503, (1000, 20))), 2, 503), seed=35)
 def test_corrupt_rows_draws_its_stream_and_corrupts_in_order(case, seed):
-    """The kernel equals its scalar replay and leaves the generator in the
-    same state, on a batch the size of a `sim` epoch too.  Every row stays
-    sorted, at most k coordinates change, and a changed coordinate differs
-    from its old value and lies in its window, between its new left
-    neighbour and its old right one (the sentinels 0 and alphabet - 1 at the
-    ends), so a saturated window is left alone."""
+    """One seed gives one output and leaves the generator in one state, on
+    a batch the size of a `sim` epoch too, and the input is not changed.
+    Every row stays sorted, at most k coordinates change, and a changed
+    coordinate lies in its window, between its new left neighbour and its
+    old right one (the sentinels 0 and alphabet - 1 at the ends), so a
+    saturated window is left alone."""
     codes, k, alphabet = case
     given_codes = codes.copy()
-    rng, ref = random.Random(seed), random.Random(seed)
+    rng, again = np.random.default_rng(seed), np.random.default_rng(seed)
     out = encoder.corrupt_rows(codes, k, alphabet, rng).tolist()
-    assert out == _corrupt_rows_reference(codes.tolist(), k, alphabet, ref)
-    assert rng.getstate() == ref.getstate()
+    assert out == encoder.corrupt_rows(codes, k, alphabet, again).tolist()
+    assert rng.bit_generator.state == again.bit_generator.state
     assert np.array_equal(codes, given_codes)
     for e, row in zip(codes.tolist(), out):
         assert row == sorted(row)
@@ -593,7 +548,8 @@ def test_corrupt_rows_has_the_distribution_of_corrupt():
     assert len(dist) == 43 and sum(dist.values()) == 1
     scalar = random.Random(34)
     assert {corrupt(e, k, alphabet, scalar) for _ in range(20_000)} <= dist.keys()
-    out = encoder.corrupt_rows(np.tile(np.array(e), (count, 1)), k, alphabet, random.Random(34))
+    rng = np.random.default_rng(34)
+    out = encoder.corrupt_rows(np.tile(np.array(e), (count, 1)), k, alphabet, rng)
     seen, counts = np.unique(out, axis=0, return_counts=True)
     observed = dict(zip(map(tuple, seen.tolist()), counts.tolist()))
     assert observed.keys() <= dist.keys()
@@ -601,31 +557,31 @@ def test_corrupt_rows_has_the_distribution_of_corrupt():
     assert chi2 < 76.08
 
 
-@pytest.mark.parametrize("k, alphabet", [(-1, 7), (5, 7), (9, 7), (2, 2**32 + 1)])
+@pytest.mark.parametrize("k, alphabet", [(-1, 7), (5, 7), (9, 7)])
 def test_corrupt_rows_refuses_before_any_draw(k, alphabet):
-    """k outside [0, n], or an alphabet whose windows a 32-bit word cannot
-    cover."""
-    rng = random.Random(0)
-    state = rng.getstate()
+    """k outside [0, n] leaves the generator's state as it was."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ValueError):
         encoder.corrupt_rows(np.array([[0, 2, 3, 4]] * 3), k, alphabet, rng)
-    assert rng.getstate() == state
+    assert rng.bit_generator.state == state
 
 
 def test_corrupt_rows_raises_no_numpy_warning():
     """Every warning and every numpy floating-point error is raised here, at
     the shapes and alphabets at the edges: no row, one coordinate, k = n,
-    a one-value alphabet and the widest one, 2^32."""
+    a one-value alphabet and the widest ones, 2^32 and 2^63 - 1."""
     cases = [
         (np.zeros((0, 4), np.int64), 4, 7),
         (np.array([[0], [5]]), 1, 7),
         (np.zeros((3, 5), np.int64), 5, 1),
         (np.array([[0, 2**31, 2**32 - 1]] * 4), 3, 2**32),
+        (np.array([[0, 2**62, 2**63 - 2]] * 4), 3, 2**63 - 1),
     ]
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for codes, k, alphabet in cases:
-            out = encoder.corrupt_rows(codes, k, alphabet, random.Random(k))
+            out = encoder.corrupt_rows(codes, k, alphabet, np.random.default_rng(k))
             assert out.shape == codes.shape
 
 

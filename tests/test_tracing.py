@@ -25,6 +25,7 @@ from tracecloak.encoder import (
     CODE_LIMIT,
     PolyCodeParams,
     corrupt,
+    corrupt_rows,
     inflate,
     inflate_points,
     inflate_range_bound,
@@ -57,8 +58,6 @@ from tracecloak.tracing import (
     send_report_over_socket,
 )
 from tracecloak.tracing import _contacts, _trails
-
-from test_encoder import _corrupt_rows_reference
 
 GRID = GridSpec(rows=10, cols=10, epochs=20)
 PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=2)
@@ -124,6 +123,26 @@ def test_dilate():
     wide = GridSpec(rows=3000, cols=3000, epochs=1)
     cell = int("8999999")
     assert dilate(cell, 0, wide)[0] is cell
+
+
+def test_pack_and_dilate_take_only_ints():
+    """A float epoch, cell or radius is a TypeError: `pack(1.5, 2, grid)`
+    used to return 15.5 and `dilate(2.0, 0, grid)` [2.0].  A numpy int is
+    converted, so int64 and uint64 no longer mix into a float64 point."""
+    grid = GridSpec(rows=3, cols=3, epochs=4)
+    calls = [
+        lambda: pack(1.5, 2, grid),
+        lambda: pack(1, 2.0, grid),
+        lambda: dilate(2.0, 0, grid),
+        lambda: dilate(4, 1.0, grid),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    x = pack(np.int64(1), np.uint64(2), grid)
+    assert x == 11 and type(x) is int
+    cells = dilate(np.uint64(4), np.int64(1), grid)
+    assert cells == list(range(9)) and {type(c) for c in cells} == {int}
 
 
 @pytest.mark.parametrize("radius", [0, 1])
@@ -1554,58 +1573,51 @@ def test_uninfected_adds_from_several_threads_are_each_stored_whole():
     assert stored == Counter(DatabaseEntry(m.user_id, m.encoding) for m in sent[0] + sent[1])
 
 
-def _walk_reference(cell, grid, rng):
-    """The walk step with two `rng.randint(-1, 1)` draws: the reference."""
-    row, col = divmod(cell, grid.cols)
-    row = min(max(row + rng.randint(-1, 1), 0), grid.rows - 1)
-    col = min(max(col + rng.randint(-1, 1), 0), grid.cols - 1)
-    return row * grid.cols + col
-
-
-def _trails_reference(starts, grid, rng):
-    """Every agent's trail, one `_walk_reference` step per agent in agent
-    order, epoch by epoch."""
-    cells, trails = list(starts), [[] for _ in starts]
-    for _ in range(grid.epochs):
-        for i, trail in enumerate(trails):
-            cells[i] = _walk_reference(cells[i], grid, rng)
-            trail.append(cells[i])
-    return trails
-
-
 @st.composite
-def _walk_starts(draw):
-    """A grid's rows and columns, 1x1, 1xN and Nx1 among them, and 1 to 40
-    start cells, each a corner or an edge cell as often as not."""
-    rows, cols = draw(
-        st.sampled_from([(1, 1), (1, 7), (7, 1), (1, 2), (2, 1)])
-        | st.tuples(st.integers(1, 9), st.integers(1, 9))
-    )
-    edges = sorted(
-        {r * cols + c for r in range(rows) for c in range(cols) if r in (0, rows - 1) or c in (0, cols - 1)}
-    )
-    cell = st.sampled_from(edges) | st.integers(0, rows * cols - 1)
-    return rows, cols, draw(st.lists(cell, min_size=1, max_size=40))
+def _walks(draw):
+    """A grid of 1 to 9 rows and 1 to 9 columns, and 1 to 40 start cells."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return rows, cols, draw(st.lists(st.integers(0, rows * cols - 1), min_size=1, max_size=40))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_walk_starts(), st.integers(1, 20), st.integers(0, 2**32))
+@given(_walks(), st.integers(1, 20), st.integers(0, 2**64))
 @example((2**63 - 1, 1, [0, 2**63 - 2, 2**62]), 20, 1)
 @example((1, 2**63 - 1, [2**63 - 2, 0, 2**62]), 20, 1)
 @example((100, 100, np.random.default_rng(35).integers(0, 10_000, 1000).tolist()), 5, 35)
-def test_trails_draw_what_two_randints_draw(walk, epochs, seed):
-    """Every cell of every trail is where two `randint(-1, 1)` draws a step
-    put it, agent by agent and epoch by epoch, and the generator ends in the
-    same state: the simulator's stream is unchanged.  Two examples walk the
-    largest grids the int64 walk takes, from both edges, and one the `sim`
-    walk, 1,000 agents on 100x100, so that a batch of its size is drawn."""
+def test_trails_are_king_steps_that_stay_on_the_grid(walk, epochs, seed):
+    """Every step of every trail, the first from the start cell, moves at
+    most one row and one column and ends on the grid; the trails are
+    `array("Q")`s of one cell an epoch, and one seed walks them alike twice.
+    Two examples walk the largest grids the int64 walk takes, from both
+    edges, and one the `sim` walk, 1,000 agents on 100x100."""
     rows, cols, starts = walk
     grid = GridSpec(rows=rows, cols=cols, epochs=epochs)
-    rng, ref = random.Random(seed), random.Random(seed)
-    trails = _trails(starts, grid, rng)
-    assert all(trail.typecode == "Q" for trail in trails)
-    assert [list(trail) for trail in trails] == _trails_reference(starts, grid, ref)
-    assert rng.getstate() == ref.getstate()
+    trails = _trails(starts, grid, np.random.default_rng(seed))
+    assert trails == _trails(starts, grid, np.random.default_rng(seed))
+    assert all(trail.typecode == "Q" and len(trail) == epochs for trail in trails)
+    for start, trail in zip(starts, trails):
+        for a, b in itertools.pairwise([start, *trail]):
+            (row_a, col_a), (row_b, col_b) = divmod(a, cols), divmod(b, cols)
+            assert abs(row_b - row_a) <= 1 and abs(col_b - col_a) <= 1
+            assert 0 <= b < grid.cells
+
+
+def test_trail_steps_are_uniform_over_the_nine_moves():
+    """100,000 steps of one fixed-seed walk that never reaches an edge (1,000
+    agents, 100 epochs, from the middle of a 1001x1001 grid): the counts of
+    the nine (row, column) moves give chi-square below 26.12, the 0.999
+    quantile of chi-square on 8 degrees of freedom."""
+    grid = GridSpec(rows=1001, cols=1001, epochs=100)
+    starts = [500 * 1001 + 500] * 1000
+    trails = _trails(starts, grid, np.random.default_rng(36))
+    cells = np.array([[start, *trail] for start, trail in zip(starts, trails)], np.int64)
+    rows, cols = np.divmod(cells, grid.cols)
+    moves = 3 * (np.diff(rows) + 1) + np.diff(cols) + 1
+    counts = np.bincount(moves.ravel(), minlength=9)
+    assert len(counts) == 9
+    expected = moves.size / 9
+    assert ((counts - expected) ** 2 / expected).sum() < 26.12
 
 
 def test_the_simulator_refuses_a_grid_its_walk_cannot_hold(monkeypatch):
@@ -1619,10 +1631,9 @@ def test_the_simulator_refuses_a_grid_its_walk_cannot_hold(monkeypatch):
     assert result.server.store_size == 4 * 3
 
     def refuse(*args):
-        raise AssertionError("drew for a grid the walk cannot hold")
+        raise AssertionError("made a generator for a grid the walk cannot hold")
 
-    monkeypatch.setattr(random.Random, "randrange", refuse)
-    monkeypatch.setattr(random.Random, "getrandbits", refuse)
+    monkeypatch.setattr(tracing.np.random, "default_rng", refuse)
     for rows, cols in [(2**33, 2**33), (2**63, 1), (1, 2**63)]:
         grid = GridSpec(rows=rows, cols=cols, epochs=3)
         message = f"a grid of {grid.cells} cells: the walk needs fewer than 2\\^63"
@@ -1679,7 +1690,9 @@ def test_simulation_outputs_are_pinned():
     """sha256 of what a dilated, windowed run with four infections gives:
     the trails, every recovered (t, cell), each user's alert lines, the
     contacts and the store size.  A change to this digest changes what the
-    simulator reports, not only how it keeps it."""
+    simulator reports, not only how it keeps it.  Pinned under numpy 2.4.6:
+    NEP 19 does not promise that a `Generator`'s stream stays the same
+    across numpy releases, so another release may need it pinned again."""
     grid = GridSpec(rows=20, cols=20, epochs=8)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
     result = run_simulation(
@@ -1701,24 +1714,24 @@ def test_simulation_outputs_are_pinned():
             result.server.store_size,
         )
     )
-    assert len(result.recovered) == 639 and len(result.contacts) == 6
-    assert result.server.store_size == 13421
+    assert len(result.recovered) == 515 and len(result.contacts) == 10
+    assert result.server.store_size == 13456
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    assert digest == "354528284972d6c73c9aa45500ae97c8ed13110d36f9af9e3a8844cb8ac42777"
+    assert digest == "9d2fada7e8b2316af3a125edd985d0a1cd80b87c711d761fda55f285a20f9985"
 
 
 def _reference_simulation(agents, grid, params, seed, infections, radius, window, inflate_world):
-    """The simulator's order spelt out: every agent's whole trail first,
-    epoch by epoch in user order; then each epoch corrupts the sorted codes
-    of every dilated cell's point, in user order, from the same generator
-    with the scalar replay of `corrupt_rows`'s stream, sends them in that
+    """The simulator's order spelt out: the start cells and every agent's
+    whole trail first; then each epoch dilates every agent's cell, in user
+    order, encodes each point alone, corrupts the epoch's sorted codes with
+    one `corrupt_rows` call on the same generator, sends them in that
     order, and the epoch's infections re-send."""
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     users = [f"u{i}" for i in range(agents)]
     clients = {u: ClientState(u) for u in users}
     transport = InProcessTransport(ServerState(n=params.n, tau=params.tau))
-    cells = {u: rng.randrange(grid.cells) for u in users}
-    trails = {u: [] for u in users}
+    walked = _trails(rng.integers(grid.cells, size=agents), grid, rng)
+    trails = {u: list(trail) for u, trail in zip(users, walked)}
     alerts = {u: [] for u in users}
     recovered = []
 
@@ -1728,15 +1741,11 @@ def _reference_simulation(agents, grid, params, seed, infections, radius, window
             alerts[alert.user_id].append(alert)
             recovered.append((alert.user_id, t, cell, alert.encoding))
 
-    for _ in range(grid.epochs):
-        for u in users:
-            cells[u] = _walk_reference(cells[u], grid, rng)
-            trails[u].append(cells[u])
     for t in range(grid.epochs):
         points = [(u, c) for u in users for c in dilate(trails[u][t], radius, grid)]
         xs = [inflate(pack(t, c, grid)) if inflate_world else pack(t, c, grid) for _, c in points]
-        codes = [sorted_code(x, params) for x in xs]
-        encodings = _corrupt_rows_reference(codes, params.k, params.alphabet, rng)
+        codes = np.array([sorted_code(x, params) for x in xs], np.int64)
+        encodings = corrupt_rows(codes, params.k, params.alphabet, rng).tolist()
         for (u, c), e in zip(points, encodings):
             clients[u].add(t, c, e)
             send(ReportMsg(u, UNINFECTED, e))
@@ -1893,7 +1902,7 @@ def test_the_simulator_checks_its_arguments_before_any_draw(monkeypatch, kwargs,
     def refuse(*args, **kw):
         raise AssertionError("made a generator before checking the arguments")
 
-    monkeypatch.setattr(tracing.random, "Random", refuse)
+    monkeypatch.setattr(tracing.np.random, "default_rng", refuse)
     grid = GridSpec(rows=4, cols=4, epochs=4)
     params = PolyCodeParams(M=grid.world_size, p=101, n=20, k=2)
     with pytest.raises(ValueError, match=message):

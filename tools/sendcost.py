@@ -65,8 +65,10 @@ query kind the candidates verified per query (`stats()["candidates"]`).
 The tool only times: it checks no output.  Its numbers count only on a
 commit whose tier-1 tests pass, for those prove what it times:
 
-- the walk draws what two `randint(-1, 1)` draws a step draw
-  (`tests/test_tracing.py::test_trails_draw_what_two_randints_draw`);
+- every step of the walk moves at most one row and one column and stays
+  on the grid, and the nine moves are uniform
+  (`tests/test_tracing.py::test_trails_are_king_steps_that_stay_on_the_grid`,
+  `test_trail_steps_are_uniform_over_the_nine_moves`);
 - `client_tick` records and reports each encoding it is given, and
   `lookup` finds the record
   (`tests/test_tracing.py::test_client_tick_records_and_reports_each_given_encoding`,
@@ -77,8 +79,10 @@ commit whose tier-1 tests pass, for those prove what it times:
   `test_sorted_codes_equal_horner_reference`,
   `test_sorted_codes_equal_the_reference_at_the_edges`,
   `test_sorted_codes_rows_equal_the_scalar_reference`);
-- `corrupt_rows` draws its documented stream
-  (`tests/test_encoder.py::test_corrupt_rows_draws_its_stream_and_corrupts_in_order`);
+- `corrupt_rows` keeps every row sorted and each change in its window,
+  with `corrupt`'s distribution
+  (`tests/test_encoder.py::test_corrupt_rows_draws_its_stream_and_corrupts_in_order`,
+  `test_corrupt_rows_has_the_distribution_of_corrupt`);
 - each query kind finds what `scan_match` finds
   (`tests/test_acceptance.py::test_criterion_5_index_oracle_equivalence`,
   `tests/test_matcher.py::test_index_equals_scan_match_property`,
@@ -98,6 +102,8 @@ import random
 import statistics
 import sys
 import time
+
+import numpy as np
 
 from tracecloak.encoder import (
     PolyCodeParams,
@@ -181,8 +187,11 @@ def timed(fn, args: list) -> list[float]:
 
 
 def client_half(args: argparse.Namespace, rng: random.Random) -> None:
-    """Time and print the client layers of a `sim` report."""
+    """Time and print the client layers of a `sim` report.  The walk and
+    `corrupt_rows` draw from a numpy `Generator` of the same seed, as the
+    simulator's do."""
     params, grid = SHAPES["sim"][0], SIM_GRID
+    gen = np.random.default_rng(args.seed)
     count = args.sends * args.rounds
     points = [(rng.randrange(grid.epochs), rng.randrange(grid.cells)) for _ in range(count)]
     starts = [rng.randrange(grid.cells) for _ in range(SIM_AGENTS)]
@@ -202,7 +211,7 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> None:
     for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
         part = slice(r * args.sends, (r + 1) * args.sends)
         client = ClientState("timed")
-        (walk_ns,) = timed(lambda cells: _trails(cells, grid, rng), [starts])
+        (walk_ns,) = timed(lambda cells: _trails(cells, grid, gen), [starts])
         times["walk.sim"].append(walk_ns / (SIM_AGENTS * grid.epochs))
         times["inflate"] += timed(lambda p: inflate(pack(p[0], p[1], grid)), points[part])
         (epoch_ns,) = timed(inflate_points, [packed[r]])
@@ -213,7 +222,7 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> None:
         (epoch_ns,) = timed(lambda ys: sorted_codes(ys, params), [epochs[r]])
         times["sorted_codes.epoch"].append(epoch_ns / SIM_AGENTS)
         times["corrupt"] += timed(lambda c: corrupt(c, params.k, params.alphabet, rng), codes[part])
-        (epoch_ns,) = timed(lambda c: corrupt_rows(c, params.k, params.alphabet, rng), [rows[r]])
+        (epoch_ns,) = timed(lambda c: corrupt_rows(c, params.k, params.alphabet, gen), [rows[r]])
         times["corrupt_rows.epoch"].append(epoch_ns / SIM_AGENTS)
         times["client.add"] += timed(lambda rec: client.add(*rec), records[part])
         times["client_tick"] += timed(
