@@ -27,6 +27,8 @@ LOG10_E = math.log10(math.e)
 
 def fp_bound_log10(p: float, n: int, tau: int) -> float:
     """log10 of the accidental-match bound (n!/p^n) * sum_{d<=tau} (2p)^d/d!."""
+    if not p > 0:  # its logarithm is taken
+        raise ValueError(f"need p > 0, got p = {p}")
     if not (0 <= tau <= n <= p):
         raise ValueError("need 0 <= tau <= n <= p")
     base = (math.lgamma(n + 1) - n * math.log(p)) * LOG10_E

@@ -19,10 +19,23 @@ from .encoder import (
     parse_encoding,
 )
 
+
+def _seed(text: str) -> int:
+    """A seed: an integer >= 0, which numpy's generators and
+    `random.Random` both take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {value}")
+    return value
+
+
 # flags that several subcommands share, each declared only where read
 _FLAGS = {
     "--params": dict(required=True, help="key=value parameter file"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_seed, default=0),
     "--csv": dict(help="write results to this CSV file"),
 }
 

@@ -713,7 +713,9 @@ def run_simulation(
 
     `infections` holds (user_id, epoch) pairs with 0 <= epoch < grid.epochs;
     `window` (>= 0) limits how far back an infected agent re-reports
-    (defaults to the whole horizon).  The result holds the trails, the
+    (defaults to the whole horizon).  Each epoch, the window and
+    `dilation_radius` are ints (`operator.index`), as in `pack`: a float is
+    a TypeError before anything is drawn.  The result holds the trails, the
     alerts and what each recovered, the true contacts and the server.
     Every draw comes from `np.random.default_rng(seed)`, which refuses a
     negative seed.
@@ -729,10 +731,12 @@ def run_simulation(
         raise ValueError(f"need at least one agent, got {agents}")
     if grid.cells >= 1 << 63:  # _trails walks in int64
         raise ValueError(f"a grid of {grid.cells} cells: the walk needs fewer than 2^63")
+    dilation_radius = index(dilation_radius)
     if dilation_radius < 0:
         raise ValueError(f"negative dilation radius {dilation_radius}")
-    if window is not None and window < 0:
+    if window is not None and (window := index(window)) < 0:
         raise ValueError(f"negative reporting window {window}")
+    infections = [(user, index(epoch)) for user, epoch in infections]
     users = [f"u{i}" for i in range(agents)]
     clients = {u: ClientState(u) for u in users}
     infections_by_epoch: dict[int, list[str]] = defaultdict(list)

@@ -32,6 +32,8 @@ def test_fp_bound_validation():
         fp_bound_log10(7, 10, 2)  # n > p
     with pytest.raises(ValueError):
         fp_bound_log10(11, 5, 6)  # tau > n
+    with pytest.raises(ValueError, match="^need p > 0, got p = 0$"):
+        fp_bound_log10(0, 0, 0)  # passes the range check; log(p) would fail with "math domain error"
 
 
 def test_fp_bound_monotonicity():

@@ -360,6 +360,38 @@ def test_analyze_mc_checks_its_parameters_before_drawing(monkeypatch, capsys):
     assert "tracecloak: error: need 0 <= tau <= n <= p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bound", "mc"])
+def test_a_p_of_zero_is_a_usage_error_naming_p(capsys, command):
+    """Both used to end in "error: math domain error"."""
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", command, "--p", "0", "--n", "0", "--tau", "0"])
+    assert exc.value.code == 2
+    assert "tracecloak: error: need p > 0, got p = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--params", "{params}", "5"],
+        ["simulate", "--params", "{params}"],
+        ["attack", "--params", "{params}", "--kind", "dictionary", "--target", "0x5"],
+        ["analyze", "mc", "--p", "11", "--n", "5", "--tau", "2"],
+        ["analyze", "lemma1", "--params", "{params}"],
+    ],
+    ids=["encode", "simulate", "attack", "analyze_mc", "analyze_lemma1"],
+)
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(params_file, capsys, argv):
+    """`encode`, `attack` and `analyze lemma1` used to accept -1, and
+    `simulate` and `analyze mc` to fail with numpy's message, which names
+    no flag."""
+    argv = [a.format(params=params_file) for a in argv]
+    for seed, reason in (("-1", "need a non-negative integer, got -1"), ("x", "not an integer: 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        assert f"error: argument --seed: {reason}" in capsys.readouterr().err
+
+
 def test_attack_command(params_file, tmp_path, capsys):
     target = tmp_path / "target.txt"
     rng = random.Random(3)

@@ -159,8 +159,15 @@ def test_add_rejects_out_of_range_coordinates():
     with pytest.raises(ValueError, match="position 1"):
         index.add(DatabaseEntry("a", (0, 1.0, 2, 3)))
     assert len(index) == 0
-    index.add(DatabaseEntry("a", (0, 1, 2, CODE_LIMIT - 1)))
-    assert index.query((0, 1, 2, CODE_LIMIT - 1), 0) == index.entries
+    stored = (0, 1, 2, CODE_LIMIT - 1)
+    index.add(DatabaseEntry("a", stored))
+    assert index.query(stored, 0) == index.entries
+    # a block-order itemgetter takes the first n coordinates of a longer tuple
+    keys, longer = index.key_count(), stored + (5,)
+    for call in (lambda: index.add(DatabaseEntry("b", longer)), lambda: index.query(longer)):
+        with pytest.raises(ValueError, match="^encoding length 5 != index length 4$"):
+            call()
+    assert (len(index), index.key_count()) == (1, keys)
 
 
 def test_add_refuses_ids_past_uint32():

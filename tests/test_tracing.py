@@ -1,12 +1,10 @@
 import contextlib
 import dataclasses
-import functools
 import gc
 import hashlib
 import itertools
 import logging
 import random
-import re
 import socket
 import socketserver
 import sys
@@ -490,97 +488,6 @@ def test_lookup_of_an_empty_client():
     assert ClientState("u1").records_between(0, 10) == []
 
 
-def test_server_flow_co_location():
-    rng = random.Random(4)
-    alice, bob = ClientState("alice"), ClientState("bob")
-    server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-
-    # both at (t=2, cell=33)
-    (ra,) = _tick(alice, 2, 33, GRID, PARAMS, rng)
-    (rb,) = _tick(bob, 2, 33, GRID, PARAMS, rng)
-    assert server.handle(ra) == []
-    assert server.handle(rb) == []
-    assert server.store_size == 2
-
-    alerts = []
-    for msg in client_report_infection(bob, 0, 2):
-        alerts.extend(server.handle(msg))
-    assert [a.user_id for a in alerts] == ["alice"]
-    assert client_handle_alert(alice, alerts[0]) == (2, 33)
-    # infected reports do not enter the uninfected store
-    assert server.store_size == 2
-    assert len(server.infected_log) == 1
-
-
-def test_server_isolated_infection_no_alerts():
-    rng = random.Random(5)
-    loner = ClientState("loner")
-    server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    for t in range(3):
-        for msg in _tick(loner, t, t * 7, GRID, PARAMS, rng):
-            server.handle(msg)
-    alerts = []
-    for msg in client_report_infection(loner, 0, 2):
-        alerts.extend(server.handle(msg))
-    assert alerts == []
-
-
-def test_server_deduplicates_alerts():
-    rng = random.Random(6)
-    alice, bob = ClientState("alice"), ClientState("bob")
-    server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    (ra,) = _tick(alice, 2, 33, GRID, PARAMS, rng)
-    server.handle(ra)
-    (rb,) = _tick(bob, 2, 33, GRID, PARAMS, rng)
-    server.handle(rb)
-    first = []
-    second = []
-    for msg in client_report_infection(bob, 0, 2):
-        first.extend(server.handle(msg))
-    for msg in client_report_infection(bob, 0, 2):
-        second.extend(server.handle(msg))
-    assert [a.user_id for a in first] == ["alice"]
-    assert second == []
-
-
-def test_server_rejects_malformed():
-    server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    with pytest.raises(ProtocolError):
-        server.handle(ReportMsg(user_id="x", tag="bogus", encoding=(0,) * PARAMS.n))
-    # an infected report is refused as an uninfected one is, before it is
-    # logged, even when the store holds an entry within tau of it
-    server = ServerState(n=3, tau=2)
-    server.handle(ReportMsg("a", UNINFECTED, (1, 2, 3)))
-    for coords in ((1, 2, 70000), (1, 2, -5)):
-        for tag in (UNINFECTED, INFECTED):
-            with pytest.raises(ValueError, match="at position 2"):
-                server.handle(ReportMsg("b", tag, coords))
-    assert server.store_size == 1
-    assert server.infected_log == []
-    assert [a.user_id for a in server.handle(ReportMsg("b", INFECTED, (1, 2, 4)))] == ["a"]
-
-
-def test_in_process_transport_round_trips_wire_format():
-    rng = random.Random(7)
-    server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    transport = InProcessTransport(server)
-    client = ClientState("u1")
-    (msg,) = _tick(client, 0, 5, GRID, PARAMS, rng)
-    assert transport.send_report(msg) == []
-    assert server.store_size == 1
-
-
-def test_in_process_transport_refuses_an_alert():
-    """An ALERT sent as a report is refused as the TCP server refuses it with
-    ERROR: a ProtocolError, and nothing stored or logged."""
-    server = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    transport = InProcessTransport(server)
-    with pytest.raises(ProtocolError):
-        transport.send_report(AlertMsg(user_id="u1", encoding=tuple(range(PARAMS.n))))
-    assert server.store_size == 0
-    assert server.infected_log == []
-
-
 @contextlib.contextmanager
 def _serving(state, **limits):
     """A SocketServer for `state`, with `limits` set on it, served from a
@@ -594,82 +501,6 @@ def _serving(state, **limits):
     finally:
         server.shutdown()
         server.server_close()
-
-
-def test_newline_in_a_user_id_is_refused_by_both_transports():
-    """The TCP server reads a newline as the end of a line, so a report whose
-    user id holds one is refused in process too, and stored by neither."""
-    msg = ReportMsg(user_id="u\n1", tag=UNINFECTED, encoding=tuple(range(PARAMS.n)))
-    state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    with pytest.raises(ProtocolError):
-        InProcessTransport(state).send_report(msg)
-    with _serving(state) as server:
-        with pytest.raises(ProtocolError):
-            send_report_over_socket(server.server_address, msg)
-    assert state.store_size == 0
-    assert state.infected_log == []
-
-
-def test_a_report_the_store_refuses_raises_one_protocol_error_on_both_transports():
-    """The store's length check surfaces in process as the TCP client reads
-    it from the ERROR line: a ProtocolError with the same text, and nothing
-    stored or logged."""
-    state = ServerState(n=3, tau=0)
-    state.handle(ReportMsg("a", UNINFECTED, (1, 2, 3)))
-    with _serving(state) as server:
-        over_tcp = functools.partial(send_report_over_socket, server.server_address)
-        for send in (InProcessTransport(state).send_report, over_tcp):
-            for tag in (UNINFECTED, INFECTED):
-                with pytest.raises(ProtocolError) as raised:
-                    send(ReportMsg("b", tag, (1, 2)))
-                assert raised.type is ProtocolError
-                assert str(raised.value) == "encoding length 2 != index length 3"
-    assert state.store_size == 1
-    assert state.infected_log == []
-
-
-def test_a_user_id_that_holds_a_second_report_is_not_sent():
-    """The id's tab and newline would make the server store an uninfected
-    report from "a" and run an infected query as "b", whose alert to the
-    victim goes to a connection already closed."""
-    state = ServerState(n=3, tau=0)
-    state.handle(ReportMsg("victim", UNINFECTED, (1, 2, 3)))
-    crafted = ReportMsg("a\tuninfected\t000400050006\nREPORT\tb", INFECTED, (1, 2, 3))
-    with _serving(state) as server:
-        with pytest.raises(ProtocolError, match="tab or newline in the user id"):
-            send_report_over_socket(server.server_address, crafted)
-    assert state.store_size == 1
-    assert state.infected_log == []
-    assert state._alerted == set()
-
-
-@pytest.mark.parametrize("tag", [UNINFECTED, INFECTED])
-@pytest.mark.parametrize("user_id", ["x\ny", "x\ty"])
-def test_handle_refuses_a_user_id_it_could_not_write_back(user_id, tag):
-    """An alert to such an id would be a line that `parse_message` refuses,
-    so the report is refused before anything is stored or queried."""
-    state = ServerState(n=3, tau=0)
-    with pytest.raises(ProtocolError, match="tab or newline in the user id"):
-        state.handle(ReportMsg(user_id, tag, (1, 2, 3)))
-    assert state.store_size == 0
-    assert state.infected_log == []
-
-
-def test_socket_transport():
-    rng = random.Random(8)
-    state = ServerState(n=PARAMS.n, tau=PARAMS.tau)
-    with _serving(state) as server:
-        addr = server.server_address
-        alice, bob = ClientState("alice"), ClientState("bob")
-        (ra,) = _tick(alice, 2, 33, GRID, PARAMS, rng)
-        assert send_report_over_socket(addr, ra) == []
-        (rb,) = _tick(bob, 2, 33, GRID, PARAMS, rng)
-        assert send_report_over_socket(addr, rb) == []
-        alerts = []
-        for msg in client_report_infection(bob, 0, 2):
-            alerts.extend(send_report_over_socket(addr, msg))
-        assert [a.user_id for a in alerts] == ["alice"]
-        assert client_handle_alert(alice, alerts[0]) == (2, 33)
 
 
 def _exchange(address, data: bytes) -> bytes:
@@ -1331,113 +1162,6 @@ def test_concurrent_infected_reports_alert_once():
     assert len(state.infected_log) == workers * rounds
 
 
-def test_a_too_long_encoding_is_refused_by_every_layer():
-    """A block-order itemgetter takes the first n coordinates of a longer
-    tuple, so each layer must refuse an encoding of n + 1 coordinates whose
-    first n are a stored entry's, and keep nothing of it."""
-    state = ServerState(n=4, tau=1)
-    stored = (1, 2, 3, 4)
-    state.handle(ReportMsg("a", UNINFECTED, stored))
-    index, longer = state.index, stored + (5,)
-    keys = index.key_count()
-    for call in (lambda: index.add(DatabaseEntry("b", longer)), lambda: index.query(longer)):
-        with pytest.raises(ValueError, match="^encoding length 5 != index length 4$"):
-            call()
-    for send in (state.handle, InProcessTransport(state).send_report):
-        for tag in (UNINFECTED, INFECTED):
-            with pytest.raises(ProtocolError, match="^encoding length 5 != index length 4$"):
-                send(ReportMsg("b", tag, longer))
-    assert len(index) == 1
-    assert index.key_count() == keys
-    assert state.infected_log == []
-    assert state._alerted == set()
-    assert [a.user_id for a in state.handle(ReportMsg("b", INFECTED, stored))] == ["a"]
-
-
-# the reasons a report is refused with, by exception type, each a pattern
-# that the reason must match from its start
-_REFUSALS = {
-    ProtocolError: (
-        r"encoding length \d+ != index length \d+$",
-        r"coordinate .+ at position \d+ is not an integer",
-        r"bad report tag: ",
-        r"tab or newline in the user id: ",
-        r"user id is not a string: \w+$",  # its type, never its value
-    ),
-}
-# `send_report` writes the line first, and `format_message` refuses what it
-# cannot write before anything reaches the server
-_WRITE_REFUSALS = {
-    ValueError: (r"cannot write .* as uint16", r"an encoding has at least one coordinate$"),
-    ProtocolError: (r"tab or newline in the tag: ", r"tag is not a string: \w+$", *_REFUSALS[ProtocolError]),
-}
-_SERVER_N = 4
-_coordinates = st.one_of(
-    st.integers(0, 40),
-    st.integers(-3, -1),
-    st.integers(CODE_LIMIT, CODE_LIMIT + 2),
-    st.floats(allow_nan=False, width=32),
-    st.booleans(),
-    st.integers(0, 40).map(np.int64),
-    st.integers(CODE_LIMIT, CODE_LIMIT + 2).map(np.uint32),
-)
-# each field is often good, so that reports are accepted and every reason shows
-_any_reports = st.builds(
-    ReportMsg,
-    user_id=st.sampled_from(["a", "b", "z"])
-    | st.text("ab\t\n", max_size=3)
-    | st.one_of(st.none(), st.integers(-1, 3), st.binary(max_size=2))
-    | st.lists(st.just("a"), max_size=1).flatmap(lambda ids: st.sampled_from([ids, tuple(ids)])),
-    tag=st.sampled_from([UNINFECTED, INFECTED])
-    | st.sampled_from([POSSIBLE_INFECTION, "bogus", "", "in\tfected", None, 1, b"infected"]),
-    encoding=st.one_of(
-        st.lists(st.integers(0, 40), min_size=_SERVER_N, max_size=_SERVER_N),
-        st.lists(_coordinates, min_size=_SERVER_N, max_size=_SERVER_N),
-        st.lists(st.integers(0, 40), max_size=_SERVER_N + 2),
-        st.lists(_coordinates, max_size=_SERVER_N + 2),
-    ).map(tuple),
-)
-
-
-def _server_snapshot(state):
-    index = state.index  # its rows too: a failed add must not leave one behind
-    return state.store_size, len(state.infected_log), set(state._alerted), index.key_count(), bytes(index._codes)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_any_reports)
-@example(ReportMsg("a", UNINFECTED, (1, 2, 3, 4, 5)))
-@example(ReportMsg("a", INFECTED, (1, 2, -1, 4)))
-@example(ReportMsg("a\n", "bogus", (1.0,)))
-@example(ReportMsg(None, INFECTED, (1, 2, 3, 4)))
-@example(ReportMsg(["a"], UNINFECTED, (1, 2, 3, 4)))
-@example(ReportMsg("a", None, (1, 2, 3, 4)))
-def test_a_refused_report_changes_nothing(msg):
-    """A report sent to `handle` or through `send_report` is either
-    accepted, which adds one entry or logs one infected report, or refused
-    for one of a fixed set of reasons, with the store, the infected log and
-    the dedupe set as they were."""
-    for send, refusals in (
-        (lambda state: state.handle(msg), _REFUSALS),
-        (lambda state: InProcessTransport(state).send_report(msg), _WRITE_REFUSALS),
-    ):
-        state = ServerState(n=_SERVER_N, tau=2)
-        for user in ("a", "b"):
-            state.handle(ReportMsg(user, UNINFECTED, (1, 2, 3, 4)))
-        state.handle(ReportMsg("c", INFECTED, (1, 2, 3, 5)))
-        before = _server_snapshot(state)
-        try:
-            send(state)
-        except ValueError as exc:  # ProtocolError is one too
-            patterns = refusals.get(type(exc), ())
-            assert any(re.match(p, str(exc)) for p in patterns), repr(exc)
-            assert _server_snapshot(state) == before
-        else:
-            size, logged = before[:2]
-            grew = (1, 0) if msg.tag == UNINFECTED else (0, 1)
-            assert (state.store_size - size, len(state.infected_log) - logged) == grew
-
-
 def test_uninfected_adds_racing_infected_reports_are_each_seen_whole():
     """One writer adds uninfected reports, which take the index's lock
     alone, while readers re-send stored encodings as infected reports,
@@ -1886,26 +1610,35 @@ def test_contacts_equal_the_pairwise_scan(data):
     )
 
 
+_NOT_AN_INT = "'float' object cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize(
-    "kwargs, message",
+    "kwargs, error, message",
     [
-        (dict(dilation_radius=-1), "negative dilation radius -1"),
-        (dict(window=-1), "negative reporting window -1"),
-        (dict(infections=[("u9", 2)]), "unknown infected user 'u9'"),
+        (dict(dilation_radius=-1), ValueError, "negative dilation radius -1"),
+        (dict(window=-1), ValueError, "negative reporting window -1"),
+        (dict(infections=[("u9", 2)]), ValueError, "unknown infected user 'u9'"),
+        (dict(dilation_radius=1.5), TypeError, _NOT_AN_INT),
+        (dict(window=1.5), TypeError, _NOT_AN_INT),
+        (dict(window=1.0), TypeError, _NOT_AN_INT),
+        (dict(infections=[("u0", 1.5)]), TypeError, _NOT_AN_INT),
     ],
-    ids=["radius", "window", "unknown_user"],
+    ids=["radius", "window", "unknown_user", "float_radius", "float_window", "integral_float_window", "float_epoch"],
 )
-def test_the_simulator_checks_its_arguments_before_any_draw(monkeypatch, kwargs, message):
+def test_the_simulator_checks_its_arguments_before_any_draw(monkeypatch, kwargs, error, message):
     """A negative radius used to be refused only inside `dilate`, after every
     start cell was drawn and every trail walked; a negative window and an
-    unknown infected user after the start cells were drawn."""
+    unknown infected user after the start cells were drawn.  A float
+    radius, window or epoch passed every check, and a float window or epoch
+    failed only in `_contacts`, after the whole simulation had run."""
     def refuse(*args, **kw):
         raise AssertionError("made a generator before checking the arguments")
 
     monkeypatch.setattr(tracing.np.random, "default_rng", refuse)
     grid = GridSpec(rows=4, cols=4, epochs=4)
     params = PolyCodeParams(M=grid.world_size, p=101, n=20, k=2)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         run_simulation(**{"agents": 3, "grid": grid, "params": params, "seed": 1, "infections": [], **kwargs})
 
 
