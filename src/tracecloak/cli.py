@@ -72,7 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--infect", action="append", default=[], help="USER@EPOCH, repeatable"
     )
-    p_sim.add_argument("--dilation", type=int, default=0)
+    p_sim.add_argument(
+        "--dilation",
+        type=int,
+        default=0,
+        help="alert users within this Chebyshev distance, in cells, of an infected user",
+    )
     p_sim.add_argument(
         "--inflate",
         action="store_true",

@@ -8,12 +8,15 @@ to back in one bytearray.  On infection they re-send their recent
 encodings tagged infected; the server matches those against the uninfected
 store at threshold tau = 2k and pushes each matching entry's own encoding
 back to its reporter, who recovers (t, l) locally.  A client's tick
-(`client_tick`) records and reports the encodings it is given; the
-simulator is the one place that dilates each agent's cell, packs,
-inflates, encodes and corrupts the points, an epoch at a time, the
-corruption in one `encoder.corrupt_rows` pass.  Before any of that it walks
-every agent's trail in numpy, and keeps each trail as a uint64 array too.
-Every draw of a simulation comes from one numpy `Generator`.
+(`client_tick`) records the packed row it is given and reports its
+encoding; the simulator is the one place that packs, inflates, encodes
+and corrupts the points, an epoch at a time, the corruption in one
+`encoder.corrupt_rows` pass and the rows packed once.  Each agent reports
+its own cell once an epoch; the dilation radius widens only an infected
+agent's re-send, which adds fresh encodings of the cells around each
+record's.  Before any of that the simulator walks every agent's trail in
+numpy, and keeps each trail as a uint64 array too.  Every draw of a
+simulation comes from one numpy `Generator`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import index
 from typing import ClassVar, Iterable, Sequence
 
@@ -210,8 +214,10 @@ class ClientState:
     """Local (t, l, e) database: one record per report, in report order, in
     three columns.  Epochs and cells are `array("Q")`s; the encodings are
     their `pack_encoding` rows (2n bytes each), back to back in one
-    bytearray, and the first record fixes the row width.  At n = 20 a
-    record costs about 68 bytes (tracemalloc, 40 clients of 50 records).
+    bytearray, and the first record fixes the row width.  `record` is the
+    one checked way in, and takes the row packed; `add` packs an encoding
+    and records it.  At n = 20 a record costs about 68 bytes (tracemalloc,
+    40 clients of 50 records).
 
     Forgetting the oldest records would be a prefix delete of each column.
     `lookup` finds the latest record of an encoding by searching the rows
@@ -230,23 +236,32 @@ class ClientState:
         return len(self._epochs)
 
     def add(self, t: int, cell: int, encoding: Sequence[int]) -> None:
-        """Record that the encoding of (t, cell) was reported.  Raises
-        ValueError, and records nothing, for an encoding `pack_encoding`
-        refuses or of another length than the first record's, or for t or
-        cell outside [0, 2^64); a t or cell that is not an int is a
-        TypeError."""
-        row = pack_encoding(encoding)
-        if self._rows and len(row) != self._width:
+        """Record that the encoding of (t, cell) was reported: `record` of
+        its `pack_encoding` row.  Raises ValueError, and records nothing,
+        for an encoding `pack_encoding` refuses, and where `record` does."""
+        self.record(t, cell, pack_encoding(encoding))
+
+    def record(self, t: int, cell: int, row: bytes) -> None:
+        """Record that the encoding packed in `row` (`pack_encoding`'s
+        big-endian uint16) was reported as (t, cell).  Raises ValueError,
+        and records nothing, for a row of no bytes or of an odd number of
+        them, of another width than the first record's, or for t or cell
+        outside [0, 2^64); a t or cell that is not an int, or a row that is
+        not bytes, is a TypeError."""
+        width = len(row)
+        if not width or width & 1:
+            raise ValueError(f"not 2 bytes per coordinate: {width} bytes")
+        if self._rows and width != self._width:
             raise ValueError(
-                f"an encoding of {len(row) >> 1} coordinates, not {self._width >> 1}"
+                f"an encoding of {width >> 1} coordinates, not {self._width >> 1}"
             )
         t, cell = index(t), index(cell)
         if not (0 <= t < _U64 and 0 <= cell < _U64):
             raise ValueError(f"(t, cell) = ({t}, {cell}) outside [0, 2^64)")
-        self._width = len(row)
+        self._rows += row  # first: a row that is not bytes changes nothing
+        self._width = width
         self._epochs.append(t)
         self._cells.append(cell)
-        self._rows += row
 
     def lookup(self, encoding: Sequence[int]) -> tuple[int, int]:
         """The (t, cell) of the latest record of an encoding.  Raises
@@ -282,39 +297,20 @@ class ClientState:
         ]
 
 
-def client_tick(
-    client: ClientState,
-    t: int,
-    cells: Sequence[int],
-    encodings: Sequence[Sequence[int]],
-) -> list[ReportMsg]:
-    """Record each encoding as the client's (t, cell), in order, and report
-    it: `encodings[i]` is the released encoding of the world point of
-    (t, `cells[i]`), and its report carries that very object.
+def client_tick(client: ClientState, t: int, cell: int, row: bytes) -> ReportMsg:
+    """Record the client's (t, cell) with `row`, the `pack_encoding` row of
+    the released encoding of its world point, and return its report, which
+    carries `unpack_encoding(row)`.  A row `ClientState.record` refuses
+    raises before anything is recorded.
 
-    The caller encodes and corrupts: the simulator a whole epoch at once
-    (`encoder.corrupt_rows`), and a lone client dilates its cell, packs and
-    optionally inflates each point, and corrupts each `sorted_codes` row
-    with `encoder.corrupt`.  A wrong number of encodings raises before
-    anything is recorded.
+    The caller encodes, corrupts and packs: the simulator a whole epoch at
+    once (`encoder.corrupt_rows`, then one `astype(">u2")`), and a lone
+    client packs and optionally inflates its point, corrupts its
+    `sorted_codes` row with `encoder.corrupt` and packs that with
+    `pack_encoding`.
     """
-    if len(encodings) != len(cells):
-        raise ValueError(f"{len(encodings)} encodings for {len(cells)} cells")
-    msgs = []
-    for c, e in zip(cells, encodings):
-        client.add(t, c, e)
-        msgs.append(ReportMsg(user_id=client.user_id, tag=UNINFECTED, encoding=e))
-    return msgs
-
-
-def client_report_infection(
-    client: ClientState, t_start: int, t_end: int
-) -> list[ReportMsg]:
-    """Re-emit every stored encoding in the window, tagged infected."""
-    return [
-        ReportMsg(user_id=client.user_id, tag=INFECTED, encoding=e)
-        for _, _, e in client.records_between(t_start, t_end)
-    ]
+    client.record(t, cell, row)
+    return ReportMsg(user_id=client.user_id, tag=UNINFECTED, encoding=unpack_encoding(row))
 
 
 def client_handle_alert(client: ClientState, alert: AlertMsg) -> tuple[int, int]:
@@ -711,9 +707,13 @@ def run_simulation(
 ) -> SimulationResult:
     """Random-walk agents reporting every epoch; infections replay their trail.
 
-    `infections` holds (user_id, epoch) pairs with 0 <= epoch < grid.epochs;
-    `window` (>= 0) limits how far back an infected agent re-reports
-    (defaults to the whole horizon).  Each epoch, the window and
+    Each agent reports its own cell once an epoch.  `infections` holds
+    (user_id, epoch) pairs with 0 <= epoch < grid.epochs; `window` (>= 0)
+    limits how far back an infected agent re-reports (defaults to the whole
+    horizon).  The infected agent re-sends each record in its window, and
+    after it fresh encodings of the other cells within Chebyshev distance
+    `dilation_radius` of that record's cell at its epoch, so the users
+    within that distance of it are alerted.  Each epoch, the window and
     `dilation_radius` are ints (`operator.index`), as in `pack`: a float is
     a TypeError before anything is drawn.  The result holds the trails, the
     alerts and what each recovered, the true contacts and the server.
@@ -755,10 +755,9 @@ def run_simulation(
 
     # Every trail comes first, walked from start cells drawn from the one
     # generator, so the trails and the contacts do not depend on how the
-    # clients encode.  Then each epoch dilates each agent's cell once, packs,
-    # inflates, encodes and corrupts every agent's points in one batch, and
-    # hands each agent its cells and encodings to record and send, in user
-    # order.
+    # clients encode.  Then each epoch packs, inflates, encodes and corrupts
+    # every agent's point in one batch, packs the rows once, and hands each
+    # agent its cell and row to record and send, in user order.
     trails = _trails(rng.integers(grid.cells, size=agents), grid, rng)
     trajectories = dict(zip(users, trails))
     result = SimulationResult(
@@ -766,25 +765,44 @@ def run_simulation(
     )
     send = transport.send_report
     for t in range(grid.epochs):
-        dilated = [dilate(trail[t], dilation_radius, grid) for trail in trails]
-        first = pack(t, 0, grid)  # dilate keeps every cell on the grid
-        points = [first + c for cs in dilated for c in cs]
-        codes = _sorted_rows(inflate_points(points) if inflate_world else points, params)
-        encodings = corrupt_rows(codes, params.k, params.alphabet, rng).tolist()
-        start = 0
-        for client, cs in zip(clients.values(), dilated):
-            end = start + len(cs)
-            for msg in client_tick(client, t, cs, encodings[start:end]):
-                send(msg)  # the server stores an uninfected report and alerts no one
-            start = end
-        for u in infections_by_epoch.get(t, ()):
-            t_start = 0 if window is None else max(0, t - window)
-            for msg in client_report_infection(clients[u], t_start, t):
-                if alerts := send(msg):
+        first = pack(t, 0, grid)  # every trail cell is on the grid
+        rows = _encoded_rows([first + trail[t] for trail in trails], params, inflate_world, rng)
+        # every coordinate is below the alphabet, which the parameters keep
+        # within uint16, so the cast loses nothing
+        packed, width = rows.astype(">u2").tobytes(), 2 * rows.shape[1]
+        for client, trail, at in zip(clients.values(), trails, range(0, len(packed), width)):
+            # the server stores an uninfected report and alerts no one
+            send(client_tick(client, t, trail[t], packed[at : at + width]))
+        if not (infected := infections_by_epoch.get(t)):
+            continue
+        t_start = 0 if window is None else max(0, t - window)
+        # each record of the window, then fresh encodings of the other cells
+        # within the radius of its cell at its epoch, from one batch for the
+        # epoch; at radius 0 the batch is empty and draws nothing
+        resent = [
+            (u, te, e, [c for c in dilate(cell, dilation_radius, grid) if c != cell])
+            for u in infected
+            for te, cell, e in clients[u].records_between(t_start, t)
+        ]
+        points = [pack(te, c, grid) for _, te, _, near in resent for c in near]
+        fresh = iter(_encoded_rows(points, params, inflate_world, rng).tolist() if points else ())
+        for u, _, e, near in resent:
+            for encoding in [e, *islice(fresh, len(near))]:
+                if alerts := send(ReportMsg(user_id=u, tag=INFECTED, encoding=encoding)):
                     _deliver(alerts, clients, result)
 
-    result.contacts = _contacts(trajectories, infections, window)
+    result.contacts = _contacts(trajectories, infections, window, dilation_radius, grid)
     return result
+
+
+def _encoded_rows(
+    points: Sequence[int], params: Params, inflate_world: bool, rng: np.random.Generator
+) -> np.ndarray:
+    """The released encoding of each world point, as one int64 array of
+    rows: inflated with `inflate_world`, encoded and sorted
+    (`encoder._sorted_rows`), then corrupted in one `corrupt_rows` pass."""
+    codes = _sorted_rows(inflate_points(points) if inflate_world else points, params)
+    return corrupt_rows(codes, params.k, params.alphabet, rng)
 
 
 def _trails(
@@ -809,15 +827,18 @@ def _contacts(
     trajectories: dict[str, Sequence[int]],
     infections: Sequence[tuple[str, int]],
     window: int | None,
+    radius: int,
+    grid: GridSpec,
 ) -> set[str]:
-    """Ground truth: everyone who shares an (epoch, cell) with an infected
-    agent inside that agent's reporting window."""
-    # epoch -> cell -> the infected agents there inside their window
+    """Ground truth: everyone within Chebyshev distance `radius` of an
+    infected agent's cell at an epoch inside that agent's reporting window."""
+    # epoch -> cell -> the infected agents within the radius inside their window
     infected_at: dict[int, dict[int, set[str]]] = defaultdict(dict)
     for user, epoch in infections:
         cells = trajectories[user]
         for t in range(0 if window is None else max(0, epoch - window), epoch + 1):
-            infected_at[t].setdefault(cells[t], set()).add(user)
+            for cell in dilate(cells[t], radius, grid):
+                infected_at[t].setdefault(cell, set()).add(user)
     return {
         user
         for user, cells in trajectories.items()

@@ -15,7 +15,7 @@ CLIENT_LAYERS = (
     "sorted_codes.epoch",
     "corrupt",
     "corrupt_rows.epoch",
-    "client.add",
+    "client.record",
     "client_tick",
 )
 KINDS = ("resend", "reencode", "fresh")

@@ -22,6 +22,7 @@ from tracecloak import tracing
 from tracecloak.encoder import (
     CODE_LIMIT,
     PolyCodeParams,
+    pack_encoding,
     corrupt,
     corrupt_rows,
     inflate,
@@ -46,7 +47,6 @@ from tracecloak.tracing import (
     SocketServer,
     UnknownEncodingError,
     client_handle_alert,
-    client_report_infection,
     client_tick,
     dilate,
     format_message,
@@ -62,16 +62,16 @@ PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=2)
 DET_PARAMS = PolyCodeParams(M=GRID.world_size, p=101, n=20, k=0)
 
 
-def _tick(client, t, cell, grid, params, rng, radius=0, inflate_world=False):
-    """A lone client's tick: dilate the cell, pack each cell's point,
-    inflate the points with `inflate_world`, encode and corrupt them, and
+def _tick(client, t, cell, grid, params, rng, inflate_world=False):
+    """A lone client's tick: pack its point, inflate it with
+    `inflate_world`, encode and corrupt it, pack the encoding's row, and
     report."""
-    cells = dilate(cell, radius, grid)
-    points = [pack(t, c, grid) for c in cells]
+    points = [pack(t, cell, grid)]
     if inflate_world:
         points = inflate_points(points)
-    encodings = [corrupt(code, params.k, params.alphabet, rng) for code in sorted_codes(points, params)]
-    return client_tick(client, t, cells, encodings)
+    (code,) = sorted_codes(points, params)
+    row = pack_encoding(corrupt(code, params.k, params.alphabet, rng))
+    return client_tick(client, t, cell, row)
 
 
 def test_pack_examples():
@@ -153,7 +153,7 @@ def test_cell_outside_the_grid_is_refused(cell, radius):
     with pytest.raises(OutOfBoundsError):
         dilate(cell, radius, GRID)
     with pytest.raises(OutOfBoundsError):
-        _tick(client, 1, cell, GRID, PARAMS, random.Random(0), radius)
+        _tick(client, 1, cell, GRID, PARAMS, random.Random(0))
     assert len(client) == 1
 
 
@@ -287,14 +287,13 @@ def test_parse_message_gives_message_or_protocol_error(line):
 def test_client_tick_and_local_db():
     rng = random.Random(0)
     client = ClientState("u1")
-    msgs = _tick(client, 3, 42, GRID, PARAMS, rng)
-    assert len(msgs) == 1
-    assert msgs[0].tag == UNINFECTED
-    assert client.lookup(msgs[0].encoding) == (3, 42)
+    msg = _tick(client, 3, 42, GRID, PARAMS, rng)
+    assert msg.tag == UNINFECTED and msg.user_id == "u1"
+    assert client.lookup(msg.encoding) == (3, 42)
 
-    msgs = _tick(client, 4, 55, GRID, PARAMS, rng, radius=1)
-    assert len(msgs) == 9
-    assert len(client) == 10
+    msg = _tick(client, 4, 55, GRID, PARAMS, rng)
+    assert client.lookup(msg.encoding) == (4, 55)
+    assert len(client) == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,7 +312,7 @@ def test_records_between_equals_per_epoch_lists(ticks, t_start, t_end):
     client = ClientState("u1")
     by_time = defaultdict(list)
     for t, c in ticks:
-        (msg,) = _tick(client, t, c, GRID, DET_PARAMS, rng)
+        msg = _tick(client, t, c, GRID, DET_PARAMS, rng)
         by_time[t].append((t, c, msg.encoding))
     expected = [r for t in sorted(by_time) if t_start <= t <= t_end for r in by_time[t]]
     assert client.records_between(t_start, t_end) == expected
@@ -326,9 +325,9 @@ def test_lookup_returns_the_latest_record_of_an_encoding():
     half = GridSpec(rows=5, cols=10, epochs=40)
     rng = random.Random(2)
     client = ClientState("u1")
-    (first,) = _tick(client, 1, 0, GRID, DET_PARAMS, rng)
+    first = _tick(client, 1, 0, GRID, DET_PARAMS, rng)
     assert client.lookup(first.encoding) == (1, 0)
-    (second,) = _tick(client, 2, 0, half, DET_PARAMS, rng)
+    second = _tick(client, 2, 0, half, DET_PARAMS, rng)
     assert second.encoding == first.encoding
     assert client.lookup(first.encoding) == (2, 0)
     assert client.records_between(0, 5) == [(1, 0, first.encoding), (2, 0, first.encoding)]
@@ -337,23 +336,9 @@ def test_lookup_returns_the_latest_record_of_an_encoding():
 def test_deterministic_mode_same_cell_same_encoding():
     rng_a, rng_b = random.Random(1), random.Random(2)
     a, b = ClientState("a"), ClientState("b")
-    (msg_a,) = _tick(a, 5, 10, GRID, DET_PARAMS, rng_a)
-    (msg_b,) = _tick(b, 5, 10, GRID, DET_PARAMS, rng_b)
+    msg_a = _tick(a, 5, 10, GRID, DET_PARAMS, rng_a)
+    msg_b = _tick(b, 5, 10, GRID, DET_PARAMS, rng_b)
     assert msg_a.encoding == msg_b.encoding
-
-
-def test_client_report_infection_window():
-    rng = random.Random(3)
-    client = ClientState("u1")
-    for t in range(5):
-        _tick(client, t, t, GRID, PARAMS, rng)
-    assert client_report_infection(client, 5, 4) == []
-    full = client_report_infection(client, 0, 4)
-    assert len(full) == 5
-    assert all(m.tag == INFECTED for m in full)
-    window = client_report_infection(client, 2, 3)
-    assert len(window) == 2
-    assert len(client) == 5  # local db unchanged
 
 
 def test_client_handle_alert_unknown():
@@ -366,7 +351,7 @@ def test_lookup_refuses_what_it_cannot_have_stored():
     """An encoding that cannot be packed is as unknown as one never reported:
     UnknownEncodingError, never ValueError or struct.error."""
     client = ClientState("u1")
-    (msg,) = _tick(client, 3, 42, GRID, PARAMS, random.Random(0))
+    msg = _tick(client, 3, 42, GRID, PARAMS, random.Random(0))
     e = msg.encoding
     for bad in ((), (CODE_LIMIT,) + e[1:], (-1,) + e[1:], (1.5,) + e[1:], e + (0,)):
         with pytest.raises(UnknownEncodingError):
@@ -1410,13 +1395,14 @@ def test_a_dense_inflated_simulation_alerts_exactly_its_contacts(seed):
         assert result.trajectories[user][t] == cell == infected[t]
 
 
-def test_simulation_outputs_are_pinned():
-    """sha256 of what a dilated, windowed run with four infections gives:
-    the trails, every recovered (t, cell), each user's alert lines, the
-    contacts and the store size.  A change to this digest changes what the
-    simulator reports, not only how it keeps it.  Pinned under numpy 2.4.6:
-    NEP 19 does not promise that a `Generator`'s stream stays the same
-    across numpy releases, so another release may need it pinned again."""
+def _pinned_run(radius, infections):
+    """A windowed, inflated run of 200 agents on 20x20 for 8 epochs, and the
+    sha256 of what it gives: the trails, every recovered (t, cell), each
+    user's alert lines, the contacts and the store size.  A change to the
+    digest changes what the simulator reports, not only how it keeps it.
+    Pinned under numpy 2.4.6: NEP 19 does not promise that a `Generator`'s
+    stream stays the same across numpy releases, so another release may
+    need it pinned again."""
     grid = GridSpec(rows=20, cols=20, epochs=8)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
     result = run_simulation(
@@ -1424,8 +1410,8 @@ def test_simulation_outputs_are_pinned():
         grid=grid,
         params=params,
         seed=20,
-        infections=[("u0", 3), ("u7", 5), ("u42", 7), ("u199", 7)],
-        dilation_radius=1,
+        infections=infections,
+        dilation_radius=radius,
         window=3,
         inflate_world=True,
     )
@@ -1438,26 +1424,65 @@ def test_simulation_outputs_are_pinned():
             result.server.store_size,
         )
     )
-    assert len(result.recovered) == 515 and len(result.contacts) == 10
-    assert result.server.store_size == 13456
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    assert digest == "9d2fada7e8b2316af3a125edd985d0a1cd80b87c711d761fda55f285a20f9985"
+    return result, hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_simulation_outputs_are_pinned():
+    """A run at radius 1 with four infections: one report an agent-epoch,
+    and each of the 16 re-sent records with the 8 cells around it."""
+    result, digest = _pinned_run(1, [("u0", 3), ("u7", 5), ("u42", 7), ("u199", 7)])
+    assert len(result.recovered) == 49 and len(result.contacts) == 31
+    assert result.alerted_users() == result.contacts
+    assert result.server.store_size == 200 * 8
+    assert len(result.server.infected_log) == 16 * 9
+    assert digest == "2044d61e335256dc625640b3640503a565a7d6674b2af7dabd4e359892312e5c"
+
+
+def test_simulation_outputs_are_pinned_at_radius_0():
+    """The radius the `sim` workload runs, with five infections, u0's two
+    overlapping in epochs 2 and 3."""
+    infections = [("u0", 3), ("u7", 5), ("u0", 5), ("u42", 7), ("u199", 6)]
+    result, digest = _pinned_run(0, infections)
+    assert len(result.recovered) == 11 and len(result.contacts) == 11
+    assert result.server.store_size == 200 * 8
+    assert len(result.server.infected_log) == 5 * 4
+    assert digest == "d781e5b99ff3e309414945dba6d7a4e652fcdb3bc7eb5754c544f74930407f9d"
+
+
+def _within(cell, radius, grid):
+    """Every cell within Chebyshev distance `radius` of `cell`, ascending:
+    `dilate` by a scan of the whole grid."""
+    return [c for c in range(grid.cells) if _chebyshev(c, cell, grid) <= radius]
+
+
+def _chebyshev(a, b, grid):
+    (row_a, col_a), (row_b, col_b) = divmod(a, grid.cols), divmod(b, grid.cols)
+    return max(abs(row_a - row_b), abs(col_a - col_b))
 
 
 def _reference_simulation(agents, grid, params, seed, infections, radius, window, inflate_world):
     """The simulator's order spelt out: the start cells and every agent's
-    whole trail first; then each epoch dilates every agent's cell, in user
-    order, encodes each point alone, corrupts the epoch's sorted codes with
-    one `corrupt_rows` call on the same generator, sends them in that
-    order, and the epoch's infections re-send."""
+    whole trail first; then each epoch encodes every agent's point alone,
+    in user order, corrupts the epoch's sorted codes with one `corrupt_rows`
+    call on the same generator, and records and sends them in that order.
+    Then the epoch's infections, in order, re-send each record of their
+    window, each followed by fresh encodings of the other cells within the
+    radius at its epoch, ascending; the epoch's fresh encodings are
+    corrupted in one `corrupt_rows` call, made only if there are any."""
     rng = np.random.default_rng(seed)
     users = [f"u{i}" for i in range(agents)]
     clients = {u: ClientState(u) for u in users}
     transport = InProcessTransport(ServerState(n=params.n, tau=params.tau))
     walked = _trails(rng.integers(grid.cells, size=agents), grid, rng)
     trails = {u: list(trail) for u, trail in zip(users, walked)}
+    stored = {u: {} for u in users}  # user -> epoch -> the encoding it reported
     alerts = {u: [] for u in users}
     recovered = []
+
+    def encoded(points):
+        xs = [inflate(pack(t, c, grid)) if inflate_world else pack(t, c, grid) for t, c in points]
+        codes = np.array([sorted_code(x, params) for x in xs], np.int64)
+        return [tuple(e) for e in corrupt_rows(codes, params.k, params.alphabet, rng).tolist()]
 
     def send(msg):
         for alert in transport.send_report(msg):
@@ -1466,19 +1491,24 @@ def _reference_simulation(agents, grid, params, seed, infections, radius, window
             recovered.append((alert.user_id, t, cell, alert.encoding))
 
     for t in range(grid.epochs):
-        points = [(u, c) for u in users for c in dilate(trails[u][t], radius, grid)]
-        xs = [inflate(pack(t, c, grid)) if inflate_world else pack(t, c, grid) for _, c in points]
-        codes = np.array([sorted_code(x, params) for x in xs], np.int64)
-        encodings = corrupt_rows(codes, params.k, params.alphabet, rng).tolist()
-        for (u, c), e in zip(points, encodings):
-            clients[u].add(t, c, e)
+        for u, e in zip(users, encoded([(t, trails[u][t]) for u in users])):
+            clients[u].add(t, trails[u][t], e)
+            stored[u][t] = e
             send(ReportMsg(u, UNINFECTED, e))
-        for u, epoch in infections:
-            if epoch == t:
-                t_start = 0 if window is None else max(0, t - window)
-                for _, _, e in clients[u].records_between(t_start, t):
-                    send(ReportMsg(u, INFECTED, e))
-    return trails, recovered, alerts, _pairwise_contacts(trails, infections, window)
+        resent = [
+            (u, stored[u][te], [(te, c) for c in _within(here, radius, grid) if c != here])
+            for u, epoch in infections
+            if epoch == t
+            for te in range(0 if window is None else max(0, t - window), t + 1)
+            for here in [trails[u][te]]
+        ]
+        points = [point for _, _, near in resent for point in near]
+        fresh = iter(encoded(points) if points else ())
+        for u, e, near in resent:
+            send(ReportMsg(u, INFECTED, e))
+            for _ in near:
+                send(ReportMsg(u, INFECTED, next(fresh)))
+    return trails, recovered, alerts, _pairwise_contacts(trails, infections, window, radius, grid)
 
 
 @pytest.mark.parametrize("inflate_world", [False, True])
@@ -1503,8 +1533,10 @@ def test_simulation_equals_the_reference_order(radius, window, inflate_world):
 
 def test_simulation_trails_do_not_depend_on_the_encoding():
     """The walks are drawn before any corruption, so the parameters, the
-    dilation radius and inflation change the reports but not the trails
-    or the contacts."""
+    dilation radius and inflation change the reports but not the trails;
+    at one radius they do not change the contacts either, and a wider
+    radius only adds contacts.  Every run stores one report an
+    agent-epoch."""
     grid = GridSpec(rows=6, cols=6, epochs=10)
     infections = [("u1", 4), ("u3", 9)]
     runs = [
@@ -1519,46 +1551,75 @@ def test_simulation_trails_do_not_depend_on_the_encoding():
     assert first.contacts
     for other in runs[1:]:
         assert other.trajectories == first.trajectories
-        assert other.contacts == first.contacts
-    assert runs[1].server.store_size > first.server.store_size == 12 * 10
+    assert first.contacts < runs[1].contacts == runs[2].contacts
+    assert all(run.server.store_size == 12 * 10 for run in runs)
 
 
 def test_client_tick_records_and_reports_each_given_encoding():
-    """Each report carries the very encoding it is given, and each record
-    is that encoding at its (t, cell); a wrong number of encodings is
-    refused before any record."""
+    """Each report carries the encoding packed in the row it is given, and
+    each record is that row at its (t, cell).  A row the client refuses,
+    or a t out of range, raises before anything is recorded: a row of no
+    bytes, of an odd number, or of another width than the first record's
+    is a ValueError, and one that is not bytes a TypeError."""
     grid = GridSpec(rows=10, cols=10, epochs=20)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
     client, rng = ClientState("a"), random.Random(3)
-    cells = dilate(55, 1, grid)
+    cells = [55, 56, 12]
     codes = [sorted_code(inflate(pack(4, c, grid)), params) for c in cells]
-    encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
-    msgs = client_tick(client, 4, cells, encodings)
+    encodings = [tuple(corrupt(code, params.k, params.alphabet, rng)) for code in codes]
+    msgs = [client_tick(client, 4, c, pack_encoding(e)) for c, e in zip(cells, encodings)]
     assert msgs == [ReportMsg("a", UNINFECTED, e) for e in encodings]
-    assert all(msg.encoding is e for msg, e in zip(msgs, encodings))
     assert client.records_between(0, 19) == [(4, c, e) for c, e in zip(cells, encodings)]
-    with pytest.raises(ValueError, match="8 encodings for 9 cells"):
-        client_tick(client, 5, cells, encodings[1:])
-    assert len(client) == 9
+    columns, row = _columns(client), pack_encoding(encodings[0])
+    for t, bad, error in [
+        (5, b"", ValueError),
+        (5, row[:-1], ValueError),
+        (5, row[:-2], ValueError),
+        (5, row + b"\0\0", ValueError),
+        (5, row.decode("latin-1"), TypeError),
+        (5, list(row), TypeError),
+        (2**64, row, ValueError),
+        (5.0, row, TypeError),
+    ]:
+        with pytest.raises(error):
+            client_tick(client, t, 55, bad)
+    assert _columns(client) == columns
+    # the first record fixes the width: a client with none takes any width
+    # but a row of no bytes or of an odd number of them
+    empty = ClientState("b")
+    for bad in (b"", b"\0\0\0"):
+        with pytest.raises(ValueError, match="not 2 bytes per coordinate"):
+            client_tick(empty, 0, 0, bad)
+        assert len(empty) == 0 and _columns(empty) == (b"", b"", b"", 0)
 
 
-@pytest.mark.parametrize("radius", [0, 1])
-def test_the_simulator_dilates_each_agent_once_an_epoch(monkeypatch, radius):
-    """One `dilate` a trail cell, epoch by epoch in user order, both for
-    the epoch's batch and for the ticks."""
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_the_simulator_dilates_only_the_re_sent_records(monkeypatch, radius):
+    """No `dilate` on the store path: one a re-sent record, at its cell, as
+    the infections re-send, then one for each again in `_contacts`.  Each
+    re-sent record is sent with one fresh encoding a dilated cell other
+    than its own."""
     grid = GridSpec(rows=6, cols=6, epochs=10)
     params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    infections, window = [("u0", 4), ("u5", 9)], 3
     dilated = []
 
     def counted(cell, radius, grid):
-        dilated.append(cell)
+        dilated.append((cell, radius))
         return dilate(cell, radius, grid)
 
     monkeypatch.setattr(tracing, "dilate", counted)
-    result = run_simulation(20, grid, params, 8, [("u0", 9)], radius, inflate_world=True)
-    trails = list(result.trajectories.values())
-    assert len(dilated) == 20 * grid.epochs
-    assert dilated == [trail[t] for t in range(grid.epochs) for trail in trails]
+    result = run_simulation(
+        20, grid, params, 8, infections, radius, window, inflate_world=True
+    )
+    resent = [
+        (result.trajectories[u][t], radius)
+        for u, epoch in infections
+        for t in range(max(0, epoch - window), epoch + 1)
+    ]
+    assert dilated == resent + resent
+    assert result.server.store_size == 20 * grid.epochs
+    assert len(result.server.infected_log) == sum(len(dilate(c, r, grid)) for c, r in resent)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1583,13 +1644,13 @@ def test_simulation_contacts_match_the_pairwise_scan(seed, window):
     assert result.contacts == expected
 
 
-def _pairwise_contacts(trajectories, infections, window):
+def _pairwise_contacts(trajectories, infections, window, radius, grid):
     expected = set()
     for user, epoch in infections:
         t_start = 0 if window is None else max(0, epoch - window)
         for t in range(t_start, epoch + 1):
             for other, cells in trajectories.items():
-                if other != user and cells[t] == trajectories[user][t]:
+                if other != user and _chebyshev(cells[t], trajectories[user][t], grid) <= radius:
                     expected.add(other)
     return expected
 
@@ -1599,15 +1660,48 @@ def _pairwise_contacts(trajectories, infections, window):
 def test_contacts_equal_the_pairwise_scan(data):
     epochs = data.draw(st.integers(1, 6))
     agents = data.draw(st.integers(1, 6))
-    trail = st.lists(st.integers(0, 2), min_size=epochs, max_size=epochs)
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    grid = GridSpec(rows=rows, cols=cols, epochs=epochs)
+    trail = st.lists(st.integers(0, grid.cells - 1), min_size=epochs, max_size=epochs)
     trajectories = {f"u{i}": data.draw(trail) for i in range(agents)}
     # few users and epochs, so infections often repeat a user or an epoch
     infection = st.tuples(st.sampled_from(sorted(trajectories)), st.integers(0, epochs - 1))
     infections = data.draw(st.lists(infection, max_size=3))
     window = data.draw(st.none() | st.integers(0, 3))
-    assert _contacts(trajectories, infections, window) == _pairwise_contacts(
-        trajectories, infections, window
+    radius = data.draw(st.integers(0, 2))
+    assert _contacts(trajectories, infections, window, radius, grid) == _pairwise_contacts(
+        trajectories, infections, window, radius, grid
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.none() | st.integers(0, 4))
+def test_a_dilated_simulation_alerts_exactly_the_users_within_the_radius(seed, radius, window):
+    """At radius r > 0, on the `sim` parameters with an inflated world, 40
+    agents on 5x5 cells and two infections: the alerted users are the
+    contacts within Chebyshev distance r, as `_contacts` and the pairwise
+    scan find them; every recovered (t, cell) is the recipient's own cell
+    at t, within r of an infected agent's cell at t inside that agent's
+    window; and the store holds one report an agent-epoch."""
+    grid = GridSpec(rows=5, cols=5, epochs=10)
+    params = PolyCodeParams(M=inflate_range_bound(), p=503, n=20, k=2)
+    infections = [("u0", 9), ("u1", 5)]
+    result = run_simulation(
+        agents=40, grid=grid, params=params, seed=seed, infections=infections,
+        dilation_radius=radius, window=window, inflate_world=True,
+    )  # fmt: skip
+    trails = result.trajectories
+    assert result.contacts == _pairwise_contacts(trails, infections, window, radius, grid)
+    assert result.alerted_users() == _contacts(trails, infections, window, radius, grid)
+    assert result.server.store_size == 40 * grid.epochs
+    for user, t, cell, _ in result.recovered:
+        assert trails[user][t] == cell
+        assert any(
+            u != user
+            and (window is None or epoch - window <= t) and t <= epoch
+            and _chebyshev(trails[u][t], cell, grid) <= radius
+            for u, epoch in infections
+        )
 
 
 _NOT_AN_INT = "'float' object cannot be interpreted as an integer"

@@ -24,9 +24,10 @@ each:
 - `corrupt_rows.epoch`: per code, `corrupt_rows` of that epoch's sorted
   rows (`encoder._sorted_rows`), the 1,000 codes in one batch, once a
   round;
-- `client.add`: `ClientState.add` of the record;
+- `client.record`: `ClientState.record` of a cell and its packed row
+  (`pack_encoding`), the one record path;
 - `client_tick`: `client_tick` whole as the simulator calls it, given the
-  cell and its encoding: the record and the report.
+  cell and its packed row: the record and the report.
 
 Then it builds one store at each benchmark shape, at that workload's store
 size unless `--entries` sets one for all three, and fills a `ServerState`
@@ -69,7 +70,8 @@ commit whose tier-1 tests pass, for those prove what it times:
   on the grid, and the nine moves are uniform
   (`tests/test_tracing.py::test_trails_are_king_steps_that_stay_on_the_grid`,
   `test_trail_steps_are_uniform_over_the_nine_moves`);
-- `client_tick` records and reports each encoding it is given, and
+- `client_tick` records the row it is given and reports its encoding,
+  `ClientState.record` keeps every check of `ClientState.add`, and
   `lookup` finds the record
   (`tests/test_tracing.py::test_client_tick_records_and_reports_each_given_encoding`,
   `test_lookup_returns_the_latest_record_of_an_encoding`);
@@ -90,9 +92,8 @@ commit whose tier-1 tests pass, for those prove what it times:
 - every message survives the wire
   (`tests/test_tracing.py::test_wire_format_round_trip_property`);
 - the alerts are the `scan_match` hits minus the reporter's own, each
-  (recipient, encoding) once (`test_server_flow_co_location`,
-  `test_server_deduplicates_alerts`,
-  `test_uninfected_adds_racing_infected_reports_are_each_seen_whole`).
+  (recipient, encoding) once (`tests/test_server_model.py`, and
+  `tests/test_tracing.py::test_uninfected_adds_racing_infected_reports_are_each_seen_whole`).
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ from tracecloak.encoder import (
     inflate,
     inflate_points,
     inflate_range_bound,
+    pack_encoding,
     sorted_code,
     sorted_codes,
 )
@@ -143,7 +145,7 @@ CLIENT_LAYERS = (
     "sorted_codes.epoch",
     "corrupt",
     "corrupt_rows.epoch",
-    "client.add",
+    "client.record",
     "client_tick",
 )
 SHAPES = {
@@ -205,8 +207,7 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> None:
     inflated = [inflate(pack(t, cell, grid)) for t, cell in points]
     codes = [sorted_code(y, params) for y in inflated]
     encodings = [corrupt(code, params.k, params.alphabet, rng) for code in codes]
-    records = [(t, cell, e) for (t, cell), e in zip(points, encodings)]
-    ticks = [(t, [cell], [e]) for (t, cell), e in zip(points, encodings)]
+    records = [(t, cell, pack_encoding(e)) for (t, cell), e in zip(points, encodings)]
     times = {layer: [] for layer in CLIENT_LAYERS}
     for r in range(args.rounds):  # the layers interleaved, so drift hits each alike
         part = slice(r * args.sends, (r + 1) * args.sends)
@@ -224,11 +225,8 @@ def client_half(args: argparse.Namespace, rng: random.Random) -> None:
         times["corrupt"] += timed(lambda c: corrupt(c, params.k, params.alphabet, rng), codes[part])
         (epoch_ns,) = timed(lambda c: corrupt_rows(c, params.k, params.alphabet, gen), [rows[r]])
         times["corrupt_rows.epoch"].append(epoch_ns / SIM_AGENTS)
-        times["client.add"] += timed(lambda rec: client.add(*rec), records[part])
-        times["client_tick"] += timed(
-            lambda p: client_tick(client, p[0], p[1], p[2]),
-            ticks[part],
-        )
+        times["client.record"] += timed(lambda rec: client.record(*rec), records[part])
+        times["client_tick"] += timed(lambda rec: client_tick(client, *rec), records[part])
     for layer in CLIENT_LAYERS:
         us = statistics.median(times[layer]) / 1e3
         print(f"sim   client   {layer:20} {us:8.2f} us")
