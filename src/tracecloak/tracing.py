@@ -413,16 +413,30 @@ class _Connection:
         self.discard: int | None = None
         self.eof = False  # the peer has closed its side
 
+    def wanted(self) -> int:
+        """The selector events this connection waits for, 0 once it is done.
+        It reads only when no reply waits, unless the input is discarded."""
+        events = selectors.EVENT_WRITE if self.outbuf else 0
+        if not self.eof and (self.discard is not None or not self.outbuf):
+            events |= selectors.EVENT_READ
+        return events
+
 
 class SocketServer:
     """Newline-delimited TCP front end; each REPORT line is answered with
     the resulting ALERT lines (recipient in the message) then an OK line.
 
     One thread, the one in `serve_forever`, serves every connection from a
-    selector loop.  Sockets never block: a reply the client does not read
-    yet waits in the connection's buffer, and the server reads no more from
-    that connection until the reply is sent, so a client that never reads
-    neither stalls the others nor grows the server's memory.
+    selector loop.  A new connection is read in the turn that accepts it,
+    and it is registered with the selector only when it has to wait for
+    input or for room to send, so a one-shot client that has sent its line
+    is answered and closed without a selector call.  In one turn the server
+    stops reading a connection once it has read one receive buffer (64 KiB)
+    from it, so a client that sends without pause does not hold the loop.
+    Sockets never block: a reply the client does not read yet waits in the
+    connection's buffer, and the server reads no more from that connection
+    until the reply is sent, so a client that never reads neither stalls
+    the others nor grows the server's memory.
 
     A connection whose next line is not complete within `idle_timeout`
     seconds is dropped, whether it idles or trickles bytes.  A bad line, or
@@ -463,17 +477,7 @@ class SocketServer:
         self._stopped.clear()
         try:
             while not self._stop:
-                now = time.monotonic()
-                if now >= self._next_expiry:
-                    self._expire(now)
-                wait = min(poll_interval, self._next_expiry - now)
-                for key, events in self._selector.select(max(wait, 0.0)):
-                    if key.data is not None:
-                        self._serve(key, events)
-                    elif key.fileobj is self.socket:
-                        self._accept()
-                    else:  # the wake-up byte of `shutdown`
-                        self._wakeup.recv(64)
+                self._turn(poll_interval)
         finally:
             self._stop = False
             self._stopped.set()
@@ -491,11 +495,26 @@ class SocketServer:
         still open.  A second call does nothing."""
         for key in list((self._selector.get_map() or {}).values()):  # None once closed
             if key.data is not None:
-                self._close(key.data)
+                self._close(key.data, key.events)
         self._selector.close()
         self.socket.close()
         self._wakeup.close()
         self._waker.close()
+
+    def _turn(self, poll_interval: float) -> None:
+        """One select of the loop: drop the connections past their deadline,
+        wait at most `poll_interval` seconds, and serve what is ready."""
+        now = time.monotonic()
+        if now >= self._next_expiry:
+            self._expire(now)
+        wait = min(poll_interval, self._next_expiry - now)
+        for key, events in self._selector.select(max(wait, 0.0)):
+            if key.data is not None:
+                self._step(key.data, events, key.events)
+            elif key.fileobj is self.socket:
+                self._accept()
+            else:  # the wake-up byte of `shutdown`
+                self._wakeup.recv(64)
 
     def _accept(self) -> None:
         try:
@@ -505,36 +524,48 @@ class SocketServer:
         sock.setblocking(False)
         conn = _Connection(sock, peer)
         self._set_deadline(conn)
-        self._selector.register(sock, selectors.EVENT_READ, conn)
+        # a client that has sent its line is usually answered in this turn
+        self._step(conn, selectors.EVENT_READ, 0)
 
-    def _serve(self, key: selectors.SelectorKey, events: int) -> None:
-        conn = key.data
+    def _step(self, conn: _Connection, events: int, registered: int) -> None:
+        """Serve `conn` for the ready `events`: send what waits, then read
+        and answer until the socket would block, the peer has ended, a reply
+        waits, or one receive buffer has been read in this turn.  Then close
+        the connection if it is done, or (re-)register it for what it waits
+        for; `registered` is what the selector watches it for, 0 if nothing."""
+        budget = len(self._chunk) if events & selectors.EVENT_READ else 0
         try:
             if events & selectors.EVENT_WRITE:
                 self._flush(conn)
-            if events & selectors.EVENT_READ:
-                self._read(conn)
+            while budget > 0 and conn.wanted() & selectors.EVENT_READ:
+                got = self._read(conn)
+                if got is None:
+                    break
+                budget -= got
         except OSError as exc:  # the peer reset or closed the connection
-            self._close(conn, None if conn.discard is not None else f"connection lost: {exc}")
+            reason = None if conn.discard is not None else f"connection lost: {exc}"
+            self._close(conn, registered, reason)
             return
         except Exception:  # a fault in the program: drop this client, serve the rest
             _log.exception("dropped %s:%d: internal error", *conn.peer)
-            self._close(conn)
+            self._close(conn, registered)
             return
-        # read only when no reply waits, unless the input is being discarded
-        wanted = selectors.EVENT_WRITE if conn.outbuf else 0
-        if not conn.eof and (conn.discard is not None or not conn.outbuf):
-            wanted |= selectors.EVENT_READ
+        wanted = conn.wanted()
         if not wanted:
-            self._close(conn)
-        elif wanted != key.events:
+            self._close(conn, registered)
+        elif not registered:
+            self._selector.register(conn.sock, wanted, conn)
+        elif wanted != registered:
             self._selector.modify(conn.sock, wanted, conn)
 
-    def _read(self, conn: _Connection) -> None:
+    def _read(self, conn: _Connection) -> int | None:
+        """Read once into the shared buffer and answer or discard what came.
+        Return the number of bytes read, 0 at the end of input, or None if
+        the socket would block."""
         try:
             got = conn.sock.recv_into(self._chunk)
         except BlockingIOError:
-            return
+            return None
         conn.eof = not got
         if conn.discard is None:
             conn.inbuf += self._chunk[:got]
@@ -544,6 +575,7 @@ class SocketServer:
             if conn.discard <= 0:  # enough: close even if the ERROR is unsent
                 conn.eof = True
                 conn.outbuf.clear()
+        return got
 
     def _answer(self, conn: _Connection) -> None:
         """Answer every complete line in `inbuf` (and, once the peer has
@@ -619,16 +651,18 @@ class SocketServer:
             if conn.deadline > now:
                 self._next_expiry = min(self._next_expiry, conn.deadline)
             elif conn.discard is not None:
-                self._close(conn)
+                self._close(conn, key.events)
             elif conn.outbuf:
-                self._close(conn, f"reply not read within {self.idle_timeout} s")
+                self._close(conn, key.events, f"reply not read within {self.idle_timeout} s")
             else:
-                self._close(conn, f"no complete line within {self.idle_timeout} s")
+                self._close(conn, key.events, f"no complete line within {self.idle_timeout} s")
 
-    def _close(self, conn: _Connection, reason: str | None = None) -> None:
+    def _close(self, conn: _Connection, registered: int, reason: str | None = None) -> None:
+        """Close `conn`, and unregister it if the selector watches it."""
         if reason is not None:
             _log.warning("dropped %s:%d: %s", *conn.peer, reason)
-        self._selector.unregister(conn.sock)
+        if registered:
+            self._selector.unregister(conn.sock)
         conn.sock.close()
 
 

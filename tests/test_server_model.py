@@ -1,4 +1,4 @@
-"""One model of the server, run on its three front ends.
+"""One model of the server, run on its four front ends.
 
 The model is what the server must hold after any sequence of reports: the
 stored (user id, tag, encoding) entries in insertion order, the set of
@@ -12,12 +12,14 @@ step the server's store, infected log and dedupe set equal the model's
 (Hughes, "Experiences with QuickCheck: Testing the Hard Stuff and Staying
 Sane", 2016).
 
-The same machine drives `ServerState.handle`, `InProcessTransport` and
-`send_report_over_socket` against one `SocketServer`; each front end is a
-subclass that sets its `send` and its table of refusals.  A new server
-feature adds a rule and a model field here, not a test of its own.  The
-concurrency races and the socket loop's edge cases stay in
-`test_tracing.py`: a sequential model does not reach them.
+The same machine drives `ServerState.handle`, `InProcessTransport`,
+`send_report_over_socket` against one `SocketServer`, and a pipelined
+client that sends the lines of successive steps on one connection (a
+refused line's `ERROR` ends that connection, and the next step opens
+another); each front end is a subclass that sets its `send` and its table
+of refusals.  A new server feature adds a rule and a model field here,
+not a test of its own.  The concurrency races and the socket loop's edge
+cases stay in `test_tracing.py`: a sequential model does not reach them.
 """
 
 import operator
@@ -33,7 +35,8 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 from tracecloak.encoder import CODE_LIMIT
 from tracecloak.matcher import DatabaseEntry, scan_match
 from tracecloak.tracing import INFECTED, POSSIBLE_INFECTION, UNINFECTED, AlertMsg, InProcessTransport
-from tracecloak.tracing import ProtocolError, ReportMsg, ServerState, SocketServer, send_report_over_socket
+from tracecloak.tracing import ProtocolError, ReportMsg, ServerState, SocketServer, format_message, parse_message
+from tracecloak.tracing import send_report_over_socket
 
 N, TAU = 4, 2  # so k = 1
 _users = st.sampled_from(["a", "b", "c"])
@@ -218,7 +221,40 @@ class SocketModel(InProcessModel):
         assert not self.thread.is_alive()
 
 
+class PipelinedSocketModel(SocketModel):
+    """Each step's line goes on the connection of the steps before it, and
+    its replies are read up to its OK; an ERROR ends the connection."""
+
+    conn = replies = None
+
+    def send(self, msg):
+        line = (format_message(msg) + "\n").encode("utf-8")  # refuses before anything is sent
+        if self.conn is None:
+            self.conn = socket.create_connection(self.server.server_address)
+            self.replies = self.conn.makefile("rb")
+        self.conn.sendall(line)
+        alerts = []
+        while (reply := self.replies.readline().decode("utf-8")) != "OK\n":
+            if reply.startswith("ERROR\t"):
+                self.hang_up()
+                raise ProtocolError(reply[len("ERROR\t") : -1])
+            alerts.append(parse_message(reply.removesuffix("\n")))  # refuses the end of the stream
+        return alerts
+
+    def hang_up(self):
+        if self.conn is not None:
+            self.replies.close()
+            self.conn.close()
+            self.conn = self.replies = None
+
+    def teardown(self):
+        self.hang_up()
+        super().teardown()
+
+
 TestServerState = ServerModel.TestCase
 TestInProcessTransport = InProcessModel.TestCase
 TestSocketServer = SocketModel.TestCase
 TestSocketServer.settings = settings(TestServerState.settings, max_examples=40, stateful_step_count=25)
+TestPipelinedSocketServer = PipelinedSocketModel.TestCase
+TestPipelinedSocketServer.settings = TestSocketServer.settings

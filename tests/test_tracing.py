@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import logging
 import random
+import selectors
 import socket
 import socketserver
 import sys
@@ -1062,6 +1063,89 @@ def test_a_loop_step_that_would_block_changes_nothing(step, discard):
         assert _loop_snapshot(server, conn) == before
     finally:
         server.socket = listener
+        server.server_close()
+
+
+def _connections(server):
+    return {key.fileobj: key for key in server._selector.get_map().values() if key.data is not None}
+
+
+def test_a_one_shot_report_is_answered_in_its_accept_turn():
+    """A client that has sent its line and half-closed is answered and
+    closed by the accept alone: it reads OK and then the end of the
+    stream, and the selector never held its socket."""
+    state = ServerState(n=3, tau=0)
+    server = SocketServer(("127.0.0.1", 0), state)
+    try:
+        with socket.create_connection(server.server_address, timeout=2) as client:
+            client.sendall((format_message(ReportMsg("u1", UNINFECTED, (1, 2, 3))) + "\n").encode())
+            client.shutdown(socket.SHUT_WR)
+            server._accept()
+            assert client.recv(1024) == b"OK\n"
+            assert client.recv(1024) == b""
+        assert {key.fileobj for key in server._selector.get_map().values()} == {server.socket, server._wakeup}
+        assert state.store_size == 1
+    finally:
+        server.server_close()
+
+
+def test_a_client_that_has_sent_nothing_waits_registered_until_its_line():
+    """A connection with nothing to read yet is registered for reading, with
+    the deadline of its accept; a later turn of the loop answers its line,
+    reads its end and closes it in that one turn."""
+    state = ServerState(n=3, tau=0)
+    server = SocketServer(("127.0.0.1", 0), state)
+    try:
+        with socket.create_connection(server.server_address, timeout=2) as client:
+            before = time.monotonic()
+            server._accept()
+            after = time.monotonic()
+            ((sock, key),) = _connections(server).items()
+            assert key.events == selectors.EVENT_READ
+            deadline = key.data.deadline
+            assert before + server.idle_timeout <= deadline <= after + server.idle_timeout
+            assert server._next_expiry == deadline
+            client.sendall((format_message(ReportMsg("u1", UNINFECTED, (1, 2, 3))) + "\n").encode())
+            client.shutdown(socket.SHUT_WR)
+            server._turn(poll_interval=2.0)
+            assert client.recv(1024) == b"OK\n"
+            assert client.recv(1024) == b""
+            assert _connections(server) == {} and sock.fileno() == -1
+        assert state.store_size == 1
+    finally:
+        server.server_close()
+
+
+class _Flood:
+    """A socket that always has a full buffer of blank lines to read.
+    It counts its reads and raises once `limit` is passed, so that a loop
+    that never stops reading fails instead of hanging."""
+
+    def __init__(self, limit: int):
+        self.reads, self.limit = 0, limit
+
+    def recv_into(self, buffer):
+        self.reads += 1
+        if self.reads > self.limit:
+            raise AssertionError(f"more than {self.limit} reads")
+        buffer[:] = b"\n" * len(buffer)
+        return len(buffer)
+
+
+def test_a_turn_reads_at_most_one_buffer_from_a_connection():
+    """A client that always has more to send is read one receive buffer a
+    turn; it stays registered for reading and is read again at the next
+    wake-up, so it does not hold the loop from the other connections."""
+    server = SocketServer(("127.0.0.1", 0), ServerState(n=3, tau=0))
+    try:
+        flood = _Flood(limit=3)
+        conn = tracing._Connection(flood, ("127.0.0.1", 1))
+        for turn in (1, 2):
+            server._step(conn, selectors.EVENT_READ, selectors.EVENT_READ)
+            assert flood.reads == turn  # each read fills the whole buffer
+            assert (bytes(conn.inbuf), bytes(conn.outbuf), conn.eof) == (b"", b"", False)
+            assert conn.wanted() == selectors.EVENT_READ
+    finally:
         server.server_close()
 
 
